@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataset, experiment, report
@@ -30,34 +30,28 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, convert: type) -> list:
+    """Comma-separated values of one type; empty entries are skipped."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         try:
-            out.append(float(tok))
+            out.append(convert(tok))
         except ValueError:
-            raise UsageError(f"{flag}: {tok!r} is not a number") from None
+            kind = "an integer" if convert is int else "a number"
+            raise UsageError(f"{flag}: {tok!r} is not {kind}") from None
     if not out:
         raise UsageError(f"{flag}: no values given")
     return out
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise UsageError(f"{flag}: {tok!r} is not an integer") from None
-    if not out:
-        raise UsageError(f"{flag}: no values given")
-    return out
+def _check_windows(windows: list[float], flag: str) -> None:
+    try:
+        experiment.check_windows(windows)
+    except ValueError as err:
+        raise UsageError(f"{flag}: {err}") from None
 
 
 def _load_signals(args: argparse.Namespace) -> list[dataset.LabeledSignal]:
@@ -65,31 +59,23 @@ def _load_signals(args: argparse.Namespace) -> list[dataset.LabeledSignal]:
     if getattr(args, "cache", None):
         _progress(f"loading cache {args.cache}")
         return dataset.load_signals(args.cache)
-    data_dir = getattr(args, "data_dir", None) or os.environ.get(ENV_DATA_DIR)
+    data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
     if not data_dir:
-        raise FileNotFoundError(
-            f"no input: pass --cache or --data-dir (or set {ENV_DATA_DIR})"
-        )
-    subjects = _parse_ints(args.subjects, "--subjects") if getattr(args, "subjects", None) else None
+        flags = "--cache or --data-dir" if "cache" in args else "--data-dir"
+        raise FileNotFoundError(f"no input: pass {flags} (or set {ENV_DATA_DIR})")
+    subjects = _parse_list(args.subjects, "--subjects", int) if args.subjects else None
     _progress(f"ingesting protocol files from {data_dir}")
     return dataset.ingest_directory(data_dir, subjects)
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--max-epochs", type=int, default=3000)
-    p.add_argument("--patience", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    """One flag per TrainConfig field (--batch-size ... --seed), same defaults."""
+    for f in fields(TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -99,12 +85,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
-    if not data_dir:
-        raise FileNotFoundError(f"no input: pass --data-dir or set {ENV_DATA_DIR}")
-    subjects = _parse_ints(args.subjects, "--subjects") if args.subjects else None
-    _progress(f"ingesting protocol files from {data_dir}")
-    signals = dataset.ingest_directory(data_dir, subjects)
+    signals = _load_signals(args)
     dataset.save_signals(signals, args.out)
     total = sum(s.n_timesteps for s in signals)
     print(f"wrote {args.out}: {len(signals)} subject(s), {total} timesteps")
@@ -125,10 +106,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_windows([args.window], "--window")
     signals = _load_signals(args)
     kernels = None
     if args.kernels:
-        pair = _parse_ints(args.kernels, "--kernels")
+        pair = _parse_list(args.kernels, "--kernels", int)
         if len(pair) != 2:
             raise UsageError("--kernels needs exactly two sizes, e.g. 7,11")
         kernels = (pair[0], pair[1])
@@ -162,9 +144,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise UsageError("--folds must be >= 2")
-    windows = _parse_floats(args.windows, "--windows")
-    if len(set(windows)) != len(windows):
-        raise UsageError("--windows contains duplicates")
+    windows = _parse_list(args.windows, "--windows", float)
+    _check_windows(windows, "--windows")
     signals = _load_signals(args)
     cfg = _train_config(args)
     rep = experiment.run_sweep(
@@ -219,19 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, required=True, help="window duration in seconds")
     p.add_argument("--kernels", help="override conv kernel sizes, e.g. 7,11")
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--model-out", help="checkpoint file to write")
     p.add_argument("--metrics-json", help="metrics/history JSON to write")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="cross-validated sweep over window durations")
     _add_input_flags(p)
-    p.add_argument("--windows", default="0.1,0.25,0.5,1,2,4", help="comma-separated durations (s)")
+    default_windows = ",".join(f"{w:g}" for w in experiment.DEFAULT_WINDOWS_SEC)
+    p.add_argument("--windows", default=default_windows, help="comma-separated durations (s)")
     p.add_argument("--folds", type=int, default=8)
     p.add_argument("--honest-split", action="store_true", help="stop on a split of the training folds, not the test fold")
     p.add_argument("--per-fold-stats", action="store_true", help="normalize with training-fold statistics per fold")
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out-dir", default="sweep_out")
     p.set_defaults(func=cmd_sweep)
 

@@ -9,13 +9,14 @@ rather than aborting the sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataset import ActivitySet, DEFAULT_ACTIVITIES, LabeledSignal, collect_segments, dataset_fingerprint
 from .model import ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, train
-from .preprocess import Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment
+from .preprocess import FoldPlan, Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment
 
 SHORT_WINDOW_SEC = 0.25
 SHORT_KERNELS = (3, 5)
@@ -27,6 +28,18 @@ DEFAULT_WINDOWS_SEC = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 def select_kernels(window_sec: float) -> tuple[int, int]:
     """Conv kernel sizes as a function of window duration."""
     return SHORT_KERNELS if window_sec <= SHORT_WINDOW_SEC else LONG_KERNELS
+
+
+def check_windows(windows_sec: list[float]) -> None:
+    """Reject an empty list, a duration that is not positive and finite,
+    and duplicates. A valid duration may still fail its geometry later."""
+    if not windows_sec:
+        raise ValueError("no window durations given")
+    for w_sec in windows_sec:
+        if not 0.0 < w_sec < math.inf:
+            raise ValueError(f"window duration must be positive and finite, got {w_sec}")
+    if len(set(windows_sec)) != len(windows_sec):
+        raise ValueError("duplicate window durations")
 
 
 @dataclass
@@ -103,6 +116,42 @@ def _standardized(samples: list[Sample], idx: np.ndarray, mean: np.ndarray, std:
     ]
 
 
+def _fit_fold(
+    samples: list[Sample],
+    plan: FoldPlan,
+    fold: int,
+    spec: ModelSpec,
+    cfg: TrainConfig,
+    seed: int,
+    *,
+    honest_split: bool = False,
+    per_fold_stats: bool = False,
+) -> SingleRunResult:
+    """Train on every fold of ``plan`` but ``fold`` and test on ``fold``;
+    the model, rng and inner split are seeded with ``seed + fold``. See
+    ``run_cv`` for the two options."""
+    fold_seed = seed + fold
+    train_idx, test_idx = plan.train_test(fold)
+    if per_fold_stats:
+        mean, std = _window_level_stats(samples, train_idx)
+        train_pool = _standardized(samples, train_idx, mean, std)
+        test_pool = _standardized(samples, test_idx, mean, std)
+    else:
+        train_pool = [samples[i] for i in train_idx]
+        test_pool = [samples[i] for i in test_idx]
+    if honest_split:
+        inner = make_folds(train_pool, 10, fold_seed)
+        fit_idx, stop_idx = inner.train_test(0)
+        fit_pool = [train_pool[i] for i in fit_idx]
+        stop_pool = [train_pool[i] for i in stop_idx]
+    else:
+        fit_pool, stop_pool = train_pool, test_pool
+    net = build_model(spec, samples[0].window.shape[0], fold_seed)
+    best, best_epoch, history = train(net, fit_pool, stop_pool, replace(cfg, seed=fold_seed))
+    accuracy, loss = evaluate(best, test_pool)
+    return SingleRunResult(best, accuracy, loss, best_epoch, history)
+
+
 def run_cv(
     samples: list[Sample],
     k: int,
@@ -123,29 +172,12 @@ def run_cv(
     standardized input.
     """
     plan = make_folds(samples, k, seed)
-    window_len = samples[0].window.shape[0]
     results = []
     for fold in range(k):
-        fold_seed = seed + fold
-        train_idx, test_idx = plan.train_test(fold)
-        if per_fold_stats:
-            mean, std = _window_level_stats(samples, train_idx)
-            train_pool = _standardized(samples, train_idx, mean, std)
-            test_pool = _standardized(samples, test_idx, mean, std)
-        else:
-            train_pool = [samples[i] for i in train_idx]
-            test_pool = [samples[i] for i in test_idx]
-        if honest_split:
-            inner = make_folds(train_pool, 10, fold_seed)
-            fit_idx, stop_idx = inner.train_test(0)
-            fit_pool = [train_pool[i] for i in fit_idx]
-            stop_pool = [train_pool[i] for i in stop_idx]
-        else:
-            fit_pool, stop_pool = train_pool, test_pool
-        net = build_model(base_spec, window_len, fold_seed)
-        best, best_epoch, _ = train(net, fit_pool, stop_pool, replace(cfg, seed=fold_seed))
-        accuracy, loss = evaluate(best, test_pool)
-        results.append(FoldResult(fold=fold, accuracy=accuracy, loss=loss, epochs_to_best=best_epoch))
+        r = _fit_fold(
+            samples, plan, fold, base_spec, cfg, seed, honest_split=honest_split, per_fold_stats=per_fold_stats
+        )
+        results.append(FoldResult(fold, r.accuracy, r.loss, r.epochs_to_best))
     return results
 
 
@@ -165,12 +197,9 @@ def run_sweep(
 
     Geometry or data-coverage problems for a single duration (kernel does
     not fit, too few windows per class) mark that row failed with the
-    reason; anything else propagates.
+    reason; anything else, divergence included, propagates.
     """
-    if not windows_sec:
-        raise ValueError("no window durations given")
-    if len(set(windows_sec)) != len(windows_sec):
-        raise ValueError("duplicate window durations")
+    check_windows(windows_sec)
     fingerprint = dataset_fingerprint(signals)
     if not per_fold_stats:
         signals = apply_zscore(signals, compute_stats(signals))
@@ -235,20 +264,12 @@ def train_single(
     kernels: tuple[int, int] | None = None,
 ) -> SingleRunResult:
     """One standardize/window/train run with a held-out fifth for stopping
-    and evaluation. Used by the CLI's single-model path."""
+    and evaluation: fold 0 of a 5-fold plan. Used by the CLI's single-model
+    path."""
     signals = apply_zscore(signals, compute_stats(signals))
     segments = collect_segments(signals, acts)
     wspec = WindowSpec(window_sec)
     spec = ModelSpec(kernels=kernels or select_kernels(window_sec))
     plan_shapes(spec, wspec.window_len)
     samples = segment(segments, wspec)
-    plan = make_folds(samples, 5, seed)
-    train_idx, holdout_idx = plan.train_test(0)
-    fit_pool = [samples[i] for i in train_idx]
-    holdout = [samples[i] for i in holdout_idx]
-    net = build_model(spec, wspec.window_len, seed)
-    best, best_epoch, history = train(net, fit_pool, holdout, replace(cfg, seed=seed))
-    accuracy, loss = evaluate(best, holdout)
-    return SingleRunResult(
-        model=best, accuracy=accuracy, loss=loss, epochs_to_best=best_epoch, history=history
-    )
+    return _fit_fold(samples, make_folds(samples, 5, seed), 0, spec, cfg, seed)

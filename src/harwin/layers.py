@@ -18,6 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class DivergenceError(ValueError):
+    """A non-finite loss, logit or gradient: training has diverged."""
+
+
 def conv_out_len(length: int, kernel: int, padding: int = 0, stride: int = 1) -> int:
     """Output length of a strided 1-D convolution; may be <= 0 for a kernel
     longer than the padded input."""
@@ -137,7 +141,7 @@ def softmax_xent(logits: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, n
     lb = np.atleast_2d(logits)
     cb = np.atleast_1d(classes)
     if not np.isfinite(lb).all():
-        raise ValueError("non-finite logits")
+        raise DivergenceError("non-finite logits")
     if cb.shape != (lb.shape[0],):
         raise ValueError("one class index per logit row required")
     if cb.size and (cb.min() < 0 or cb.max() >= lb.shape[1]):
@@ -214,7 +218,7 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         raise ValueError("params/grads count does not match the Adam state")
     for g in grads:
         if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient")
+            raise DivergenceError("non-finite gradient")
     state.t += 1
     b1t = 1.0 - state.beta1**state.t
     b2t = 1.0 - state.beta2**state.t

@@ -8,6 +8,7 @@ output would starve the next layer (first pool) or be empty (second pool).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .layers import (
+    DivergenceError,
     adam_step,
     conv1d_backward,
     conv1d_forward,
@@ -146,35 +148,37 @@ class ModelParams:
         return ModelParams(self.spec, self.plan, *tensors)
 
 
-def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def param_shapes(spec: ModelSpec, plan: ShapePlan) -> list[tuple[int, ...]]:
+    """Shape of every parameter tensor, in tensors() order: each layer's
+    weights (out, in, ...) followed by its bias (out,)."""
+    f1, f2 = spec.conv_filters
+    d1, d2 = spec.dense_sizes
+    layers = [
+        (f1, spec.in_channels, spec.kernels[0]),
+        (f2, f1, spec.kernels[1]),
+        (d1, plan.flatten),
+        (d2, d1),
+        (spec.n_classes, d2),
+    ]
+    return [shape for w in layers for shape in (w, w[:1])]
 
 
 def build_model(spec: ModelSpec, window_len: int, seed: int) -> ModelParams:
-    """He-uniform weights (bound sqrt(6/fan_in)), zero biases, seeded rng.
+    """He-uniform weights (bound sqrt(6/fan_in), fan_in the product of all
+    but the first weight dimension), zero biases, seeded rng.
 
     Weights are drawn in declaration order so a seed pins the full init.
     """
     plan = plan_shapes(spec, window_len)
-    f1, f2 = spec.conv_filters
-    k1, k2 = spec.kernels
-    d1, d2 = spec.dense_sizes
     rng = np.random.default_rng(seed)
-    return ModelParams(
-        spec=spec,
-        plan=plan,
-        conv1_w=_he_uniform(rng, (f1, spec.in_channels, k1), spec.in_channels * k1),
-        conv1_b=np.zeros(f1),
-        conv2_w=_he_uniform(rng, (f2, f1, k2), f1 * k2),
-        conv2_b=np.zeros(f2),
-        dense1_w=_he_uniform(rng, (d1, plan.flatten), plan.flatten),
-        dense1_b=np.zeros(d1),
-        dense2_w=_he_uniform(rng, (d2, d1), d1),
-        dense2_b=np.zeros(d2),
-        out_w=_he_uniform(rng, (spec.n_classes, d2), d2),
-        out_b=np.zeros(spec.n_classes),
-    )
+    tensors = []
+    for shape in param_shapes(spec, plan):
+        if len(shape) == 1:
+            tensors.append(np.zeros(shape))
+        else:
+            bound = np.sqrt(6.0 / math.prod(shape[1:]))
+            tensors.append(rng.uniform(-bound, bound, size=shape))
+    return ModelParams(spec, plan, *tensors)
 
 
 @dataclass
@@ -321,8 +325,8 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 @dataclass
@@ -376,8 +380,8 @@ def train(
     when the stop loss has not improved for ``patience`` epochs or the epoch
     budget runs out, and the parameters from the best epoch are returned
     along with that epoch's 1-based index and the per-epoch history.
-    A non-finite loss or gradient aborts with a RuntimeError naming the
-    epoch.
+    A non-finite loss, logit or gradient, in a training step or in the
+    stop-set evaluation, aborts with a RuntimeError naming the epoch.
     """
     if not train_samples:
         raise ValueError("no training samples")
@@ -401,24 +405,22 @@ def train(
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
         batch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            try:
-                # overflow here is how divergence manifests; the isfinite
-                # checks below turn it into a diagnostic instead of a warning
-                with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            # overflow is how divergence manifests; the isfinite checks turn
+            # it into a DivergenceError instead of a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in range(0, n, cfg.batch_size):
+                    idx = order[lo : lo + cfg.batch_size]
                     loss, grads = loss_and_grads(
                         model, windows[idx], classes[idx], training=True, rng=rng
                     )
                     if not np.isfinite(loss):
-                        raise ValueError("non-finite loss")
+                        raise DivergenceError("non-finite loss")
                     adam_step(adam, params, grads)
-            except ValueError as err:
-                if "non-finite" in str(err):
-                    raise RuntimeError(f"training diverged at epoch {epoch}") from err
-                raise
-            batch_losses.append(loss)
-        _, stop_loss = _eval_arrays(model, stop_windows, stop_classes)
+                    batch_losses.append(loss)
+                _, stop_loss = _eval_arrays(model, stop_windows, stop_classes)
+        except DivergenceError as err:
+            raise RuntimeError(f"training diverged at epoch {epoch}") from err
         history.append(EpochStats(train_loss=float(np.mean(batch_losses)), stop_loss=stop_loss))
         if stop_loss < best_loss:
             best_loss = stop_loss
@@ -503,25 +505,10 @@ def load_model(path: str | Path) -> ModelParams:
         pool1_applied=bool(pv[6]),
         pool2_applied=bool(pv[7]),
     )
-    f1, f2 = spec.conv_filters
-    k1, k2 = spec.kernels
-    d1, d2 = spec.dense_sizes
-    shapes = [
-        (f1, spec.in_channels, k1),
-        (f1,),
-        (f2, f1, k2),
-        (f2,),
-        (d1, plan.flatten),
-        (d1,),
-        (d2, d1),
-        (d2,),
-        (spec.n_classes, d2),
-        (spec.n_classes,),
+    tensors = [
+        np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        for shape in param_shapes(spec, plan)
     ]
-    tensors = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        tensors.append(np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy())
     if off != len(blob):
         raise ValueError(f"{path}: trailing bytes in model checkpoint")
     return ModelParams(spec, plan, *tensors)

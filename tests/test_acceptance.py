@@ -330,7 +330,7 @@ def test_criterion_7_trend_on_real_data(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 8. full-scale sweep (manual, opt-in; see scripts/run_full_sweep.py)
+# 8. full-scale sweep (manual, opt-in; the README's full-scale `harwin sweep` command)
 # ---------------------------------------------------------------------------
 
 

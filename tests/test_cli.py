@@ -128,6 +128,31 @@ def test_sweep_bad_windows_exit_2(capsys):
     _synth()
     assert cli(["sweep", "--cache", "cache.bin", "--windows", "0.1,zebra"]) == 2
     assert cli(["sweep", "--cache", "cache.bin", "--windows", "0.1,0.1"]) == 2
+    for windows in ("inf", "nan,nan", "-1", "0.1,0"):
+        assert cli(["sweep", "--cache", "cache.bin", "--windows", windows]) == 2, windows
+    assert "positive and finite" in capsys.readouterr().err
+
+
+def test_train_bad_window_exit_2(capsys):
+    _synth()
+    for window in ("inf", "nan", "-1"):
+        assert cli(["train", "--cache", "cache.bin", "--window", window]) == 2, window
+    assert "--window" in capsys.readouterr().err
+
+
+def test_sweep_divergence_exits_1(capsys):
+    _synth()
+    capsys.readouterr()
+    rc = cli(
+        [
+            "sweep", "--cache", "cache.bin", "--windows", "0.5", "--folds", "2",
+            "--max-epochs", "3", "--learning-rate", "1e200", "--out-dir", "out",
+        ]
+    )
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "diverged at epoch 1" in out.err
 
 
 def test_report_regenerates_byte_identical_outputs(tmp_cwd):
@@ -162,6 +187,37 @@ def test_ingest_via_env_var(tmp_cwd, monkeypatch, capsys):
     (sig,) = load_signals("pamap.bin")
     assert sig.subject_id == 101
     assert sig.channels.shape == (18, 40)
+
+
+def _write_subject(path, rng, n_rows=40):
+    rows = []
+    for i in range(n_rows):
+        vals = rng.normal(size=52)
+        rows.append(" ".join([f"{0.01 * (i + 1):.2f}", "4"] + [f"{v:.5f}" for v in vals]))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_sweep_reads_requested_subjects_from_data_dir(tmp_cwd, capsys):
+    data = tmp_cwd / "data"
+    data.mkdir()
+    rng = np.random.default_rng(1)
+    for subject in (101, 102, 103):
+        _write_subject(data / f"subject{subject}.dat", rng)
+    assert cli(["ingest", "--data-dir", "data", "--subjects", "101,102", "--out", "two.bin"]) == 0
+    fingerprint = capsys.readouterr().out.split("fingerprint ")[1].strip()
+    rc = cli(
+        [
+            "sweep", "--data-dir", "data", "--subjects", "101,102", "--windows", "0.1",
+            "--folds", "2", "--max-epochs", "1", "--out-dir", "out",
+        ]
+    )
+    assert rc == 0
+    doc = json.loads((tmp_cwd / "out" / "report.json").read_text())
+    assert doc["dataset_fingerprint"] == fingerprint
+    capsys.readouterr()
+    rc = cli(["sweep", "--data-dir", "data", "--subjects", "101,104", "--windows", "0.1", "--folds", "2"])
+    assert rc == 1
+    assert "subject104.dat" in capsys.readouterr().err
 
 
 def test_ingest_missing_dir_exits_1(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from harwin.dataset import generate_synthetic
+from harwin.dataset import collect_segments, generate_synthetic
 from harwin.experiment import (
     FoldResult,
     SweepRow,
@@ -12,8 +12,9 @@ from harwin.experiment import (
     select_kernels,
     train_single,
 )
+from harwin.layers import DivergenceError
 from harwin.model import ModelSpec, TrainConfig
-from harwin.preprocess import Sample
+from harwin.preprocess import Sample, WindowSpec, apply_zscore, compute_stats, segment
 
 
 def _blob_samples(n_per_class, sep=3.0, seed=0, n_classes=3, window_len=12):
@@ -176,6 +177,19 @@ def test_run_sweep_rejects_bad_window_lists():
         run_sweep([_tiny_signal()], [], FAST_CFG, seed=0)
     with pytest.raises(ValueError, match="duplicate"):
         run_sweep([_tiny_signal()], [0.1, 0.1], FAST_CFG, seed=0)
+    for windows in ([float("inf")], [float("nan"), float("nan")], [-1.0], [0.1, 0.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_sweep([_tiny_signal()], windows, FAST_CFG, seed=0)
+
+
+def test_run_sweep_raises_on_divergence_instead_of_a_failed_row():
+    # one minibatch per epoch: the first Adam step blows the weights up and
+    # the first non-finite logits appear in the stop-set evaluation
+    sig = generate_synthetic(42, samples_per_class=2, segment_len=120)
+    cfg = TrainConfig(max_epochs=3, learning_rate=1e200, seed=0)
+    with pytest.raises(RuntimeError, match="diverged at epoch 1") as info:
+        run_sweep([sig], [0.5], cfg, seed=42, folds=2)
+    assert isinstance(info.value.__cause__, DivergenceError)
 
 
 def test_run_sweep_kernel_switch_across_durations():
@@ -207,3 +221,12 @@ def test_train_single_reports_holdout_metrics():
     # kernel override is honored
     res2 = train_single([sig], 0.25, cfg, seed=1, kernels=(3, 3))
     assert res2.model.spec.kernels == (3, 3)
+
+
+def test_train_single_is_fold_zero_of_five_fold_cv():
+    sig = generate_synthetic(3, samples_per_class=2, segment_len=60)
+    cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=1)
+    res = train_single([sig], 0.25, cfg, seed=1)
+    samples = segment(collect_segments(apply_zscore([sig], compute_stats([sig]))), WindowSpec(0.25))
+    fold0 = run_cv(samples, 5, ModelSpec(kernels=select_kernels(0.25)), cfg, seed=1)[0]
+    assert (res.accuracy, res.loss, res.epochs_to_best) == (fold0.accuracy, fold0.loss, fold0.epochs_to_best)

@@ -209,6 +209,9 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
     cfg = TrainConfig()
     assert (cfg.batch_size, cfg.max_epochs, cfg.patience) == (128, 3000, 100)
     assert cfg.learning_rate == 1e-3
