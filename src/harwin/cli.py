@@ -69,7 +69,11 @@ def _load_signals(args: argparse.Namespace) -> list[dataset.LabeledSignal]:
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    """Built before any data is read, so a bad value fails fast as usage."""
+    try:
+        return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -107,7 +111,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     _check_windows([args.window], "--window")
-    signals = _load_signals(args)
     kernels = None
     if args.kernels:
         pair = _parse_list(args.kernels, "--kernels", int)
@@ -115,6 +118,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise UsageError("--kernels needs exactly two sizes, e.g. 7,11")
         kernels = (pair[0], pair[1])
     cfg = _train_config(args)
+    signals = _load_signals(args)
     _progress(f"training at window {args.window:g} s (seed {args.seed})")
     result = experiment.train_single(
         signals, args.window, cfg, args.seed, kernels=kernels
@@ -146,8 +150,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--folds must be >= 2")
     windows = _parse_list(args.windows, "--windows", float)
     _check_windows(windows, "--windows")
-    signals = _load_signals(args)
     cfg = _train_config(args)
+    signals = _load_signals(args)
     rep = experiment.run_sweep(
         signals,
         windows,

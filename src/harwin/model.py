@@ -275,7 +275,7 @@ def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -
     else:
         g_r1 = g_p1
     g_a1 = relu_backward(cache.a1, g_r1)
-    _, g_conv1_w, g_conv1_b = conv1d_backward(cache.x, model.conv1_w, g_a1)
+    _, g_conv1_w, g_conv1_b = conv1d_backward(cache.x, model.conv1_w, g_a1, input_grad=False)
 
     return [
         g_conv1_w,

@@ -140,6 +140,20 @@ def test_train_bad_window_exit_2(capsys):
     assert "--window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["sweep", "--windows", "0.1"], ["train", "--window", "0.1"]])
+@pytest.mark.parametrize(
+    "flags", [["--batch-size", "0"], ["--patience", "-1"], ["--max-epochs", "0"], ["--learning-rate", "nan"]]
+)
+def test_bad_train_config_exits_2_before_loading(capsys, command, flags):
+    _synth()
+    capsys.readouterr()
+    assert cli([*command, "--cache", "cache.bin", *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "loading cache" not in out.err
+    assert "error:" in out.err
+
+
 def test_sweep_divergence_exits_1(capsys):
     _synth()
     capsys.readouterr()

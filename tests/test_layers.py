@@ -1,5 +1,5 @@
-"""Layer-level oracles: naive-loop convolution, finite differences, mpmath
-references for softmax and Adam."""
+"""Layer-level oracles: naive-loop convolution, the pre-GEMM convolution
+loops, finite differences, mpmath references for softmax and Adam."""
 
 import mpmath
 import numpy as np
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harwin.layers import (
+    CONV_BLOCK_ELEMS,
     adam_step,
     conv1d_backward,
     conv1d_forward,
@@ -23,6 +24,7 @@ from harwin.layers import (
     relu_backward,
     softmax_xent,
 )
+from harwin.model import ModelSpec, plan_shapes
 
 
 def conv_naive(x, w, b):
@@ -41,6 +43,45 @@ def conv_naive(x, w, b):
                     for k in range(kernel):
                         acc = acc + w[f, c, k] * x[bi, c, m + k]
                 out[bi, f, m] = acc
+    return out
+
+
+def conv_unblocked(x, w, b):
+    """The forward before batch blocking: the whole batch in one pass, bias
+    first, then one (channel, tap) product at a time in channel-major order."""
+    xb = x[None] if x.ndim == 2 else x
+    n_filters, n_in, kernel = w.shape
+    out_len = xb.shape[2] - kernel + 1
+    out = np.broadcast_to(b[None, :, None], (xb.shape[0], n_filters, out_len)).copy()
+    for c in range(n_in):
+        for k in range(kernel):
+            out += w[None, :, c, k, None] * xb[:, None, c, k : k + out_len]
+    return out[0] if x.ndim == 2 else out
+
+
+def conv_backward_einsum(x, w, grad_out):
+    """The backward before the GEMM rewrite: one einsum pair per (channel,
+    tap), returning (grad_x, grad_w, grad_b) for a (B, C, L) input."""
+    n_filters, n_in, kernel = w.shape
+    out_len = x.shape[2] - kernel + 1
+    grad_w = np.empty_like(w)
+    grad_x = np.zeros_like(x)
+    for c in range(n_in):
+        for k in range(kernel):
+            grad_w[:, c, k] = np.einsum("bfi,bi->f", grad_out, x[:, c, k : k + out_len])
+            grad_x[:, c, k : k + out_len] += np.einsum("bfi,f->bi", grad_out, w[:, c, k])
+    return grad_x, grad_w, grad_out.sum(axis=(0, 2))
+
+
+def sweep_geometries():
+    """(c_in, c_out, kernel, length) of conv1 and conv2 at 2 s and 4 s windows
+    (200 and 400 samples) with the default architecture."""
+    spec = ModelSpec()
+    out = []
+    for window in (200, 400):
+        plan = plan_shapes(spec, window)
+        out.append((spec.in_channels, spec.conv_filters[0], spec.kernels[0], window))
+        out.append((spec.conv_filters[0], spec.conv_filters[1], spec.kernels[1], plan.pool1_out))
     return out
 
 
@@ -148,6 +189,61 @@ def test_conv_backward_matches_finite_differences():
     assert np.allclose(gx, central_diff(loss, x), rtol=1e-6, atol=1e-8)
     assert np.allclose(gw, central_diff(loss, w), rtol=1e-6, atol=1e-8)
     assert np.allclose(gb, central_diff(loss, b), rtol=1e-6, atol=1e-8)
+
+
+def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
+    rng = np.random.default_rng(19)
+    split_with_partial_block = False
+    for c_in, c_out, kernel, length in sweep_geometries():
+        w = rng.normal(size=(c_out, c_in, kernel))
+        b = rng.normal(size=c_out)
+        block = max(1, CONV_BLOCK_ELEMS // (c_out * (length - kernel + 1)))
+        for batch in (25, 128):
+            x = rng.normal(size=(batch, c_in, length))
+            got = conv1d_forward(x, w, b)
+            assert (got == conv_unblocked(x, w, b)).all(), (c_in, length, batch)
+            split_with_partial_block |= batch > block and batch % block != 0
+        x = rng.normal(size=(c_in, length))
+        got = conv1d_forward(x, w, b)
+        assert got.shape == (c_out, length - kernel + 1)
+        assert (got == conv_unblocked(x, w, b)).all(), (c_in, length)
+    assert split_with_partial_block  # several blocks, the last one short
+
+
+def _conv_backward_cases(rng):
+    for c_in in range(1, 5):
+        for c_out in range(1, 5):
+            for length in range(1, 9):
+                for kernel in range(1, length + 1):
+                    yield rng.normal(size=(2, c_in, length)), rng.normal(size=(c_out, c_in, kernel))
+    for c_in, c_out, kernel, length in sweep_geometries():
+        yield rng.normal(size=(25, c_in, length)), rng.normal(size=(c_out, c_in, kernel))
+
+
+def test_conv_gemm_backward_matches_einsum_loop():
+    rng = np.random.default_rng(23)
+    for x, w in _conv_backward_cases(rng):
+        grad_out = rng.normal(size=(x.shape[0], w.shape[0], x.shape[2] - w.shape[2] + 1))
+        got = conv1d_backward(x, w, grad_out)
+        ref = conv_backward_einsum(x, w, grad_out)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            assert np.allclose(g, r, rtol=1e-12), (x.shape, w.shape)
+        no_gx, gw, gb = conv1d_backward(x, w, grad_out, input_grad=False)
+        assert no_gx is None
+        assert np.array_equal(gw, got[1]) and np.array_equal(gb, got[2])
+
+
+def test_conv_backward_unbatched_input():
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(4, 9))
+    w = rng.normal(size=(2, 4, 3))
+    grad_out = rng.normal(size=(2, 7))
+    gx, gw, gb = conv1d_backward(x, w, grad_out)
+    bx, bw, bb = conv1d_backward(x[None], w, grad_out[None])
+    assert gx.shape == x.shape
+    assert np.array_equal(gx, bx[0]) and np.array_equal(gw, bw) and np.array_equal(gb, bb)
+    assert conv1d_backward(x, w, grad_out, input_grad=False)[0] is None
 
 
 @given(
