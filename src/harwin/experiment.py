@@ -2,9 +2,9 @@
 
 The sweep trains one model per (window duration, fold) pair and aggregates
 per-duration accuracy/loss/epoch statistics. Kernel sizes follow the window:
-short windows (<= 0.25 s) use (3, 5), everything longer (7, 11). Durations
-whose geometry cannot host the architecture are reported as failed rows
-rather than aborting the sweep.
+short windows (<= 0.25 s) use (3, 5), everything longer (7, 11). A duration
+whose geometry fails (``GeometryError``) or whose windows cannot fill the
+folds (``CoverageError``) is a failed row; any other error aborts the sweep.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import ActivitySet, DEFAULT_ACTIVITIES, LabeledSignal, collect_segments, dataset_fingerprint
-from .model import ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, train
+from .layers import CoverageError, GeometryError
+from .model import (
+    ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, stack_labels, stack_windows, train
+)
 from .preprocess import FoldPlan, Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment
 
 SHORT_WINDOW_SEC = 0.25
@@ -100,24 +103,19 @@ class SweepReport:
     config: dict
 
 
-def _window_level_stats(samples: list[Sample], idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    data = np.concatenate([samples[i].window for i in idx], axis=0)  # (sum W, C)
+def _window_level_stats(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    data = windows.reshape(-1, windows.shape[2])  # every timestep of (N, W, C) windows: (N * W, C)
     mean = data.mean(axis=0)
     std = data.std(axis=0)
     flat = np.flatnonzero(std == 0.0)
     if flat.size:
-        raise ValueError(f"channel {flat[0]} is constant in the training folds")
+        raise CoverageError(f"channel {flat[0]} is constant in the training folds")
     return mean, std
 
 
-def _standardized(samples: list[Sample], idx: np.ndarray, mean: np.ndarray, std: np.ndarray) -> list[Sample]:
-    return [
-        replace(samples[i], window=(samples[i].window - mean) / std) for i in idx
-    ]
-
-
 def _fit_fold(
-    samples: list[Sample],
+    x: np.ndarray,
+    y: np.ndarray,
     plan: FoldPlan,
     fold: int,
     spec: ModelSpec,
@@ -127,28 +125,26 @@ def _fit_fold(
     honest_split: bool = False,
     per_fold_stats: bool = False,
 ) -> SingleRunResult:
-    """Train on every fold of ``plan`` but ``fold`` and test on ``fold``;
-    the model, rng and inner split are seeded with ``seed + fold``. See
-    ``run_cv`` for the two options."""
+    """Train on the (N, W, C) windows ``x`` (classes ``y``) of every fold of
+    ``plan`` but ``fold`` and test on ``fold``; the model, rng and inner split
+    are seeded with ``seed + fold``. See ``run_cv`` for the two options."""
     fold_seed = seed + fold
     train_idx, test_idx = plan.train_test(fold)
     if per_fold_stats:
-        mean, std = _window_level_stats(samples, train_idx)
-        train_pool = _standardized(samples, train_idx, mean, std)
-        test_pool = _standardized(samples, test_idx, mean, std)
-    else:
-        train_pool = [samples[i] for i in train_idx]
-        test_pool = [samples[i] for i in test_idx]
+        mean, std = _window_level_stats(x[train_idx])
+
+    def windows(idx: np.ndarray) -> np.ndarray:
+        return (x[idx] - mean) / std if per_fold_stats else x[idx]
+
+    fit_idx, stop_idx = train_idx, test_idx
     if honest_split:
-        inner = make_folds(train_pool, 10, fold_seed)
-        fit_idx, stop_idx = inner.train_test(0)
-        fit_pool = [train_pool[i] for i in fit_idx]
-        stop_pool = [train_pool[i] for i in stop_idx]
-    else:
-        fit_pool, stop_pool = train_pool, test_pool
-    net = build_model(spec, samples[0].window.shape[0], fold_seed)
-    best, best_epoch, history = train(net, fit_pool, stop_pool, replace(cfg, seed=fold_seed))
-    accuracy, loss = evaluate(best, test_pool)
+        fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)
+        fit_idx, stop_idx = train_idx[fit], train_idx[stop]
+    net = build_model(spec, x.shape[1], fold_seed)
+    best, best_epoch, history = train(
+        net, windows(fit_idx), y[fit_idx], windows(stop_idx), y[stop_idx], replace(cfg, seed=fold_seed)
+    )
+    accuracy, loss = evaluate(best, windows(test_idx), y[test_idx])
     return SingleRunResult(best, accuracy, loss, best_epoch, history)
 
 
@@ -172,10 +168,11 @@ def run_cv(
     standardized input.
     """
     plan = make_folds(samples, k, seed)
+    x, y = stack_windows(samples), stack_labels(samples)
     results = []
     for fold in range(k):
         r = _fit_fold(
-            samples, plan, fold, base_spec, cfg, seed, honest_split=honest_split, per_fold_stats=per_fold_stats
+            x, y, plan, fold, base_spec, cfg, seed, honest_split=honest_split, per_fold_stats=per_fold_stats
         )
         results.append(FoldResult(fold, r.accuracy, r.loss, r.epochs_to_best))
     return results
@@ -195,9 +192,9 @@ def run_sweep(
 ) -> SweepReport:
     """Cross-validate one model per window duration over a shared dataset.
 
-    Geometry or data-coverage problems for a single duration (kernel does
-    not fit, too few windows per class) mark that row failed with the
-    reason; anything else, divergence included, propagates.
+    A ``GeometryError`` or ``CoverageError`` for a single duration marks
+    that row failed with the reason; anything else, divergence included,
+    propagates.
     """
     check_windows(windows_sec)
     fingerprint = dataset_fingerprint(signals)
@@ -223,7 +220,7 @@ def run_sweep(
                 honest_split=honest_split,
                 per_fold_stats=per_fold_stats,
             )
-        except ValueError as err:
+        except (GeometryError, CoverageError) as err:
             rows.append(
                 SweepRow(window_sec=w_sec, k1=k1, k2=k2, folds=[], failed=True, reason=str(err))
             )
@@ -272,4 +269,5 @@ def train_single(
     spec = ModelSpec(kernels=kernels or select_kernels(window_sec))
     plan_shapes(spec, wspec.window_len)
     samples = segment(segments, wspec)
-    return _fit_fold(samples, make_folds(samples, 5, seed), 0, spec, cfg, seed)
+    plan = make_folds(samples, 5, seed)
+    return _fit_fold(stack_windows(samples), stack_labels(samples), plan, 0, spec, cfg, seed)

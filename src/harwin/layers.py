@@ -33,6 +33,14 @@ class DivergenceError(ValueError):
     """A non-finite loss, logit or gradient: training has diverged."""
 
 
+class GeometryError(ValueError):
+    """A window too short for its samples or for the architecture's kernels."""
+
+
+class CoverageError(ValueError):
+    """Too few windows to fold, or a channel constant over the training folds."""
+
+
 def conv_out_len(length: int, kernel: int, padding: int = 0, stride: int = 1) -> int:
     """Output length of a strided 1-D convolution; may be <= 0 for a kernel
     longer than the padded input."""
@@ -92,8 +100,9 @@ def conv1d_backward(
     grad_b = gb.sum(axis=(0, 2))
     grad_w = np.empty_like(weights)
     grad_x = np.zeros_like(xb) if input_grad else None
+    g2 = gb.transpose(1, 0, 2).reshape(n_filters, -1)  # (F, B*L_out), once rather than per tap
     for k in range(kernel):
-        grad_w[:, :, k] = np.tensordot(gb, xb[:, :, k : k + out_len], axes=([0, 2], [0, 2]))
+        grad_w[:, :, k] = np.dot(g2, xb[:, :, k : k + out_len].transpose(0, 2, 1).reshape(-1, n_in))
         if grad_x is not None:
             grad_x[:, :, k : k + out_len] += np.matmul(weights[:, :, k].T, gb)
     if grad_x is not None and squeeze:

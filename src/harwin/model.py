@@ -17,6 +17,7 @@ import numpy as np
 
 from .layers import (
     DivergenceError,
+    GeometryError,
     adam_step,
     conv1d_backward,
     conv1d_forward,
@@ -84,7 +85,7 @@ def plan_shapes(spec: ModelSpec, window_len: int) -> ShapePlan:
     """
     k1, k2 = spec.kernels
     if window_len < k1:
-        raise ValueError(
+        raise GeometryError(
             f"architecture invalid for window of {window_len} samples: "
             f"first kernel {k1} does not fit"
         )
@@ -93,7 +94,7 @@ def plan_shapes(spec: ModelSpec, window_len: int) -> ShapePlan:
     pool1 = conv1 // 2 if pool1_applied else conv1
     conv2 = conv_out_len(pool1, k2) if pool1 >= k2 else 0
     if conv2 < 1:
-        raise ValueError(
+        raise GeometryError(
             f"architecture invalid for window of {window_len} samples: "
             f"second kernel {k2} does not fit in {pool1}"
         )
@@ -343,12 +344,16 @@ def stack_labels(samples: list) -> np.ndarray:
     return np.array([s.class_index for s in samples], dtype=np.int64)
 
 
-def _eval_arrays(model: ModelParams, windows: np.ndarray, classes: np.ndarray) -> tuple[float, float]:
-    """Accuracy and mean loss in eval mode, chunked to bound memory.
+def evaluate(model: ModelParams, windows: np.ndarray, classes: np.ndarray) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy in eval mode, chunked to bound memory.
 
     Argmax ties resolve to the lowest class index (np.argmax behaviour).
     """
     n = windows.shape[0]
+    if n == 0:
+        raise ValueError("no samples to evaluate")
+    if len(classes) != n:
+        raise ValueError("need one class per window")
     correct = 0
     loss_sum = 0.0
     for lo in range(0, n, EVAL_CHUNK):
@@ -361,20 +366,15 @@ def _eval_arrays(model: ModelParams, windows: np.ndarray, classes: np.ndarray) -
     return correct / n, loss_sum / n
 
 
-def evaluate(model: ModelParams, samples: list) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy) over a sample list, eval mode."""
-    if not samples:
-        raise ValueError("no samples to evaluate")
-    return _eval_arrays(model, stack_windows(samples), stack_labels(samples))
-
-
 def train(
     model: ModelParams,
-    train_samples: list,
-    stop_samples: list,
+    windows: np.ndarray,
+    classes: np.ndarray,
+    stop_windows: np.ndarray,
+    stop_classes: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, int, list[EpochStats]]:
-    """Minibatch Adam with early stopping on the stop set's loss.
+    """Minibatch Adam on (N, window_len, 18) windows, early-stopped on the stop set's loss.
 
     One shuffled pass per epoch, one Adam step per minibatch. Training stops
     when the stop loss has not improved for ``patience`` epochs or the epoch
@@ -383,15 +383,12 @@ def train(
     A non-finite loss, logit or gradient, in a training step or in the
     stop-set evaluation, aborts with a RuntimeError naming the epoch.
     """
-    if not train_samples:
+    if windows.shape[0] == 0:
         raise ValueError("no training samples")
-    if not stop_samples:
+    if stop_windows.shape[0] == 0:
         raise ValueError("no early-stopping samples")
-    windows = stack_windows(train_samples)
-    classes = stack_labels(train_samples)
-    stop_windows = stack_windows(stop_samples)
-    stop_classes = stack_labels(stop_samples)
-
+    if len(classes) != len(windows) or len(stop_classes) != len(stop_windows):
+        raise ValueError("need one class per window")
     rng = np.random.default_rng(cfg.seed)  # drives both shuffling and dropout
     params = model.tensors()
     adam = init_adam(params, lr=cfg.learning_rate)
@@ -418,7 +415,7 @@ def train(
                         raise DivergenceError("non-finite loss")
                     adam_step(adam, params, grads)
                     batch_losses.append(loss)
-                _, stop_loss = _eval_arrays(model, stop_windows, stop_classes)
+                _, stop_loss = evaluate(model, stop_windows, stop_classes)
         except DivergenceError as err:
             raise RuntimeError(f"training diverged at epoch {epoch}") from err
         history.append(EpochStats(train_loss=float(np.mean(batch_losses)), stop_loss=stop_loss))

@@ -1,12 +1,18 @@
-"""Per-channel normalization, sliding-window extraction and fold assignment."""
+"""Per-channel normalization, sliding-window extraction and fold assignment.
+
+Windows are read-only views into their segment, never copies; folds are
+dealt from a label array (``FoldPlan.stratified``).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import SAMPLE_RATE_HZ, ActivitySegment, LabeledSignal, N_CHANNELS
+from .layers import CoverageError, GeometryError
 
 
 @dataclass
@@ -58,7 +64,7 @@ class WindowSpec:
     def __post_init__(self) -> None:
         w = int(round(self.window_sec * SAMPLE_RATE_HZ))
         if w < 2:
-            raise ValueError(
+            raise GeometryError(
                 f"window of {self.window_sec} s is {w} samples at {SAMPLE_RATE_HZ} Hz; need >= 2"
             )
         object.__setattr__(self, "window_len", w)
@@ -71,7 +77,7 @@ class WindowSpec:
 
 @dataclass
 class Sample:
-    """One training example: a (window_len, 18) slice and its class."""
+    """One training example: a read-only (window_len, 18) view and its class."""
 
     window: np.ndarray
     class_index: int
@@ -81,20 +87,15 @@ class Sample:
 
 def segment(segments: list[ActivitySegment], spec: WindowSpec) -> list[Sample]:
     """Slide the window over each segment; runs shorter than one window
-    contribute nothing."""
+    contribute nothing. Each window is a read-only view of its segment."""
     w, stride = spec.window_len, spec.stride
     samples: list[Sample] = []
     for seg in segments:
-        length = seg.channels.shape[1]
-        for start in range(0, length - w + 1, stride):
-            samples.append(
-                Sample(
-                    window=np.ascontiguousarray(seg.channels[:, start : start + w].T),
-                    class_index=seg.class_index,
-                    subject_id=seg.subject_id,
-                    origin=(seg.segment_id, start),
-                )
-            )
+        if seg.channels.shape[1] < w:
+            continue
+        # (n_windows, w, 18): window i starts at timestep i * stride
+        views = sliding_window_view(seg.channels, w, axis=1)[:, ::stride].transpose(1, 2, 0)
+        samples += [Sample(v, seg.class_index, seg.subject_id, (seg.segment_id, i * stride)) for i, v in enumerate(views)]
     return samples
 
 
@@ -102,7 +103,6 @@ def segment(segments: list[ActivitySegment], spec: WindowSpec) -> list[Sample]:
 class FoldPlan:
     k: int
     assignment: np.ndarray  # (n_samples,) fold index per sample
-    seed: int
 
     def train_test(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= fold < self.k:
@@ -111,26 +111,28 @@ class FoldPlan:
         train = np.flatnonzero(self.assignment != fold)
         return train, test
 
+    @classmethod
+    def stratified(cls, labels: np.ndarray, k: int, seed: int) -> FoldPlan:
+        """Shuffle each class of ``labels``, deal it round-robin into k
+        folds. Every class needs at least k windows; per-class fold counts
+        then differ by at most one."""
+        if k < 2:
+            raise ValueError(f"need k >= 2 folds, got {k}")
+        if labels.size == 0:
+            raise CoverageError("no samples to fold")
+        rng = np.random.default_rng(seed)
+        assignment = np.empty(labels.size, dtype=np.int64)
+        for c in np.unique(labels):
+            idx = np.flatnonzero(labels == c)
+            if idx.size < k:
+                raise CoverageError(
+                    f"class {c} has only {idx.size} windows; need at least {k} for {k} folds"
+                )
+            perm = rng.permutation(idx)
+            assignment[perm] = np.arange(perm.size) % k
+        return cls(k=k, assignment=assignment)
+
 
 def make_folds(samples: list[Sample], k: int, seed: int) -> FoldPlan:
-    """Stratified k-fold assignment: shuffle each class, deal round-robin.
-
-    Every class must have at least k windows; per-class fold counts then
-    differ by at most one.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2 folds, got {k}")
-    if not samples:
-        raise ValueError("no samples to fold")
-    labels = np.array([s.class_index for s in samples])
-    rng = np.random.default_rng(seed)
-    assignment = np.empty(len(samples), dtype=np.int64)
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        if idx.size < k:
-            raise ValueError(
-                f"class {cls} has only {idx.size} windows; need at least {k} for {k} folds"
-            )
-        perm = rng.permutation(idx)
-        assignment[perm] = np.arange(perm.size) % k
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    """``FoldPlan.stratified`` over the samples' class indices."""
+    return FoldPlan.stratified(np.array([s.class_index for s in samples], dtype=np.int64), k, seed)

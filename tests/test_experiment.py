@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
+from harwin import experiment
 from harwin.dataset import collect_segments, generate_synthetic
 from harwin.experiment import (
     FoldResult,
     SweepRow,
+    _fit_fold,
+    _window_level_stats,
     run_cv,
     run_sweep,
     select_kernels,
     train_single,
 )
-from harwin.layers import DivergenceError
-from harwin.model import ModelSpec, TrainConfig
-from harwin.preprocess import Sample, WindowSpec, apply_zscore, compute_stats, segment
+from harwin.layers import CoverageError, DivergenceError
+from harwin.model import ModelSpec, TrainConfig, stack_labels, stack_windows
+from harwin.preprocess import Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment
 
 
 def _blob_samples(n_per_class, sep=3.0, seed=0, n_classes=3, window_len=12):
@@ -92,9 +95,40 @@ def test_run_cv_per_fold_stats_handles_unscaled_input():
         assert np.isfinite(r.loss)
 
 
+def test_per_fold_stats_match_per_window_concatenation_bitwise():
+    # raw (unstandardized) synthetic windows at a short, a middle and a long duration
+    segments = collect_segments([generate_synthetic(5, samples_per_class=2, segment_len=420)])
+    for sec in (0.1, 0.5, 2.0):
+        samples = segment(segments, WindowSpec(sec))
+        x, y = stack_windows(samples), stack_labels(samples)
+        plan = make_folds(samples, 4, seed=0)
+        train_idx, _ = plan.train_test(1)
+        mean, std = _window_level_stats(x[train_idx])
+        # oracle: concatenate contiguous per-window copies, standardize window by window
+        copies = [np.ascontiguousarray(s.window) for s in samples]
+        data = np.concatenate([copies[i] for i in train_idx], axis=0)
+        assert (mean == data.mean(axis=0)).all() and (std == data.std(axis=0)).all(), sec
+        oracle = np.stack([(w - data.mean(axis=0)) / data.std(axis=0) for w in copies])
+        spec = ModelSpec(kernels=select_kernels(sec))
+        got = _fit_fold(x, y, plan, 1, spec, FAST_CFG, seed=3, per_fold_stats=True)
+        want = _fit_fold(oracle, y, plan, 1, spec, FAST_CFG, seed=3)
+        assert (got.accuracy, got.loss, got.history) == (want.accuracy, want.loss, want.history), sec
+        for a, b in zip(got.model.tensors(), want.model.tensors()):
+            assert (a == b).all(), sec
+
+
+def test_run_cv_per_fold_stats_rejects_constant_channel():
+    flat = [Sample(s.window * [1.0, 0.0], s.class_index, 0, s.origin) for s in _blob_samples(8)]
+    with pytest.raises(CoverageError, match="channel 1 is constant"):
+        run_cv(flat, 2, SMALL_SPEC, FAST_CFG, seed=0, per_fold_stats=True)
+
+
 def test_run_cv_rejects_too_few_samples_per_class():
-    with pytest.raises(ValueError, match="class"):
+    with pytest.raises(CoverageError, match="class"):
         run_cv(_blob_samples(3), 4, SMALL_SPEC, FAST_CFG, seed=0)
+    # the honest split's inner ten-fold split needs 10 windows per class
+    with pytest.raises(CoverageError, match="need at least 10"):
+        run_cv(_blob_samples(8), 2, SMALL_SPEC, FAST_CFG, seed=0, honest_split=True)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +224,16 @@ def test_run_sweep_raises_on_divergence_instead_of_a_failed_row():
     with pytest.raises(RuntimeError, match="diverged at epoch 1") as info:
         run_sweep([sig], [0.5], cfg, seed=42, folds=2)
     assert isinstance(info.value.__cause__, DivergenceError)
+
+
+def test_run_sweep_propagates_untyped_value_errors(monkeypatch):
+    # only geometry and coverage failures become NA rows; a bug crashes loudly
+    def broken_train(*args, **kwargs):
+        raise ValueError("class index out of range")
+
+    monkeypatch.setattr(experiment, "train", broken_train)
+    with pytest.raises(ValueError, match="class index out of range"):
+        run_sweep([_tiny_signal()], [0.1], FAST_CFG, seed=0, folds=2)
 
 
 def test_run_sweep_kernel_switch_across_durations():

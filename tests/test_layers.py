@@ -232,6 +232,16 @@ def test_conv_gemm_backward_matches_einsum_loop():
         no_gx, gw, gb = conv1d_backward(x, w, grad_out, input_grad=False)
         assert no_gx is None
         assert np.array_equal(gw, got[1]) and np.array_equal(gb, got[2])
+    # the weight gradient is bit-identical to one np.tensordot per tap
+    for c_in, c_out, kernel, length in sweep_geometries():
+        for batch in (1, 25):
+            x = rng.normal(size=(batch, c_in, length))
+            w = rng.normal(size=(c_out, c_in, kernel))
+            grad_out = rng.normal(size=(batch, c_out, length - kernel + 1))
+            _, gw, _ = conv1d_backward(x, w, grad_out, input_grad=False)
+            for k in range(kernel):
+                tap = np.tensordot(grad_out, x[:, :, k : k + length - kernel + 1], axes=([0, 2], [0, 2]))
+                assert (gw[:, :, k] == tap).all(), (batch, c_in, length, k)
 
 
 def test_conv_backward_unbatched_input():

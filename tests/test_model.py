@@ -4,6 +4,7 @@ checkpoint round-trips."""
 import numpy as np
 import pytest
 
+from harwin.layers import GeometryError
 from harwin.model import (
     ModelSpec,
     TrainConfig,
@@ -60,13 +61,13 @@ def test_plan_shapes_skips_second_pool_on_single_position():
 
 
 def test_plan_shapes_rejects_window_below_first_kernel():
-    with pytest.raises(ValueError, match="architecture invalid"):
+    with pytest.raises(GeometryError, match="architecture invalid"):
         plan_shapes(ModelSpec(kernels=(7, 11)), 6)
 
 
 def test_plan_shapes_rejects_window_too_short_for_second_kernel():
     # W=11, kernels (7,11): conv1=5 stays unpooled but is still < 11
-    with pytest.raises(ValueError, match="architecture invalid"):
+    with pytest.raises(GeometryError, match="architecture invalid"):
         plan_shapes(ModelSpec(kernels=(7, 11)), 11)
 
 

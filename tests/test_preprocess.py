@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harwin.dataset import ActivitySegment, LabeledSignal, generate_synthetic
+from harwin.layers import CoverageError, GeometryError
 from harwin.preprocess import (
     Sample,
     WindowSpec,
@@ -111,7 +112,7 @@ def test_window_spec_stride_floor_is_one():
 
 
 def test_window_spec_rejects_sub_two_sample_windows():
-    with pytest.raises(ValueError, match="need >= 2"):
+    with pytest.raises(GeometryError, match="need >= 2"):
         WindowSpec(0.01)
 
 
@@ -153,6 +154,19 @@ def test_segment_windows_are_time_major_slices():
     assert s.subject_id == 9
     assert s.origin == (3, 1)
     assert np.array_equal(s.window, seg.channels[:, 1:4].T)
+
+
+def test_segment_windows_are_read_only_views():
+    spec = WindowSpec(0.25)  # W=25, stride 6
+    segs = [_segment_of(60, 0, 0), _segment_of(75, 1, 1)]
+    samples = segment(segs, spec)
+    assert {s.origin[0] for s in samples} == {0, 1}
+    for s in samples:
+        seg_id, start = s.origin
+        seg = segs[seg_id]
+        assert np.array_equal(s.window, seg.channels[:, start : start + spec.window_len].T)
+        assert np.shares_memory(s.window, seg.channels)
+        assert not s.window.flags.writeable
 
 
 def test_segment_multiple_segments_keep_provenance():
@@ -235,9 +249,9 @@ def test_make_folds_validation():
     samples = _labeled_samples([10, 10])
     with pytest.raises(ValueError, match="k >= 2"):
         make_folds(samples, 1, seed=0)
-    with pytest.raises(ValueError, match="no samples"):
+    with pytest.raises(CoverageError, match="no samples"):
         make_folds([], 2, seed=0)
-    with pytest.raises(ValueError, match="class 1 has only 3"):
+    with pytest.raises(CoverageError, match="class 1 has only 3"):
         make_folds(_labeled_samples([10, 3]), 4, seed=0)
 
 

@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 
 from harwin.model import ModelSpec, TrainConfig, build_model, evaluate, train
-from harwin.preprocess import Sample
 
 
-def _blob_samples(n_per_class, window_len=12, channels=2, n_classes=3, seed=0, sep=3.0):
-    """Trivially separable clusters: class c lives at offset (c-1)*sep."""
+def _blobs(n_per_class, window_len=12, channels=2, n_classes=3, seed=0, sep=3.0):
+    """Trivially separable clusters: class c lives at offset (c-1)*sep.
+    Returns (N, window_len, channels) windows and their (N,) classes."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for c in range(n_classes):
-        for i in range(n_per_class):
-            w = rng.normal(size=(window_len, channels)) * 0.1 + (c - 1) * sep
-            samples.append(Sample(window=w, class_index=c, subject_id=0, origin=(c, i)))
-    return samples
+    windows = [
+        rng.normal(size=(window_len, channels)) * 0.1 + (c - 1) * sep
+        for c in range(n_classes)
+        for _ in range(n_per_class)
+    ]
+    return np.stack(windows), np.repeat(np.arange(n_classes), n_per_class)
 
 
 def _small_spec(n_classes=3):
@@ -24,11 +24,11 @@ def _small_spec(n_classes=3):
 
 
 def test_train_solves_separable_blobs():
-    samples = _blob_samples(12)
+    x, y = _blobs(12)
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(batch_size=16, max_epochs=100, patience=100, seed=0)
-    best, best_epoch, history = train(net, samples, samples, cfg)
-    acc, loss = evaluate(best, samples)
+    best, best_epoch, history = train(net, x, y, x, y, cfg)
+    acc, loss = evaluate(best, x, y)
     assert acc == 1.0
     assert loss < 0.3
     assert 1 <= best_epoch <= len(history)
@@ -37,49 +37,49 @@ def test_train_solves_separable_blobs():
 
 
 def test_train_loss_decreases():
-    samples = _blob_samples(10, seed=3)
+    x, y = _blobs(10, seed=3)
     net = build_model(_small_spec(), 12, seed=1)
     cfg = TrainConfig(batch_size=8, max_epochs=25, patience=25, seed=1)
-    _, _, history = train(net, samples, samples, cfg)
+    _, _, history = train(net, x, y, x, y, cfg)
     assert history[-1].train_loss < history[0].train_loss
 
 
 def test_early_stopping_patience_bound():
     """Training never runs more than patience epochs past the best one."""
-    samples = _blob_samples(8, seed=5)
+    x, y = _blobs(8, seed=5)
     net = build_model(_small_spec(), 12, seed=2)
     cfg = TrainConfig(batch_size=8, max_epochs=400, patience=5, seed=2)
-    _, best_epoch, history = train(net, samples, samples, cfg)
+    _, best_epoch, history = train(net, x, y, x, y, cfg)
     assert len(history) <= best_epoch + 5
     if len(history) < 400:  # stopped by patience, not the cap
         assert len(history) == best_epoch + 5
 
 
 def test_patience_zero_stops_after_first_epoch():
-    samples = _blob_samples(6)
+    x, y = _blobs(6)
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(batch_size=8, max_epochs=50, patience=0, seed=0)
-    _, best_epoch, history = train(net, samples, samples, cfg)
+    _, best_epoch, history = train(net, x, y, x, y, cfg)
     assert len(history) == 1
     assert best_epoch == 1
 
 
 def test_epoch_indices_are_one_based():
-    samples = _blob_samples(6)
+    x, y = _blobs(6)
     net = build_model(_small_spec(), 12, seed=4)
     cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=4)
-    _, best_epoch, history = train(net, samples, samples, cfg)
+    _, best_epoch, history = train(net, x, y, x, y, cfg)
     assert len(history) == 3
     assert best_epoch >= 1
 
 
 def test_train_is_deterministic_per_seed():
-    samples = _blob_samples(8, seed=7)
+    x, y = _blobs(8, seed=7)
     cfg = TrainConfig(batch_size=8, max_epochs=10, patience=10, seed=12)
     run = []
     for _ in range(2):
         net = build_model(_small_spec(), 12, seed=6)
-        best, best_epoch, history = train(net, samples, samples, cfg)
+        best, best_epoch, history = train(net, x, y, x, y, cfg)
         run.append((best, best_epoch, [h.train_loss for h in history]))
     assert run[0][1] == run[1][1]
     assert run[0][2] == run[1][2]
@@ -87,57 +87,71 @@ def test_train_is_deterministic_per_seed():
         assert np.array_equal(a, b)
 
     net = build_model(_small_spec(), 12, seed=6)
-    _, _, other = train(net, samples, samples, TrainConfig(batch_size=8, max_epochs=10, patience=10, seed=13))
+    _, _, other = train(net, x, y, x, y, TrainConfig(batch_size=8, max_epochs=10, patience=10, seed=13))
     assert [h.train_loss for h in other] != run[0][2]
 
 
 def test_divergence_raises_with_epoch_number():
-    samples = _blob_samples(8, sep=50.0, seed=9)
+    x, y = _blobs(8, sep=50.0, seed=9)
     net = build_model(_small_spec(), 12, seed=3)
     # an absurd learning rate drives the activations past float64 range
     cfg = TrainConfig(batch_size=8, max_epochs=50, patience=50, seed=3, learning_rate=1e150)
     with pytest.raises(RuntimeError, match=r"diverged at epoch \d+"):
-        train(net, samples, samples, cfg)
+        train(net, x, y, x, y, cfg)
 
 
 def test_train_rejects_empty_inputs():
-    samples = _blob_samples(4)
+    x, y = _blobs(4)
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(max_epochs=1, seed=0)
     with pytest.raises(ValueError, match="training"):
-        train(net, [], samples, cfg)
+        train(net, x[:0], y[:0], x, y, cfg)
     with pytest.raises(ValueError, match="stopping"):
-        train(net, samples, [], cfg)
+        train(net, x, y, x[:0], y[:0], cfg)
+
+
+def test_train_and_evaluate_reject_mismatched_classes():
+    x, y = _blobs(4)
+    net = build_model(_small_spec(), 12, seed=0)
+    cfg = TrainConfig(max_epochs=1, seed=0)
+    for windows, classes in ((x, y[1:]), (x[1:], y)):
+        with pytest.raises(ValueError, match="one class per window"):
+            train(net, windows, classes, x, y, cfg)
+        with pytest.raises(ValueError, match="one class per window"):
+            train(net, x, y, windows, classes, cfg)
+        with pytest.raises(ValueError, match="one class per window"):
+            evaluate(net, windows, classes)
 
 
 def test_evaluate_breaks_argmax_ties_toward_lowest_class():
     net = build_model(_small_spec(), 12, seed=0)
     zeroed = net.with_tensors([np.zeros_like(t) for t in net.tensors()])
     # all logits identical => every prediction is class 0
-    samples = _blob_samples(5, seed=1)
-    acc, loss = evaluate(zeroed, samples)
-    n_class0 = sum(1 for s in samples if s.class_index == 0)
-    assert acc == pytest.approx(n_class0 / len(samples))
+    x, y = _blobs(5, seed=1)
+    acc, loss = evaluate(zeroed, x, y)
+    n_class0 = int((y == 0).sum())
+    assert acc == pytest.approx(n_class0 / len(y))
     assert loss == pytest.approx(np.log(3.0), rel=1e-12)
 
 
 def test_evaluate_rejects_empty():
     net = build_model(_small_spec(), 12, seed=0)
+    x, y = _blobs(1)
     with pytest.raises(ValueError, match="no samples"):
-        evaluate(net, [])
+        evaluate(net, x[:0], y[:0])
 
 
 def test_evaluate_chunking_is_seamless():
     """Results are identical whether or not the batch spans chunk borders."""
     from harwin import model as model_mod
 
-    samples = _blob_samples(20, seed=11)
+    x, y = _blobs(20, seed=11)
     net = build_model(_small_spec(), 12, seed=5)
-    acc1, loss1 = evaluate(net, samples)
+    acc1, loss1 = evaluate(net, x, y)
     old = model_mod.EVAL_CHUNK
     model_mod.EVAL_CHUNK = 7
     try:
-        acc2, loss2 = evaluate(net, samples)
+        acc2, loss2 = evaluate(net, x, y)
     finally:
         model_mod.EVAL_CHUNK = old
     assert acc1 == acc2
