@@ -17,7 +17,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import dataset, experiment, report
-from .model import TrainConfig, save_model
+from .model import ModelSpec, TrainConfig, plan_shapes, save_model
+from .preprocess import WindowSpec
 
 ENV_DATA_DIR = "HARWIN_DATA_DIR"
 
@@ -117,6 +118,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         if len(pair) != 2:
             raise UsageError("--kernels needs exactly two sizes, e.g. 7,11")
         kernels = (pair[0], pair[1])
+    try:  # the architecture must fit the window before any data is read
+        spec = ModelSpec(kernels=kernels or experiment.select_kernels(args.window))
+        plan_shapes(spec, WindowSpec(args.window).window_len)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     cfg = _train_config(args)
     signals = _load_signals(args)
     _progress(f"training at window {args.window:g} s (seed {args.seed})")

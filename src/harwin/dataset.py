@@ -85,7 +85,6 @@ class LabeledSignal:
     subject_id: int
     channels: np.ndarray  # (18, T) float64
     labels: np.ndarray  # (T,) int
-    sample_rate_hz: int = SAMPLE_RATE_HZ
 
     def __post_init__(self) -> None:
         if self.channels.ndim != 2 or self.channels.shape[0] != N_CHANNELS:
@@ -203,7 +202,7 @@ def interpolate_missing(sig: LabeledSignal) -> LabeledSignal:
         if valid.size == 0:
             raise ValueError(f"channel {c} has no valid values")
         filled[c] = np.interp(np.arange(row.size), valid, row[valid])
-    return LabeledSignal(sig.subject_id, filled, sig.labels.copy(), sig.sample_rate_hz)
+    return LabeledSignal(sig.subject_id, filled, sig.labels.copy())
 
 
 def filter_activities(sig: LabeledSignal, acts: ActivitySet = DEFAULT_ACTIVITIES) -> list[ActivitySegment]:

@@ -125,26 +125,25 @@ def _fit_fold(
     honest_split: bool = False,
     per_fold_stats: bool = False,
 ) -> SingleRunResult:
-    """Train on the (N, W, C) windows ``x`` (classes ``y``) of every fold of
-    ``plan`` but ``fold`` and test on ``fold``; the model, rng and inner split
+    """Train on the folds of ``plan`` but ``fold`` and test on ``fold``.
+
+    Folds are index arrays into the (N, W, C) windows ``x`` (classes ``y``);
+    ``train`` and ``evaluate`` gather their batches from ``x`` itself, so no
+    fold is copied. With ``per_fold_stats`` the whole array is normalized
+    once with the training folds' statistics. The model, rng and inner split
     are seeded with ``seed + fold``. See ``run_cv`` for the two options."""
     fold_seed = seed + fold
     train_idx, test_idx = plan.train_test(fold)
     if per_fold_stats:
         mean, std = _window_level_stats(x[train_idx])
-
-    def windows(idx: np.ndarray) -> np.ndarray:
-        return (x[idx] - mean) / std if per_fold_stats else x[idx]
-
+        x = (x - mean) / std
     fit_idx, stop_idx = train_idx, test_idx
     if honest_split:
         fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)
         fit_idx, stop_idx = train_idx[fit], train_idx[stop]
     net = build_model(spec, x.shape[1], fold_seed)
-    best, best_epoch, history = train(
-        net, windows(fit_idx), y[fit_idx], windows(stop_idx), y[stop_idx], replace(cfg, seed=fold_seed)
-    )
-    accuracy, loss = evaluate(best, windows(test_idx), y[test_idx])
+    best, best_epoch, history = train(net, x, y, fit_idx, stop_idx, replace(cfg, seed=fold_seed))
+    accuracy, loss = evaluate(best, x, y, test_idx)
     return SingleRunResult(best, accuracy, loss, best_epoch, history)
 
 

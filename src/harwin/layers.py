@@ -2,8 +2,10 @@
 
 Everything here is written out by hand: valid ("same-length minus kernel")
 1-D convolution, width-2 max pooling, dense layers, ReLU, softmax with
-cross-entropy, inverted dropout and Adam. Backward passes return gradients
-in the same shapes as the corresponding parameters/inputs.
+cross-entropy, inverted dropout and Adam. Every layer takes a batch:
+convolution and pooling (B, C, L) arrays, dense layers and softmax (B, n)
+rows. Backward passes return gradients in the same shapes as the
+corresponding parameters/inputs.
 
 The forward convolution accumulates one (input-channel, tap) product term at
 a time, in channel-major order, starting from the bias. That summation order
@@ -19,7 +21,7 @@ for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,49 +43,38 @@ class CoverageError(ValueError):
     """Too few windows to fold, or a channel constant over the training folds."""
 
 
-def conv_out_len(length: int, kernel: int, padding: int = 0, stride: int = 1) -> int:
-    """Output length of a strided 1-D convolution; may be <= 0 for a kernel
-    longer than the padded input."""
+def conv_out_len(length: int, kernel: int) -> int:
+    """Output length of a valid, stride-1 1-D convolution; may be <= 0 for a
+    kernel longer than the input."""
     if length < 1 or kernel < 1:
         raise ValueError("length and kernel must be positive")
-    if padding < 0 or stride < 1:
-        raise ValueError("padding must be >= 0 and stride >= 1")
-    return (length - kernel + 2 * padding) // stride + 1
-
-
-def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError(f"expected a (C, L) or (B, C, L) array, got ndim={x.ndim}")
+    return length - kernel + 1
 
 
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation: x (C, L) or (B, C, L), weights (F, C, K),
-    bias (F,) -> (.., F, L-K+1)."""
-    xb, squeeze = _as_batched(x)
+    """Valid cross-correlation: x (B, C, L), weights (F, C, K), bias (F,)
+    -> (B, F, L-K+1)."""
     n_filters, n_in, kernel = weights.shape
-    if xb.shape[1] != n_in:
-        raise ValueError(f"input has {xb.shape[1]} channels, weights expect {n_in}")
-    length = xb.shape[2]
+    if x.shape[1] != n_in:
+        raise ValueError(f"input has {x.shape[1]} channels, weights expect {n_in}")
+    length = x.shape[2]
     if length < kernel:
         raise ValueError(f"input length {length} is shorter than kernel {kernel}")
     out_len = length - kernel + 1
-    batch = xb.shape[0]
+    batch = x.shape[0]
     out = np.empty((batch, n_filters, out_len))
     block = max(1, CONV_BLOCK_ELEMS // (n_filters * out_len))
     scratch = np.empty((min(block, batch), n_filters, out_len))
     for lo in range(0, batch, block):
         acc = out[lo : lo + block]
-        xs = xb[lo : lo + block, :, None]
+        xs = x[lo : lo + block, :, None]
         term = scratch[: acc.shape[0]]
         acc[...] = bias[:, None]
         for c in range(n_in):
             for k in range(kernel):
                 np.multiply(weights[:, c, k, None], xs[:, c, :, k : k + out_len], out=term)
                 acc += term
-    return out[0] if squeeze else out
+    return out
 
 
 def conv1d_backward(
@@ -91,54 +82,46 @@ def conv1d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients for conv1d_forward: returns (grad_x, grad_w, grad_b), with
     grad_x None when input_grad is False. One GEMM pair per tap."""
-    xb, squeeze = _as_batched(x)
-    gb = grad_out[None] if squeeze else grad_out
     n_filters, n_in, kernel = weights.shape
-    out_len = xb.shape[2] - kernel + 1
-    if gb.shape != (xb.shape[0], n_filters, out_len):
-        raise ValueError(f"grad_out shape {gb.shape} does not match forward output")
-    grad_b = gb.sum(axis=(0, 2))
+    out_len = x.shape[2] - kernel + 1
+    if grad_out.shape != (x.shape[0], n_filters, out_len):
+        raise ValueError(f"grad_out shape {grad_out.shape} does not match forward output")
+    grad_b = grad_out.sum(axis=(0, 2))
     grad_w = np.empty_like(weights)
-    grad_x = np.zeros_like(xb) if input_grad else None
-    g2 = gb.transpose(1, 0, 2).reshape(n_filters, -1)  # (F, B*L_out), once rather than per tap
+    grad_x = np.zeros_like(x) if input_grad else None
+    g2 = grad_out.transpose(1, 0, 2).reshape(n_filters, -1)  # (F, B*L_out), once rather than per tap
     for k in range(kernel):
-        grad_w[:, :, k] = np.dot(g2, xb[:, :, k : k + out_len].transpose(0, 2, 1).reshape(-1, n_in))
+        grad_w[:, :, k] = np.dot(g2, x[:, :, k : k + out_len].transpose(0, 2, 1).reshape(-1, n_in))
         if grad_x is not None:
-            grad_x[:, :, k : k + out_len] += np.matmul(weights[:, :, k].T, gb)
-    if grad_x is not None and squeeze:
-        grad_x = grad_x[0]
+            grad_x[:, :, k : k + out_len] += np.matmul(weights[:, :, k].T, grad_out)
     return grad_x, grad_w, grad_b
 
 
 def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Width-2, stride-2 max pooling over the last axis; a trailing odd
-    element is dropped. Ties pick the earlier element. Returns the pooled
-    array and the absolute argmax indices used by the backward pass."""
-    xb, squeeze = _as_batched(x)
-    length = xb.shape[2]
+    """Width-2, stride-2 max pooling over the last axis of a (B, C, L)
+    array; a trailing odd element is dropped. Ties pick the earlier element.
+    Returns the pooled array and the absolute argmax indices used by the
+    backward pass."""
+    length = x.shape[2]
     if length < 2:
         raise ValueError(f"input length {length} is too short to pool")
     n_pairs = length // 2
-    pairs = xb[:, :, : 2 * n_pairs].reshape(xb.shape[0], xb.shape[1], n_pairs, 2)
+    pairs = x[:, :, : 2 * n_pairs].reshape(x.shape[0], x.shape[1], n_pairs, 2)
     first_wins = pairs[..., 0] >= pairs[..., 1]
     pooled = np.where(first_wins, pairs[..., 0], pairs[..., 1])
     idx = 2 * np.arange(n_pairs) + np.where(first_wins, 0, 1)
-    if squeeze:
-        return pooled[0], idx[0]
     return pooled, idx
 
 
 def maxpool_backward(idx: np.ndarray, grad_out: np.ndarray, input_len: int) -> np.ndarray:
     """Scatter pooled gradients back to the argmax positions."""
-    ib = idx[None] if idx.ndim == 2 else idx
-    gb = grad_out[None] if grad_out.ndim == 2 else grad_out
-    if ib.shape != gb.shape:
+    if idx.shape != grad_out.shape:
         raise ValueError("idx and grad_out shapes must match")
-    if ib.size and (ib.min() < 0 or ib.max() >= input_len):
+    if idx.size and (idx.min() < 0 or idx.max() >= input_len):
         raise ValueError(f"pool index out of range for input length {input_len}")
-    grad_x = np.zeros((ib.shape[0], ib.shape[1], input_len))
-    np.put_along_axis(grad_x, ib, gb, axis=2)
-    return grad_x[0] if idx.ndim == 2 else grad_x
+    grad_x = np.zeros((idx.shape[0], idx.shape[1], input_len))
+    np.put_along_axis(grad_x, idx, grad_out, axis=2)
+    return grad_x
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -165,31 +148,27 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise softmax + cross-entropy.
+    """Row-wise softmax + cross-entropy of (B, n_classes) logits.
 
     Returns (probs, losses, grad_logits) where grad_logits is the gradient
     of the *per-row* loss (probs minus one-hot), not yet averaged.
     """
-    lb = np.atleast_2d(logits)
-    cb = np.atleast_1d(classes)
-    if not np.isfinite(lb).all():
+    if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits")
-    if cb.shape != (lb.shape[0],):
+    if logits.ndim != 2 or classes.shape != (logits.shape[0],):
         raise ValueError("one class index per logit row required")
-    if cb.size and (cb.min() < 0 or cb.max() >= lb.shape[1]):
+    if classes.size and (classes.min() < 0 or classes.max() >= logits.shape[1]):
         raise ValueError("class index out of range")
-    shifted = lb - lb.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     sum_exp = exp.sum(axis=1, keepdims=True)
     probs = exp / sum_exp
-    rows = np.arange(lb.shape[0])
+    rows = np.arange(logits.shape[0])
     # log-space loss: stays finite even when the true class's probability
     # underflows to zero
-    losses = np.log(sum_exp[:, 0]) - shifted[rows, cb]
+    losses = np.log(sum_exp[:, 0]) - shifted[rows, classes]
     grads = probs.copy()
-    grads[rows, cb] -= 1.0
-    if logits.ndim == 1:
-        return probs[0], losses[0], grads[0]
+    grads[rows, classes] -= 1.0
     return probs, losses, grads
 
 
@@ -213,6 +192,11 @@ def dropout_backward(mask: np.ndarray | None, grad_out: np.ndarray) -> np.ndarra
     return grad_out if mask is None else grad_out * mask
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, one pair per parameter tensor."""
@@ -221,26 +205,10 @@ class AdamState:
     v: list[np.ndarray]
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(
-    params: list[np.ndarray],
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def init_adam(params: list[np.ndarray], lr: float = 1e-3) -> AdamState:
+    return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params], lr=lr)
 
 
 def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -252,11 +220,11 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         if not np.isfinite(g).all():
             raise DivergenceError("non-finite gradient")
     state.t += 1
-    b1t = 1.0 - state.beta1**state.t
-    b2t = 1.0 - state.beta2**state.t
+    b1t = 1.0 - ADAM_BETA1**state.t
+    b2t = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / b1t) / (np.sqrt(v / b2t) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)

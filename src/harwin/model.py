@@ -344,22 +344,24 @@ def stack_labels(samples: list) -> np.ndarray:
     return np.array([s.class_index for s in samples], dtype=np.int64)
 
 
-def evaluate(model: ModelParams, windows: np.ndarray, classes: np.ndarray) -> tuple[float, float]:
-    """Accuracy and mean cross-entropy in eval mode, chunked to bound memory.
+def evaluate(model: ModelParams, x: np.ndarray, y: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy of the windows ``x[idx]`` (classes
+    ``y[idx]``) in eval mode. Each chunk of EVAL_CHUNK windows is gathered
+    from ``x`` on its own, so memory stays bounded and no fold is copied.
 
     Argmax ties resolve to the lowest class index (np.argmax behaviour).
     """
-    n = windows.shape[0]
+    if len(y) != len(x):
+        raise ValueError("need one class per window")
+    n = len(idx)
     if n == 0:
         raise ValueError("no samples to evaluate")
-    if len(classes) != n:
-        raise ValueError("need one class per window")
     correct = 0
     loss_sum = 0.0
     for lo in range(0, n, EVAL_CHUNK):
-        wb = windows[lo : lo + EVAL_CHUNK]
-        cb = classes[lo : lo + EVAL_CHUNK]
-        logits, _ = forward(model, wb)
+        chunk = idx[lo : lo + EVAL_CHUNK]
+        cb = y[chunk]
+        logits, _ = forward(model, x[chunk])
         _, losses, _ = softmax_xent(logits, cb)
         correct += int((logits.argmax(axis=1) == cb).sum())
         loss_sum += float(losses.sum())
@@ -368,13 +370,16 @@ def evaluate(model: ModelParams, windows: np.ndarray, classes: np.ndarray) -> tu
 
 def train(
     model: ModelParams,
-    windows: np.ndarray,
-    classes: np.ndarray,
-    stop_windows: np.ndarray,
-    stop_classes: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    fit_idx: np.ndarray,
+    stop_idx: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[ModelParams, int, list[EpochStats]]:
-    """Minibatch Adam on (N, window_len, 18) windows, early-stopped on the stop set's loss.
+    """Minibatch Adam on the (N, window_len, 18) windows ``x[fit_idx]``,
+    early-stopped on the loss of ``x[stop_idx]``; ``y`` holds one class per
+    window of ``x``. Each minibatch is gathered from ``x`` as it is needed,
+    so neither index set is copied out as a whole.
 
     One shuffled pass per epoch, one Adam step per minibatch. Training stops
     when the stop loss has not improved for ``patience`` epochs or the epoch
@@ -383,12 +388,12 @@ def train(
     A non-finite loss, logit or gradient, in a training step or in the
     stop-set evaluation, aborts with a RuntimeError naming the epoch.
     """
-    if windows.shape[0] == 0:
-        raise ValueError("no training samples")
-    if stop_windows.shape[0] == 0:
-        raise ValueError("no early-stopping samples")
-    if len(classes) != len(windows) or len(stop_classes) != len(stop_windows):
+    if len(y) != len(x):
         raise ValueError("need one class per window")
+    if len(fit_idx) == 0:
+        raise ValueError("no training samples")
+    if len(stop_idx) == 0:
+        raise ValueError("no early-stopping samples")
     rng = np.random.default_rng(cfg.seed)  # drives both shuffling and dropout
     params = model.tensors()
     adam = init_adam(params, lr=cfg.learning_rate)
@@ -398,7 +403,7 @@ def train(
     best_tensors = [p.copy() for p in params]
     history: list[EpochStats] = []
 
-    n = windows.shape[0]
+    n = len(fit_idx)
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
         batch_losses = []
@@ -407,15 +412,13 @@ def train(
             # it into a DivergenceError instead of a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 for lo in range(0, n, cfg.batch_size):
-                    idx = order[lo : lo + cfg.batch_size]
-                    loss, grads = loss_and_grads(
-                        model, windows[idx], classes[idx], training=True, rng=rng
-                    )
+                    batch = fit_idx[order[lo : lo + cfg.batch_size]]
+                    loss, grads = loss_and_grads(model, x[batch], y[batch], training=True, rng=rng)
                     if not np.isfinite(loss):
                         raise DivergenceError("non-finite loss")
                     adam_step(adam, params, grads)
                     batch_losses.append(loss)
-                _, stop_loss = evaluate(model, stop_windows, stop_classes)
+                _, stop_loss = evaluate(model, x, y, stop_idx)
         except DivergenceError as err:
             raise RuntimeError(f"training diverged at epoch {epoch}") from err
         history.append(EpochStats(train_loss=float(np.mean(batch_losses)), stop_loss=stop_loss))

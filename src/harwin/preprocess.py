@@ -1,7 +1,9 @@
 """Per-channel normalization, sliding-window extraction and fold assignment.
 
 Windows are read-only views into their segment, never copies; folds are
-dealt from a label array (``FoldPlan.stratified``).
+dealt from a label array (``FoldPlan.stratified``). A fold is an array of
+window indices: training and evaluation gather their batches from the one
+stacked window array through it, so no fold is ever copied out.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def apply_zscore(signals: list[LabeledSignal], stats: ChannelStats) -> list[Labe
     out = []
     for sig in signals:
         z = (sig.channels - stats.mean[:, None]) / stats.std[:, None]
-        out.append(LabeledSignal(sig.subject_id, z, sig.labels.copy(), sig.sample_rate_hz))
+        out.append(LabeledSignal(sig.subject_id, z, sig.labels.copy()))
     return out
 
 
@@ -105,6 +107,7 @@ class FoldPlan:
     assignment: np.ndarray  # (n_samples,) fold index per sample
 
     def train_test(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted window indices of every other fold and of ``fold``."""
         if not 0 <= fold < self.k:
             raise ValueError(f"fold {fold} out of range for k={self.k}")
         test = np.flatnonzero(self.assignment == fold)

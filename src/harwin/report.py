@@ -203,29 +203,28 @@ def save_report(report: SweepReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> SweepReport:
+    """Read a report.json written by ``save_report``; a missing key or a
+    value of the wrong type is a ValueError naming the file."""
     doc = json.loads(Path(path).read_text())
-    rows = [
-        SweepRow(
-            window_sec=row["window_sec"],
-            k1=row["k1"],
-            k2=row["k2"],
-            failed=row["failed"],
-            reason=row["reason"],
-            folds=[
-                FoldResult(
-                    fold=f["fold"],
-                    accuracy=f["accuracy"],
-                    loss=f["loss"],
-                    epochs_to_best=f["epochs_to_best"],
-                )
-                for f in row["folds"]
-            ],
+    try:
+        rows = [
+            SweepRow(
+                window_sec=row["window_sec"],
+                k1=row["k1"],
+                k2=row["k2"],
+                failed=row["failed"],
+                reason=row["reason"],
+                folds=[
+                    FoldResult(fold=f["fold"], accuracy=f["accuracy"], loss=f["loss"], epochs_to_best=f["epochs_to_best"])
+                    for f in row["folds"]
+                ],
+            )
+            for row in doc["rows"]
+        ]
+        return SweepReport(
+            rows=rows, seed=doc["seed"], dataset_fingerprint=doc["dataset_fingerprint"], config=doc["config"]
         )
-        for row in doc["rows"]
-    ]
-    return SweepReport(
-        rows=rows,
-        seed=doc["seed"],
-        dataset_fingerprint=doc["dataset_fingerprint"],
-        config=doc["config"],
-    )
+    except KeyError as err:
+        raise ValueError(f"{path}: not a sweep report, missing key {err.args[0]!r}") from None
+    except TypeError as err:  # e.g. a list where an object belongs
+        raise ValueError(f"{path}: not a sweep report, {err}") from None

@@ -142,7 +142,17 @@ def test_train_bad_window_exit_2(capsys):
 
 @pytest.mark.parametrize("command", [["sweep", "--windows", "0.1"], ["train", "--window", "0.1"]])
 @pytest.mark.parametrize(
-    "flags", [["--batch-size", "0"], ["--patience", "-1"], ["--max-epochs", "0"], ["--learning-rate", "nan"]]
+    "flags",
+    [
+        ["--batch-size", "0"],
+        ["--patience", "-1"],
+        ["--max-epochs", "0"],
+        ["--learning-rate", "nan"],
+        # train rejects kernels that are not positive or do not fit the
+        # window; sweep has no --kernels flag, so argparse rejects them there
+        ["--kernels", "0,5"],
+        ["--kernels", "99,5", "--window", "0.5"],
+    ],
 )
 def test_bad_train_config_exits_2_before_loading(capsys, command, flags):
     _synth()

@@ -117,6 +117,64 @@ def test_per_fold_stats_match_per_window_concatenation_bitwise():
             assert (a == b).all(), sec
 
 
+def _stub_train_and_evaluate(monkeypatch, calls):
+    """Replace the training and evaluation that _fit_fold calls by stubs that
+    record their arguments."""
+
+    def train(net, x, y, fit_idx, stop_idx, cfg):
+        calls.append(("train", x, fit_idx, stop_idx))
+        return net, 1, []
+
+    def evaluate(net, x, y, idx):
+        calls.append(("evaluate", x, idx))
+        return 1.0, 0.0
+
+    monkeypatch.setattr(experiment, "train", train)
+    monkeypatch.setattr(experiment, "evaluate", evaluate)
+
+
+def test_fit_fold_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypatch):
+    calls = []
+    _stub_train_and_evaluate(monkeypatch, calls)
+    samples = _blob_samples(16)  # the honest split's inner ten folds need 10 per class
+    x, y = stack_windows(samples), stack_labels(samples)
+    plan = make_folds(samples, 4, seed=0)
+    for honest_split in (False, True):
+        calls.clear()
+        _fit_fold(x, y, plan, 2, SMALL_SPEC, FAST_CFG, seed=0, honest_split=honest_split)
+        (_, fit_x, fit_idx, stop_idx), (_, test_x, test_idx) = calls
+        assert fit_x is x and test_x is x
+        train_idx, held_out = plan.train_test(2)
+        assert np.array_equal(test_idx, held_out)
+        if honest_split:
+            assert np.array_equal(np.sort(np.concatenate([fit_idx, stop_idx])), train_idx)
+        else:
+            assert np.array_equal(fit_idx, train_idx) and np.array_equal(stop_idx, held_out)
+
+
+def test_fit_fold_copies_no_fold(monkeypatch):
+    """Beyond the model itself, a fold's fit allocates a small fraction of
+    the window array: the folds are index arrays, never copies."""
+    import tracemalloc
+
+    _stub_train_and_evaluate(monkeypatch, [])
+    segments = collect_segments([generate_synthetic(3, samples_per_class=4, segment_len=500)])
+    samples = segment(segments, WindowSpec(0.5))
+    x, y = stack_windows(samples), stack_labels(samples)
+    plan = make_folds(samples, 8, seed=0)
+    spec = ModelSpec(kernels=select_kernels(0.5))
+    tracemalloc.start()
+    try:
+        for fold in range(plan.k):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _fit_fold(x, y, plan, fold, spec, FAST_CFG, seed=0)
+            extra = tracemalloc.get_traced_memory()[1] - base
+            assert extra < 0.1 * x.nbytes, (fold, extra, x.nbytes)
+    finally:
+        tracemalloc.stop()
+
+
 def test_run_cv_per_fold_stats_rejects_constant_channel():
     flat = [Sample(s.window * [1.0, 0.0], s.class_index, 0, s.origin) for s in _blob_samples(8)]
     with pytest.raises(CoverageError, match="channel 1 is constant"):

@@ -49,14 +49,13 @@ def conv_naive(x, w, b):
 def conv_unblocked(x, w, b):
     """The forward before batch blocking: the whole batch in one pass, bias
     first, then one (channel, tap) product at a time in channel-major order."""
-    xb = x[None] if x.ndim == 2 else x
     n_filters, n_in, kernel = w.shape
-    out_len = xb.shape[2] - kernel + 1
-    out = np.broadcast_to(b[None, :, None], (xb.shape[0], n_filters, out_len)).copy()
+    out_len = x.shape[2] - kernel + 1
+    out = np.broadcast_to(b[None, :, None], (x.shape[0], n_filters, out_len)).copy()
     for c in range(n_in):
         for k in range(kernel):
-            out += w[None, :, c, k, None] * xb[:, None, c, k : k + out_len]
-    return out[0] if x.ndim == 2 else out
+            out += w[None, :, c, k, None] * x[:, None, c, k : k + out_len]
+    return out
 
 
 def conv_backward_einsum(x, w, grad_out):
@@ -108,17 +107,17 @@ def central_diff(fn, arr, h=1e-5):
 
 def test_conv_known_value():
     # one channel, one filter: [1,2,3] * [1,0,0] has a single valid position
-    out = conv1d_forward(np.array([[1.0, 2.0, 3.0]]), np.array([[[1.0, 0.0, 0.0]]]), np.zeros(1))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 1.0
+    out = conv1d_forward(np.array([[[1.0, 2.0, 3.0]]]), np.array([[[1.0, 0.0, 0.0]]]), np.zeros(1))
+    assert out.shape == (1, 1, 1)
+    assert out[0, 0, 0] == 1.0
 
 
 def test_conv_identity_kernel_shifts():
-    x = np.array([[1.0, 2.0, 3.0, 4.0]])
+    x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
     w = np.zeros((1, 1, 2))
     w[0, 0, 1] = 1.0  # picks the right element of each pair
     out = conv1d_forward(x, w, np.zeros(1))
-    assert np.array_equal(out, np.array([[2.0, 3.0, 4.0]]))
+    assert np.array_equal(out, np.array([[[2.0, 3.0, 4.0]]]))
 
 
 def test_conv_bias_broadcast():
@@ -150,28 +149,17 @@ def test_conv_single_channel_matches_dot_products():
     rng = np.random.default_rng(3)
     x = rng.normal(size=8)
     w = rng.normal(size=3)
-    out = conv1d_forward(x[None], w[None, None], np.zeros(1))
+    out = conv1d_forward(x[None, None], w[None, None], np.zeros(1))
     expected = np.array([np.dot(x[i : i + 3], w) for i in range(6)])
-    assert np.allclose(out[0], expected, rtol=1e-12)
-
-
-def test_conv_unbatched_equals_batched():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(4, 9))
-    w = rng.normal(size=(2, 4, 3))
-    b = rng.normal(size=2)
-    single = conv1d_forward(x, w, b)
-    batched = conv1d_forward(x[None], w, b)
-    assert single.shape == (2, 7)
-    assert np.array_equal(single, batched[0])
+    assert np.allclose(out[0, 0], expected, rtol=1e-12)
 
 
 def test_conv_rejects_short_input_and_channel_mismatch():
     w = np.zeros((1, 2, 4))
     with pytest.raises(ValueError, match="shorter than kernel"):
-        conv1d_forward(np.zeros((2, 3)), w, np.zeros(1))
+        conv1d_forward(np.zeros((1, 2, 3)), w, np.zeros(1))
     with pytest.raises(ValueError, match="channels"):
-        conv1d_forward(np.zeros((3, 8)), w, np.zeros(1))
+        conv1d_forward(np.zeros((1, 3, 8)), w, np.zeros(1))
 
 
 def test_conv_backward_matches_finite_differences():
@@ -203,10 +191,6 @@ def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
             got = conv1d_forward(x, w, b)
             assert (got == conv_unblocked(x, w, b)).all(), (c_in, length, batch)
             split_with_partial_block |= batch > block and batch % block != 0
-        x = rng.normal(size=(c_in, length))
-        got = conv1d_forward(x, w, b)
-        assert got.shape == (c_out, length - kernel + 1)
-        assert (got == conv_unblocked(x, w, b)).all(), (c_in, length)
     assert split_with_partial_block  # several blocks, the last one short
 
 
@@ -244,27 +228,9 @@ def test_conv_gemm_backward_matches_einsum_loop():
                 assert (gw[:, :, k] == tap).all(), (batch, c_in, length, k)
 
 
-def test_conv_backward_unbatched_input():
-    rng = np.random.default_rng(29)
-    x = rng.normal(size=(4, 9))
-    w = rng.normal(size=(2, 4, 3))
-    grad_out = rng.normal(size=(2, 7))
-    gx, gw, gb = conv1d_backward(x, w, grad_out)
-    bx, bw, bb = conv1d_backward(x[None], w, grad_out[None])
-    assert gx.shape == x.shape
-    assert np.array_equal(gx, bx[0]) and np.array_equal(gw, bw) and np.array_equal(gb, bb)
-    assert conv1d_backward(x, w, grad_out, input_grad=False)[0] is None
-
-
-@given(
-    length=st.integers(1, 12),
-    kernel=st.integers(1, 12),
-    padding=st.integers(0, 3),
-    stride=st.integers(1, 4),
-)
-def test_conv_out_len_formula(length, kernel, padding, stride):
-    got = conv_out_len(length, kernel, padding, stride)
-    assert got == (length - kernel + 2 * padding) // stride + 1
+@given(length=st.integers(1, 12), kernel=st.integers(1, 12))
+def test_conv_out_len_formula(length, kernel):
+    assert conv_out_len(length, kernel) == length - kernel + 1
 
 
 def test_conv_out_len_known_values():
@@ -274,8 +240,6 @@ def test_conv_out_len_known_values():
     assert conv_out_len(4, 5) == 0  # caller's job to reject
     with pytest.raises(ValueError):
         conv_out_len(0, 3)
-    with pytest.raises(ValueError):
-        conv_out_len(5, 3, stride=0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +248,33 @@ def test_conv_out_len_known_values():
 
 
 def test_maxpool_known_values():
-    x = np.array([[3.0, 1.0, 2.0, 5.0, 4.0]])  # odd tail dropped
+    x = np.array([[[3.0, 1.0, 2.0, 5.0, 4.0]]])  # odd tail dropped
     pooled, idx = maxpool_forward(x)
-    assert np.array_equal(pooled, np.array([[3.0, 5.0]]))
-    assert np.array_equal(idx, np.array([[0, 3]]))
+    assert np.array_equal(pooled, np.array([[[3.0, 5.0]]]))
+    assert np.array_equal(idx, np.array([[[0, 3]]]))
 
 
 def test_maxpool_tie_prefers_earlier():
-    pooled, idx = maxpool_forward(np.array([[2.0, 2.0, 1.0, 1.0]]))
-    assert np.array_equal(pooled, np.array([[2.0, 1.0]]))
-    assert np.array_equal(idx, np.array([[0, 2]]))
+    pooled, idx = maxpool_forward(np.array([[[2.0, 2.0, 1.0, 1.0]]]))
+    assert np.array_equal(pooled, np.array([[[2.0, 1.0]]]))
+    assert np.array_equal(idx, np.array([[[0, 2]]]))
 
 
 def test_maxpool_rejects_length_one():
     with pytest.raises(ValueError, match="too short"):
-        maxpool_forward(np.ones((1, 1)))
+        maxpool_forward(np.ones((1, 1, 1)))
 
 
 def test_maxpool_backward_scatters_to_argmax():
-    x = np.array([[3.0, 1.0, 2.0, 5.0]])
+    x = np.array([[[3.0, 1.0, 2.0, 5.0]]])
     _, idx = maxpool_forward(x)
-    grad = maxpool_backward(idx, np.array([[10.0, 20.0]]), 4)
-    assert np.array_equal(grad, np.array([[10.0, 0.0, 0.0, 20.0]]))
+    grad = maxpool_backward(idx, np.array([[[10.0, 20.0]]]), 4)
+    assert np.array_equal(grad, np.array([[[10.0, 0.0, 0.0, 20.0]]]))
 
 
 def test_maxpool_backward_rejects_bad_index():
     with pytest.raises(ValueError, match="out of range"):
-        maxpool_backward(np.array([[5]]), np.array([[1.0]]), 4)
+        maxpool_backward(np.array([[[5]]]), np.array([[[1.0]]]), 4)
 
 
 @settings(max_examples=50)
@@ -318,14 +282,14 @@ def test_maxpool_backward_rejects_bad_index():
 def test_maxpool_grad_mass_is_conserved(length, channels, seed):
     """Everything routed back lands on exactly one input per pair."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(channels, length))
+    x = rng.normal(size=(1, channels, length))
     pooled, idx = maxpool_forward(x)
     gout = rng.normal(size=pooled.shape)
     gin = maxpool_backward(idx, gout, length)
     assert gin.shape == x.shape
     assert np.allclose(gin.sum(), gout.sum())
     # the scattered positions hold the pooled values' gradients exactly
-    taken = np.take_along_axis(gin, idx, axis=1)
+    taken = np.take_along_axis(gin, idx, axis=2)
     assert np.array_equal(taken, gout)
 
 
@@ -375,18 +339,18 @@ def test_softmax_loss_against_mpmath():
     ln(1 + 4 e^-10); frozen here from a 50-digit evaluation."""
     with mpmath.workdps(50):
         expected = float(mpmath.log(1 + 4 * mpmath.e**-10))
-    probs, loss, _ = softmax_xent(np.array([10.0, 0.0, 0.0, 0.0, 0.0]), np.array([0]))
+    probs, loss, _ = softmax_xent(np.array([[10.0, 0.0, 0.0, 0.0, 0.0]]), np.array([0]))
     assert expected == pytest.approx(1.8158323094380936e-04, rel=1e-12)
-    assert loss == pytest.approx(expected, rel=1e-12)
+    assert loss[0] == pytest.approx(expected, rel=1e-12)
     assert probs.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_softmax_uniform_logits():
-    _, loss, grad = softmax_xent(np.zeros(5), np.array([2]))
-    assert loss == pytest.approx(np.log(5.0), rel=1e-15)
+    _, loss, grad = softmax_xent(np.zeros((1, 5)), np.array([2]))
+    assert loss[0] == pytest.approx(np.log(5.0), rel=1e-15)
     expected_grad = np.full(5, 0.2)
     expected_grad[2] -= 1.0
-    assert np.allclose(grad, expected_grad)
+    assert np.allclose(grad[0], expected_grad)
 
 
 def test_softmax_shift_invariance():
@@ -401,18 +365,20 @@ def test_softmax_shift_invariance():
 
 
 def test_softmax_extreme_logits_stay_finite():
-    _, loss, grad = softmax_xent(np.array([1000.0, -1000.0, 0.0]), np.array([1]))
+    _, loss, grad = softmax_xent(np.array([[1000.0, -1000.0, 0.0]]), np.array([1]))
     assert np.isfinite(loss)
     assert np.isfinite(grad).all()
 
 
 def test_softmax_rejects_bad_input():
     with pytest.raises(ValueError, match="non-finite"):
-        softmax_xent(np.array([np.inf, 0.0]), np.array([0]))
+        softmax_xent(np.array([[np.inf, 0.0]]), np.array([0]))
     with pytest.raises(ValueError, match="range"):
-        softmax_xent(np.zeros(3), np.array([3]))
+        softmax_xent(np.zeros((1, 3)), np.array([3]))
     with pytest.raises(ValueError):
         softmax_xent(np.zeros((2, 3)), np.array([0]))
+    with pytest.raises(ValueError, match="per logit row"):
+        softmax_xent(np.zeros(3), np.array([0]))  # logits come in (B, n) rows
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 8), st.integers(1, 6))

@@ -1,10 +1,12 @@
 """CSV formatting, SVG box plots and the JSON archive round-trip."""
 
+import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from harwin.cli import cli
 from harwin.experiment import FoldResult, SweepReport, SweepRow
 from harwin.report import (
     CSV_HEADER,
@@ -163,6 +165,26 @@ def test_json_round_trip_preserves_everything(tmp_path):
             assert fg.accuracy == fo.accuracy
             assert fg.loss == fo.loss
             assert fg.epochs_to_best == fo.epochs_to_best
+
+
+def test_load_report_rejects_malformed_reports_naming_the_file(tmp_path, capsys):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"seed": 1}))
+    with pytest.raises(ValueError, match=r"bare\.json.*missing key 'rows'"):
+        load_report(bare)
+    save_report(_two_row_report(), tmp_path / "full.json")
+    doc = json.loads((tmp_path / "full.json").read_text())
+    del doc["rows"][0]["folds"][0]["loss"]
+    holed = tmp_path / "holed.json"
+    holed.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"holed\.json.*missing key 'loss'"):
+        load_report(holed)
+    holed.write_text(json.dumps({**doc, "rows": [1]}))
+    with pytest.raises(ValueError, match=r"holed\.json: not a sweep report"):
+        load_report(holed)
+    assert cli(["report", "--report", str(bare), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing key 'rows'" in err and "Traceback" not in err
 
 
 def test_json_save_is_byte_stable(tmp_path):

@@ -4,7 +4,7 @@ determinism, evaluation."""
 import numpy as np
 import pytest
 
-from harwin.model import ModelSpec, TrainConfig, build_model, evaluate, train
+from harwin.model import EVAL_CHUNK, ModelSpec, TrainConfig, build_model, evaluate, train
 
 
 def _blobs(n_per_class, window_len=12, channels=2, n_classes=3, seed=0, sep=3.0):
@@ -25,10 +25,11 @@ def _small_spec(n_classes=3):
 
 def test_train_solves_separable_blobs():
     x, y = _blobs(12)
+    every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(batch_size=16, max_epochs=100, patience=100, seed=0)
-    best, best_epoch, history = train(net, x, y, x, y, cfg)
-    acc, loss = evaluate(best, x, y)
+    best, best_epoch, history = train(net, x, y, every, every, cfg)
+    acc, loss = evaluate(best, x, y, every)
     assert acc == 1.0
     assert loss < 0.3
     assert 1 <= best_epoch <= len(history)
@@ -38,18 +39,20 @@ def test_train_solves_separable_blobs():
 
 def test_train_loss_decreases():
     x, y = _blobs(10, seed=3)
+    every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=1)
     cfg = TrainConfig(batch_size=8, max_epochs=25, patience=25, seed=1)
-    _, _, history = train(net, x, y, x, y, cfg)
+    _, _, history = train(net, x, y, every, every, cfg)
     assert history[-1].train_loss < history[0].train_loss
 
 
 def test_early_stopping_patience_bound():
     """Training never runs more than patience epochs past the best one."""
     x, y = _blobs(8, seed=5)
+    every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=2)
     cfg = TrainConfig(batch_size=8, max_epochs=400, patience=5, seed=2)
-    _, best_epoch, history = train(net, x, y, x, y, cfg)
+    _, best_epoch, history = train(net, x, y, every, every, cfg)
     assert len(history) <= best_epoch + 5
     if len(history) < 400:  # stopped by patience, not the cap
         assert len(history) == best_epoch + 5
@@ -57,29 +60,32 @@ def test_early_stopping_patience_bound():
 
 def test_patience_zero_stops_after_first_epoch():
     x, y = _blobs(6)
+    every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(batch_size=8, max_epochs=50, patience=0, seed=0)
-    _, best_epoch, history = train(net, x, y, x, y, cfg)
+    _, best_epoch, history = train(net, x, y, every, every, cfg)
     assert len(history) == 1
     assert best_epoch == 1
 
 
 def test_epoch_indices_are_one_based():
     x, y = _blobs(6)
+    every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=4)
     cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=4)
-    _, best_epoch, history = train(net, x, y, x, y, cfg)
+    _, best_epoch, history = train(net, x, y, every, every, cfg)
     assert len(history) == 3
     assert best_epoch >= 1
 
 
 def test_train_is_deterministic_per_seed():
     x, y = _blobs(8, seed=7)
+    every = np.arange(len(y))
     cfg = TrainConfig(batch_size=8, max_epochs=10, patience=10, seed=12)
     run = []
     for _ in range(2):
         net = build_model(_small_spec(), 12, seed=6)
-        best, best_epoch, history = train(net, x, y, x, y, cfg)
+        best, best_epoch, history = train(net, x, y, every, every, cfg)
         run.append((best, best_epoch, [h.train_loss for h in history]))
     assert run[0][1] == run[1][1]
     assert run[0][2] == run[1][2]
@@ -87,27 +93,29 @@ def test_train_is_deterministic_per_seed():
         assert np.array_equal(a, b)
 
     net = build_model(_small_spec(), 12, seed=6)
-    _, _, other = train(net, x, y, x, y, TrainConfig(batch_size=8, max_epochs=10, patience=10, seed=13))
+    _, _, other = train(net, x, y, every, every, TrainConfig(batch_size=8, max_epochs=10, patience=10, seed=13))
     assert [h.train_loss for h in other] != run[0][2]
 
 
 def test_divergence_raises_with_epoch_number():
     x, y = _blobs(8, sep=50.0, seed=9)
+    every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=3)
     # an absurd learning rate drives the activations past float64 range
     cfg = TrainConfig(batch_size=8, max_epochs=50, patience=50, seed=3, learning_rate=1e150)
     with pytest.raises(RuntimeError, match=r"diverged at epoch \d+"):
-        train(net, x, y, x, y, cfg)
+        train(net, x, y, every, every, cfg)
 
 
 def test_train_rejects_empty_inputs():
     x, y = _blobs(4)
+    every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(max_epochs=1, seed=0)
     with pytest.raises(ValueError, match="training"):
-        train(net, x[:0], y[:0], x, y, cfg)
+        train(net, x, y, every[:0], every, cfg)
     with pytest.raises(ValueError, match="stopping"):
-        train(net, x, y, x[:0], y[:0], cfg)
+        train(net, x, y, every, every[:0], cfg)
 
 
 def test_train_and_evaluate_reject_mismatched_classes():
@@ -115,12 +123,11 @@ def test_train_and_evaluate_reject_mismatched_classes():
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(max_epochs=1, seed=0)
     for windows, classes in ((x, y[1:]), (x[1:], y)):
+        some = np.arange(len(classes) // 2)  # valid in both arrays
         with pytest.raises(ValueError, match="one class per window"):
-            train(net, windows, classes, x, y, cfg)
+            train(net, windows, classes, some, some, cfg)
         with pytest.raises(ValueError, match="one class per window"):
-            train(net, x, y, windows, classes, cfg)
-        with pytest.raises(ValueError, match="one class per window"):
-            evaluate(net, windows, classes)
+            evaluate(net, windows, classes, some)
 
 
 def test_evaluate_breaks_argmax_ties_toward_lowest_class():
@@ -128,7 +135,8 @@ def test_evaluate_breaks_argmax_ties_toward_lowest_class():
     zeroed = net.with_tensors([np.zeros_like(t) for t in net.tensors()])
     # all logits identical => every prediction is class 0
     x, y = _blobs(5, seed=1)
-    acc, loss = evaluate(zeroed, x, y)
+    every = np.arange(len(y))
+    acc, loss = evaluate(zeroed, x, y, every)
     n_class0 = int((y == 0).sum())
     assert acc == pytest.approx(n_class0 / len(y))
     assert loss == pytest.approx(np.log(3.0), rel=1e-12)
@@ -138,7 +146,7 @@ def test_evaluate_rejects_empty():
     net = build_model(_small_spec(), 12, seed=0)
     x, y = _blobs(1)
     with pytest.raises(ValueError, match="no samples"):
-        evaluate(net, x[:0], y[:0])
+        evaluate(net, x, y, np.arange(0))
 
 
 def test_evaluate_chunking_is_seamless():
@@ -147,12 +155,22 @@ def test_evaluate_chunking_is_seamless():
 
     x, y = _blobs(20, seed=11)
     net = build_model(_small_spec(), 12, seed=5)
-    acc1, loss1 = evaluate(net, x, y)
+    every = np.arange(len(y))
+    acc1, loss1 = evaluate(net, x, y, every)
     old = model_mod.EVAL_CHUNK
     model_mod.EVAL_CHUNK = 7
     try:
-        acc2, loss2 = evaluate(net, x, y)
+        acc2, loss2 = evaluate(net, x, y, every)
     finally:
         model_mod.EVAL_CHUNK = old
     assert acc1 == acc2
     assert loss1 == pytest.approx(loss2, rel=1e-12)
+
+
+def test_evaluate_gathers_indexed_windows_like_a_copy():
+    """Evaluating x[perm] through the index array equals evaluating a copy
+    of those windows, bit for bit, across an EVAL_CHUNK boundary."""
+    x, y = _blobs(EVAL_CHUNK // 3 + 30, seed=13)
+    perm = np.random.default_rng(2).permutation(len(y))[: EVAL_CHUNK + 40]
+    net = build_model(_small_spec(), 12, seed=8)
+    assert evaluate(net, x, y, perm) == evaluate(net, x[perm], y[perm], np.arange(len(perm)))
