@@ -27,6 +27,9 @@ LONG_KERNELS = (7, 11)
 
 DEFAULT_WINDOWS_SEC = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 
+# Elements per chunk of the per-fold statistics' passes (8 MiB of float64).
+STATS_CHUNK_ELEMS = 1 << 20
+
 
 def select_kernels(window_sec: float) -> tuple[int, int]:
     """Conv kernel sizes as a function of window duration."""
@@ -103,10 +106,31 @@ class SweepReport:
     config: dict
 
 
-def _window_level_stats(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    data = windows.reshape(-1, windows.shape[2])  # every timestep of (N, W, C) windows: (N * W, C)
-    mean = data.mean(axis=0)
-    std = data.std(axis=0)
+def _window_level_stats(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std over every timestep of the (N, W, C) windows
+    ``x[idx]``, without copying them: two passes over chunks of the windows,
+    each chunk folded into the running sum in row order. Equal bit for bit
+    to ``x[idx].reshape(-1, C).mean(axis=0)`` and ``.std(axis=0)``."""
+    window_len, n_ch = x.shape[1:]
+    step = max(1, STATS_CHUNK_ELEMS // (window_len * n_ch))  # windows per chunk
+    # Row 0 carries the running sum. The buffer is C order, so np.add.reduce
+    # adds it row by row, as numpy's mean and std do on a C-order copy.
+    buf = np.empty((1 + step * window_len, n_ch))
+
+    def row_sum(put) -> np.ndarray:
+        first = 1  # no running sum before the first chunk
+        for lo in range(0, len(idx), step):
+            chunk = idx[lo : lo + step]
+            end = 1 + len(chunk) * window_len
+            put(x[chunk], buf[1:end].reshape(len(chunk), window_len, n_ch))
+            buf[0] = np.add.reduce(buf[first:end], axis=0)
+            first = 0
+        return buf[0].copy()
+
+    count = len(idx) * window_len
+    mean = row_sum(lambda windows, dst: np.copyto(dst, windows)) / count
+    var = row_sum(lambda windows, dst: np.square(np.subtract(windows, mean, out=dst), out=dst)) / count
+    std = np.sqrt(var)
     flat = np.flatnonzero(std == 0.0)
     if flat.size:
         raise CoverageError(f"channel {flat[0]} is constant in the training folds")
@@ -135,8 +159,9 @@ def _fit_fold(
     fold_seed = seed + fold
     train_idx, test_idx = plan.train_test(fold)
     if per_fold_stats:
-        mean, std = _window_level_stats(x[train_idx])
-        x = (x - mean) / std
+        mean, std = _window_level_stats(x, train_idx)
+        x = x - mean
+        x /= std  # in place: one normalized copy of x, not two
     fit_idx, stop_idx = train_idx, test_idx
     if honest_split:
         fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)

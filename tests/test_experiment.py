@@ -103,7 +103,7 @@ def test_per_fold_stats_match_per_window_concatenation_bitwise():
         x, y = stack_windows(samples), stack_labels(samples)
         plan = make_folds(samples, 4, seed=0)
         train_idx, _ = plan.train_test(1)
-        mean, std = _window_level_stats(x[train_idx])
+        mean, std = _window_level_stats(x, train_idx)
         # oracle: concatenate contiguous per-window copies, standardize window by window
         copies = [np.ascontiguousarray(s.window) for s in samples]
         data = np.concatenate([copies[i] for i in train_idx], axis=0)
@@ -115,6 +115,23 @@ def test_per_fold_stats_match_per_window_concatenation_bitwise():
         assert (got.accuracy, got.loss, got.history) == (want.accuracy, want.loss, want.history), sec
         for a, b in zip(got.model.tensors(), want.model.tensors()):
             assert (a == b).all(), sec
+
+
+def test_window_level_stats_match_gathered_copy_bitwise(monkeypatch):
+    """The chunked two-pass statistics equal numpy's mean/std of the gathered
+    fold, bit for bit, whether the fold is one chunk or many."""
+    segments = collect_segments([generate_synthetic(5, samples_per_class=2, segment_len=900)])
+    for sec in (0.1, 0.5, 4.0):
+        samples = segment(segments, WindowSpec(sec))
+        x = stack_windows(samples)
+        train_idx, _ = make_folds(samples, 4, seed=0).train_test(2)
+        data = x[train_idx].reshape(-1, x.shape[2])
+        window_elems = x.shape[1] * x.shape[2]
+        for windows_per_chunk in (1, 7, len(train_idx) + 1):
+            monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", windows_per_chunk * window_elems)
+            mean, std = _window_level_stats(x, train_idx)
+            assert (mean == data.mean(axis=0)).all(), (sec, windows_per_chunk)
+            assert (std == data.std(axis=0)).all(), (sec, windows_per_chunk)
 
 
 def _stub_train_and_evaluate(monkeypatch, calls):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harwin.layers import (
-    CONV_BLOCK_ELEMS,
+    ROW,
     adam_step,
     conv1d_backward,
     conv1d_forward,
@@ -24,7 +24,7 @@ from harwin.layers import (
     relu_backward,
     softmax_xent,
 )
-from harwin.model import ModelSpec, plan_shapes
+from harwin.model import EVAL_CHUNK, ModelSpec, plan_shapes
 
 
 def conv_naive(x, w, b):
@@ -179,19 +179,58 @@ def test_conv_backward_matches_finite_differences():
     assert np.allclose(gb, central_diff(loss, b), rtol=1e-6, atol=1e-8)
 
 
+def short_window_geometries():
+    """(c_in, c_out, kernel, length) of conv1 (18 -> 16, kernel 3) and conv2
+    (16 -> 32, kernel 5) at the 0.1 s and 0.25 s windows' lengths."""
+    return [(18, 16, 3, 10), (18, 16, 3, 25), (16, 32, 5, 8), (16, 32, 5, 11)]
+
+
 def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
     rng = np.random.default_rng(19)
-    split_with_partial_block = False
-    for c_in, c_out, kernel, length in sweep_geometries():
+    split_with_short_last_tile = False
+    for c_in, c_out, kernel, length in sweep_geometries() + short_window_geometries():
         w = rng.normal(size=(c_out, c_in, kernel))
         b = rng.normal(size=c_out)
-        block = max(1, CONV_BLOCK_ELEMS // (c_out * (length - kernel + 1)))
-        for batch in (25, 128):
+        out_len = length - kernel + 1
+        for batch in (1, 25, 128, EVAL_CHUNK):
             x = rng.normal(size=(batch, c_in, length))
             got = conv1d_forward(x, w, b)
+            assert got.flags.c_contiguous
             assert (got == conv_unblocked(x, w, b)).all(), (c_in, length, batch)
-            split_with_partial_block |= batch > block and batch % block != 0
-    assert split_with_partial_block  # several blocks, the last one short
+            tile = max(1, ROW // batch)
+            split_with_short_last_tile |= out_len > tile and out_len % tile != 0
+        # a non-contiguous input: a (B, L, C) array seen through swapaxes
+        x = rng.normal(size=(25, length, c_in)).swapaxes(1, 2)
+        assert (conv1d_forward(x, w, b) == conv_unblocked(x, w, b)).all(), (c_in, length)
+    assert split_with_short_last_tile  # several tiles, the last one short
+
+
+def test_conv_forward_empty_batch():
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(4, 18, 10))
+    w = rng.normal(size=(16, 18, 3))
+    out = conv1d_forward(x[:0], w, rng.normal(size=16))
+    assert out.shape == (0, 16, 8)
+
+
+def test_conv_forward_scratch_stays_small():
+    """At 4 s with an eval chunk of windows, one call allocates its output
+    plus per-tile scratch, not a transposed copy of the whole input."""
+    import tracemalloc
+
+    rng = np.random.default_rng(31)
+    for c_in, c_out, kernel, length in sweep_geometries()[2:]:
+        x = rng.normal(size=(EVAL_CHUNK, c_in, length))
+        w = rng.normal(size=(c_out, c_in, kernel))
+        b = rng.normal(size=c_out)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv1d_forward(x, w, b)
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert extra < out.nbytes + 4 * 2**20, (c_in, extra - out.nbytes)
 
 
 def _conv_backward_cases(rng):
