@@ -14,13 +14,16 @@ the tests rely on. The loop runs over tiles of max(1, ROW // B) output
 positions. Each tile's input is copied into a (C, positions * B) scratch,
 position-major with the batch innermost, so one (channel, tap) term is a
 single (F, n) broadcast multiply-add over contiguous rows of about ROW
-elements. Rows that long run at memory speed; rows of 2k elements or fewer
-ran the same terms 2-2.5x slower per element. Copying per tile rather than
-the whole input keeps a call's scratch near 3 MiB. The layout decides only
-where an element sits in memory, never the order of one output element's
-terms. The backward convolution is one GEMM pair per tap. Its sums run in
-BLAS order, so it is checked against finite differences and a
-per-(channel, tap) reference loop by tolerance, not bit for bit.
+elements. Rows must stay longer than a third of numpy's 8192-element ufunc
+buffer (np.getbufsize()): numpy runs a broadcast multiply with shorter rows
+through its buffered iterator, and with rows of 2,560 elements or fewer a
+call ran about 2x slower. Short windows' single tiles stay below that
+(L_out * B = 1,024 for conv1 at 0.1 s and batch 128). Copying per tile
+rather than the whole input keeps a call's scratch near 3 MiB. The layout decides only where an element
+sits in memory, never the order of one output element's terms. The backward
+convolution is one GEMM pair per tap. Its sums run in BLAS order, so it is
+checked against finite differences and a per-(channel, tap) reference loop
+by tolerance, not bit for bit.
 """
 
 from __future__ import annotations
