@@ -154,14 +154,15 @@ def _fit_fold(
     Folds are index arrays into the (N, W, C) windows ``x`` (classes ``y``);
     ``train`` and ``evaluate`` gather their batches from ``x`` itself, so no
     fold is copied. With ``per_fold_stats`` the whole array is normalized
-    once with the training folds' statistics. The model, rng and inner split
-    are seeded with ``seed + fold``. See ``run_cv`` for the two options."""
+    in place with the training folds' statistics, so ``x`` must be the
+    caller's own copy. The model, rng and inner split are seeded with
+    ``seed + fold``. See ``run_cv`` for the two options."""
     fold_seed = seed + fold
     train_idx, test_idx = plan.train_test(fold)
     if per_fold_stats:
         mean, std = _window_level_stats(x, train_idx)
-        x = x - mean
-        x /= std  # in place: one normalized copy of x, not two
+        x -= mean
+        x /= std
     fit_idx, stop_idx = train_idx, test_idx
     if honest_split:
         fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)
@@ -192,11 +193,22 @@ def run_cv(
     standardized input.
     """
     plan = make_folds(samples, k, seed)
-    x, y = stack_windows(samples), stack_labels(samples)
+    shared = None if per_fold_stats else stack_windows(samples)
+    y = stack_labels(samples)
     results = []
     for fold in range(k):
+        # per-fold stats normalize in place: each fold stacks its own copy,
+        # and only one copy is alive at a time
         r = _fit_fold(
-            x, y, plan, fold, base_spec, cfg, seed, honest_split=honest_split, per_fold_stats=per_fold_stats
+            stack_windows(samples) if shared is None else shared,
+            y,
+            plan,
+            fold,
+            base_spec,
+            cfg,
+            seed,
+            honest_split=honest_split,
+            per_fold_stats=per_fold_stats,
         )
         results.append(FoldResult(fold, r.accuracy, r.loss, r.epochs_to_best))
     return results

@@ -192,6 +192,30 @@ def test_fit_fold_copies_no_fold(monkeypatch):
         tracemalloc.stop()
 
 
+def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
+    """Per-fold normalization works in place on each fold's own stack, so a
+    cross-validation holds one window array at a time, not a raw and a
+    normalized one."""
+    import tracemalloc
+
+    # stubs that keep no reference to the array they are handed
+    monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg: (net, 1, []))
+    monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx: (1.0, 0.0))
+    monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", 1)  # one window per chunk, next to nothing
+    segments = collect_segments([generate_synthetic(3, samples_per_class=4, segment_len=500)])
+    samples = segment(segments, WindowSpec(0.5))
+    nbytes = stack_windows(samples).nbytes
+    spec = ModelSpec(kernels=select_kernels(0.5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_cv(samples, 4, spec, FAST_CFG, seed=0, per_fold_stats=True)
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert extra < 1.5 * nbytes, (extra, nbytes)
+
+
 def test_run_cv_per_fold_stats_rejects_constant_channel():
     flat = [Sample(s.window * [1.0, 0.0], s.class_index, 0, s.origin) for s in _blob_samples(8)]
     with pytest.raises(CoverageError, match="channel 1 is constant"):
