@@ -112,7 +112,7 @@ def _window_level_stats(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.
     each chunk folded into the running sum in row order. Equal bit for bit
     to ``x[idx].reshape(-1, C).mean(axis=0)`` and ``.std(axis=0)``."""
     window_len, n_ch = x.shape[1:]
-    step = max(1, STATS_CHUNK_ELEMS // (window_len * n_ch))  # windows per chunk
+    step = max(1, min(len(idx), STATS_CHUNK_ELEMS // (window_len * n_ch)))  # windows per chunk
     # Row 0 carries the running sum. The buffer is C order, so np.add.reduce
     # adds it row by row, as numpy's mean and std do on a C-order copy.
     buf = np.empty((1 + step * window_len, n_ch))
