@@ -19,7 +19,9 @@ from .dataset import (
 )
 from .experiment import SweepReport, SweepRow, run_cv, run_sweep, select_kernels, train_single
 from .model import ModelParams, ModelSpec, TrainConfig, build_model, evaluate, load_model, plan_shapes, save_model, train
-from .preprocess import ChannelStats, Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment
+from .preprocess import (
+    ChannelStats, Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment, window_arrays
+)
 from .report import format_report_csv, load_report, render_all, save_report
 
 __version__ = "0.1.0"
@@ -61,4 +63,5 @@ __all__ = [
     "select_kernels",
     "train",
     "train_single",
+    "window_arrays",
 ]

@@ -207,7 +207,8 @@ def interpolate_missing(sig: LabeledSignal) -> LabeledSignal:
 
 def filter_activities(sig: LabeledSignal, acts: ActivitySet = DEFAULT_ACTIVITIES) -> list[ActivitySegment]:
     """Split a signal into maximal single-activity runs, dropping timesteps
-    whose label is not in the activity set (the transient code 0 included)."""
+    whose label is not in the activity set (the transient code 0 included).
+    Each segment's channels are a view of the signal, not a copy."""
     labels = sig.labels
     t_total = labels.size
     if t_total == 0:
@@ -223,7 +224,7 @@ def filter_activities(sig: LabeledSignal, acts: ActivitySet = DEFAULT_ACTIVITIES
                     segment_id=len(segments),
                     subject_id=sig.subject_id,
                     class_index=acts.class_of(code),
-                    channels=sig.channels[:, start:end].copy(),
+                    channels=sig.channels[:, start:end],
                 )
             )
     return segments
@@ -340,7 +341,8 @@ def ingest_directory(
 ) -> list[LabeledSignal]:
     """Ingest ``subjectNNN.dat`` protocol files from a directory.
 
-    With ``subjects`` unset, every ``subject*.dat`` file present is read;
+    With ``subjects`` unset, every ``subject*.dat`` file present is read,
+    and one whose name is not ``subject`` plus a number is an error;
     otherwise each requested subject's file must exist.
     """
     root = Path(data_dir)
@@ -350,6 +352,9 @@ def ingest_directory(
         files = sorted(root.glob("subject*.dat"))
         if not files:
             raise FileNotFoundError(f"no subject*.dat files in {root}")
+        for p in files:
+            if not p.stem.removeprefix("subject").isdecimal():
+                raise ValueError(f"{p}: not a subjectNNN.dat protocol file name")
         pairs = [(int(p.stem.removeprefix("subject")), p) for p in files]
     else:
         pairs = [(s, root / f"subject{s}.dat") for s in subjects]

@@ -16,10 +16,8 @@ import numpy as np
 
 from .dataset import ActivitySet, DEFAULT_ACTIVITIES, LabeledSignal, collect_segments, dataset_fingerprint
 from .layers import CoverageError, GeometryError
-from .model import (
-    ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, stack_labels, stack_windows, train
-)
-from .preprocess import FoldPlan, Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment
+from .model import ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, train
+from .preprocess import ChannelStats, FoldPlan, WindowSpec, compute_stats, window_arrays
 
 SHORT_WINDOW_SEC = 0.25
 SHORT_KERNELS = (3, 5)
@@ -146,70 +144,58 @@ def _fit_fold(
     cfg: TrainConfig,
     seed: int,
     *,
+    stats: ChannelStats | None,
     honest_split: bool = False,
-    per_fold_stats: bool = False,
 ) -> SingleRunResult:
     """Train on the folds of ``plan`` but ``fold`` and test on ``fold``.
 
-    Folds are index arrays into the (N, W, C) windows ``x`` (classes ``y``);
-    ``train`` and ``evaluate`` gather their batches from ``x`` itself, so no
-    fold is copied. With ``per_fold_stats`` the whole array is normalized
-    in place with the training folds' statistics, so ``x`` must be the
-    caller's own copy. The model, rng and inner split are seeded with
-    ``seed + fold``. See ``run_cv`` for the two options."""
+    Folds are index arrays into the raw (N, W, C) windows ``x`` (classes
+    ``y``); ``train`` and ``evaluate`` gather their batches from ``x``
+    itself and standardize each gathered copy, so no fold is copied and
+    ``x`` is only read. They standardize with ``stats``, or, when it is
+    None, with the statistics of the training folds' windows. The model,
+    rng and inner split are seeded with ``seed + fold``. See ``run_cv`` for
+    ``honest_split``."""
     fold_seed = seed + fold
     train_idx, test_idx = plan.train_test(fold)
-    if per_fold_stats:
-        mean, std = _window_level_stats(x, train_idx)
-        x -= mean
-        x /= std
+    if stats is None:
+        stats = ChannelStats(*_window_level_stats(x, train_idx))
     fit_idx, stop_idx = train_idx, test_idx
     if honest_split:
         fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)
         fit_idx, stop_idx = train_idx[fit], train_idx[stop]
     net = build_model(spec, x.shape[1], fold_seed)
-    best, best_epoch, history = train(net, x, y, fit_idx, stop_idx, replace(cfg, seed=fold_seed))
-    accuracy, loss = evaluate(best, x, y, test_idx)
+    best, best_epoch, history = train(net, x, y, fit_idx, stop_idx, replace(cfg, seed=fold_seed), stats)
+    accuracy, loss = evaluate(best, x, y, test_idx, stats)
     return SingleRunResult(best, accuracy, loss, best_epoch, history)
 
 
 def run_cv(
-    samples: list[Sample],
+    x: np.ndarray,
+    y: np.ndarray,
     k: int,
     base_spec: ModelSpec,
     cfg: TrainConfig,
     seed: int,
     *,
+    stats: ChannelStats | None,
     honest_split: bool = False,
-    per_fold_stats: bool = False,
 ) -> list[FoldResult]:
-    """Stratified k-fold: train on k-1 folds, test on the held-out fold.
+    """Stratified k-fold over the raw windows ``x`` (classes ``y``): train
+    on k-1 folds, test on the held-out fold.
 
-    By default the held-out fold doubles as the early-stopping set — the
-    optimistic protocol this reproduces. ``honest_split`` instead carves a
-    tenth of the training pool (stratified) for stopping, so the test fold
-    is never seen before the final evaluation. ``per_fold_stats`` normalizes
-    with statistics of the training folds only instead of assuming globally
-    standardized input.
+    Every batch is standardized with ``stats`` as it is gathered; with
+    ``stats=None`` each fold uses the statistics of its own training folds
+    (``--per-fold-stats``). By default the held-out fold doubles as the
+    early-stopping set — the optimistic protocol this reproduces.
+    ``honest_split`` instead carves a tenth of the training pool
+    (stratified) for stopping, so the test fold is never seen before the
+    final evaluation.
     """
-    plan = make_folds(samples, k, seed)
-    shared = None if per_fold_stats else stack_windows(samples)
-    y = stack_labels(samples)
+    plan = FoldPlan.stratified(y, k, seed)
     results = []
     for fold in range(k):
-        # per-fold stats normalize in place: each fold stacks its own copy,
-        # and only one copy is alive at a time
-        r = _fit_fold(
-            stack_windows(samples) if shared is None else shared,
-            y,
-            plan,
-            fold,
-            base_spec,
-            cfg,
-            seed,
-            honest_split=honest_split,
-            per_fold_stats=per_fold_stats,
-        )
+        r = _fit_fold(x, y, plan, fold, base_spec, cfg, seed, stats=stats, honest_split=honest_split)
         results.append(FoldResult(fold, r.accuracy, r.loss, r.epochs_to_best))
     return results
 
@@ -234,8 +220,7 @@ def run_sweep(
     """
     check_windows(windows_sec)
     fingerprint = dataset_fingerprint(signals)
-    if not per_fold_stats:
-        signals = apply_zscore(signals, compute_stats(signals))
+    stats = None if per_fold_stats else compute_stats(signals)
     segments = collect_segments(signals, acts)
     rows = []
     for w_sec in sorted(windows_sec):
@@ -246,16 +231,8 @@ def run_sweep(
             spec = ModelSpec(kernels=(k1, k2))
             wspec = WindowSpec(w_sec)
             plan_shapes(spec, wspec.window_len)
-            samples = segment(segments, wspec)
-            fold_results = run_cv(
-                samples,
-                folds,
-                spec,
-                cfg,
-                seed,
-                honest_split=honest_split,
-                per_fold_stats=per_fold_stats,
-            )
+            x, y = window_arrays(segments, wspec)
+            fold_results = run_cv(x, y, folds, spec, cfg, seed, stats=stats, honest_split=honest_split)
         except (GeometryError, CoverageError) as err:
             rows.append(
                 SweepRow(window_sec=w_sec, k1=k1, k2=k2, folds=[], failed=True, reason=str(err))
@@ -299,11 +276,11 @@ def train_single(
     """One standardize/window/train run with a held-out fifth for stopping
     and evaluation: fold 0 of a 5-fold plan. Used by the CLI's single-model
     path."""
-    signals = apply_zscore(signals, compute_stats(signals))
+    stats = compute_stats(signals)
     segments = collect_segments(signals, acts)
     wspec = WindowSpec(window_sec)
     spec = ModelSpec(kernels=kernels or select_kernels(window_sec))
     plan_shapes(spec, wspec.window_len)
-    samples = segment(segments, wspec)
-    plan = make_folds(samples, 5, seed)
-    return _fit_fold(stack_windows(samples), stack_labels(samples), plan, 0, spec, cfg, seed)
+    x, y = window_arrays(segments, wspec)
+    plan = FoldPlan.stratified(y, 5, seed)
+    return _fit_fold(x, y, plan, 0, spec, cfg, seed, stats=stats)

@@ -33,6 +33,7 @@ from .layers import (
     relu_backward,
     softmax_xent,
 )
+from .preprocess import ChannelStats
 
 EVAL_CHUNK = 512
 
@@ -344,10 +345,25 @@ def stack_labels(samples: list) -> np.ndarray:
     return np.array([s.class_index for s in samples], dtype=np.int64)
 
 
-def evaluate(model: ModelParams, x: np.ndarray, y: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
+def gather(x: np.ndarray, idx: np.ndarray, stats: ChannelStats) -> np.ndarray:
+    """The windows ``x[idx]`` standardized per channel, (w - mean) / std.
+
+    The gathered copy is standardized in place, so ``x`` itself is only
+    read and each element gets the same two operations as ``apply_zscore``
+    applies to the signal."""
+    b = x[idx]
+    b -= stats.mean
+    b /= stats.std
+    return b
+
+
+def evaluate(
+    model: ModelParams, x: np.ndarray, y: np.ndarray, idx: np.ndarray, stats: ChannelStats
+) -> tuple[float, float]:
     """Accuracy and mean cross-entropy of the windows ``x[idx]`` (classes
-    ``y[idx]``) in eval mode. Each chunk of EVAL_CHUNK windows is gathered
-    from ``x`` on its own, so memory stays bounded and no fold is copied.
+    ``y[idx]``), standardized with ``stats``, in eval mode. Each chunk of
+    EVAL_CHUNK windows is gathered from ``x`` on its own, so memory stays
+    bounded and no fold is copied.
 
     Argmax ties resolve to the lowest class index (np.argmax behaviour).
     """
@@ -361,7 +377,7 @@ def evaluate(model: ModelParams, x: np.ndarray, y: np.ndarray, idx: np.ndarray) 
     for lo in range(0, n, EVAL_CHUNK):
         chunk = idx[lo : lo + EVAL_CHUNK]
         cb = y[chunk]
-        logits, _ = forward(model, x[chunk])
+        logits, _ = forward(model, gather(x, chunk, stats))
         _, losses, _ = softmax_xent(logits, cb)
         correct += int((logits.argmax(axis=1) == cb).sum())
         loss_sum += float(losses.sum())
@@ -375,11 +391,13 @@ def train(
     fit_idx: np.ndarray,
     stop_idx: np.ndarray,
     cfg: TrainConfig,
+    stats: ChannelStats,
 ) -> tuple[ModelParams, int, list[EpochStats]]:
     """Minibatch Adam on the (N, window_len, 18) windows ``x[fit_idx]``,
     early-stopped on the loss of ``x[stop_idx]``; ``y`` holds one class per
-    window of ``x``. Each minibatch is gathered from ``x`` as it is needed,
-    so neither index set is copied out as a whole.
+    window of ``x``. Each minibatch is gathered from ``x`` as it is needed
+    and standardized with ``stats`` (``gather``), so neither index set is
+    copied out as a whole and ``x`` is never written.
 
     One shuffled pass per epoch, one Adam step per minibatch. Training stops
     when the stop loss has not improved for ``patience`` epochs or the epoch
@@ -413,12 +431,12 @@ def train(
             with np.errstate(over="ignore", invalid="ignore"):
                 for lo in range(0, n, cfg.batch_size):
                     batch = fit_idx[order[lo : lo + cfg.batch_size]]
-                    loss, grads = loss_and_grads(model, x[batch], y[batch], training=True, rng=rng)
+                    loss, grads = loss_and_grads(model, gather(x, batch, stats), y[batch], training=True, rng=rng)
                     if not np.isfinite(loss):
                         raise DivergenceError("non-finite loss")
                     adam_step(adam, params, grads)
                     batch_losses.append(loss)
-                _, stop_loss = evaluate(model, x, y, stop_idx)
+                _, stop_loss = evaluate(model, x, y, stop_idx, stats)
         except DivergenceError as err:
             raise RuntimeError(f"training diverged at epoch {epoch}") from err
         history.append(EpochStats(train_loss=float(np.mean(batch_losses)), stop_loss=stop_loss))

@@ -1,9 +1,15 @@
-"""Per-channel normalization, sliding-window extraction and fold assignment.
+"""Per-channel statistics, sliding-window extraction and fold assignment.
 
-Windows are read-only views into their segment, never copies; folds are
-dealt from a label array (``FoldPlan.stratified``). A fold is an array of
-window indices: training and evaluation gather their batches from the one
-stacked window array through it, so no fold is ever copied out.
+``window_arrays`` copies every window of a duration once into one read-only
+array of **raw** windows; folds are dealt from its label array
+(``FoldPlan.stratified``). A fold is an array of window indices: training
+and evaluation gather their batches from the one window array through it
+and standardize each gathered copy with a ``ChannelStats``, so neither the
+signal nor a fold is ever copied out in standardized form.
+
+``segment`` (one ``Sample`` view per window), ``make_folds``,
+``apply_zscore`` and ``model.stack_windows``/``stack_labels`` remain as a
+public API over the same geometry; the pipeline itself no longer calls them.
 """
 
 from __future__ import annotations
@@ -43,7 +49,11 @@ def compute_stats(signals: list[LabeledSignal]) -> ChannelStats:
 
 
 def apply_zscore(signals: list[LabeledSignal], stats: ChannelStats) -> list[LabeledSignal]:
-    """Standardize each channel in place-free fashion: (x - mean) / std."""
+    """Standardized copies of the signals, (x - mean) / std per channel.
+
+    The pipeline no longer calls this: it keeps the signals raw and
+    standardizes each gathered batch with the same two operations per
+    element (``model.gather``), so the results are bitwise the same."""
     out = []
     for sig in signals:
         z = (sig.channels - stats.mean[:, None]) / stats.std[:, None]
@@ -87,18 +97,46 @@ class Sample:
     origin: tuple[int, int]  # (segment_id, start offset)
 
 
+def _windows_of(seg: ActivitySegment, spec: WindowSpec) -> np.ndarray:
+    """Read-only (n_windows, window_len, C) view of one segment's windows;
+    window i starts at timestep i * stride. A segment shorter than one
+    window has none."""
+    c, length = seg.channels.shape
+    if length < spec.window_len:
+        return np.empty((0, spec.window_len, c))
+    return sliding_window_view(seg.channels, spec.window_len, axis=1)[:, :: spec.stride].transpose(1, 2, 0)
+
+
 def segment(segments: list[ActivitySegment], spec: WindowSpec) -> list[Sample]:
     """Slide the window over each segment; runs shorter than one window
     contribute nothing. Each window is a read-only view of its segment."""
-    w, stride = spec.window_len, spec.stride
     samples: list[Sample] = []
     for seg in segments:
-        if seg.channels.shape[1] < w:
-            continue
-        # (n_windows, w, 18): window i starts at timestep i * stride
-        views = sliding_window_view(seg.channels, w, axis=1)[:, ::stride].transpose(1, 2, 0)
-        samples += [Sample(v, seg.class_index, seg.subject_id, (seg.segment_id, i * stride)) for i, v in enumerate(views)]
+        views = _windows_of(seg, spec)
+        samples += [
+            Sample(v, seg.class_index, seg.subject_id, (seg.segment_id, i * spec.stride))
+            for i, v in enumerate(views)
+        ]
     return samples
+
+
+def window_arrays(segments: list[ActivitySegment], spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every window of ``segment(segments, spec)``, in its order, as one
+    read-only (N, window_len, C) array of raw values, and their int64 classes.
+
+    Each segment's windows are copied in one piece, never window by window.
+    The array is laid out like ``np.stack`` of the windows, each window a
+    C-order (C, window_len) block, so a batch gathered from it transposes
+    to channel-major without a copy."""
+    views = [_windows_of(seg, spec) for seg in segments]
+    n_ch = views[0].shape[2] if views else N_CHANNELS
+    buf = np.empty((sum(len(v) for v in views), n_ch, spec.window_len))
+    if views:
+        np.concatenate([v.transpose(0, 2, 1) for v in views], out=buf)
+    x = buf.transpose(0, 2, 1)
+    x.flags.writeable = False
+    classes = np.array([seg.class_index for seg in segments], dtype=np.int64)
+    return x, np.repeat(classes, [len(v) for v in views])
 
 
 @dataclass

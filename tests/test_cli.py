@@ -247,3 +247,14 @@ def test_sweep_reads_requested_subjects_from_data_dir(tmp_cwd, capsys):
 def test_ingest_missing_dir_exits_1(capsys):
     assert cli(["ingest", "--data-dir", "nowhere", "--out", "x.bin"]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_ingest_stray_subject_file_exits_1_naming_it(tmp_cwd, capsys):
+    data = tmp_cwd / "data"
+    data.mkdir()
+    _write_subject(data / "subject101.dat", np.random.default_rng(2))
+    (data / "subject_notes.dat").write_text("notes\n")
+    assert cli(["ingest", "--data-dir", str(data), "--out", "x.bin"]) == 1
+    err = capsys.readouterr().err
+    assert "subject_notes.dat" in err and "not a subjectNNN.dat" in err
+    assert not (tmp_cwd / "x.bin").exists()

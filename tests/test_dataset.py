@@ -250,6 +250,15 @@ def test_filter_activities_segments_tile_the_retained_timesteps(labels):
         assert s.channels.shape[0] == 18
 
 
+def test_filter_activities_segments_are_views_of_the_signal():
+    sig = _sig_with_labels([2, 2, 0, 3, 3, 3, 7, 4])
+    segs = filter_activities(sig)
+    assert [s.channels.shape[1] for s in segs] == [2, 3, 1]
+    for seg, (start, end) in zip(segs, [(0, 2), (3, 6), (7, 8)]):
+        assert np.shares_memory(seg.channels, sig.channels)
+        assert np.array_equal(seg.channels, sig.channels[:, start:end])
+
+
 def test_collect_segments_renumbers_globally():
     a = _sig_with_labels([2, 2, 0, 3, 3])
     b = _sig_with_labels([4, 4, 4])
@@ -368,6 +377,15 @@ def test_ingest_directory_errors(tmp_path):
     _write_protocol_file(tmp_path / "subject101.dat", 2)
     with pytest.raises(FileNotFoundError, match="subject105"):
         ingest_directory(tmp_path, [101, 105])
+
+
+def test_ingest_directory_names_a_stray_subject_file(tmp_path):
+    _write_protocol_file(tmp_path / "subject101.dat", 2)
+    (tmp_path / "subject_notes.dat").write_text("notes\n")
+    with pytest.raises(ValueError, match=r"subject_notes\.dat: not a subjectNNN\.dat"):
+        ingest_directory(tmp_path)
+    # naming the subjects reads only their files
+    assert [s.subject_id for s in ingest_directory(tmp_path, [101])] == [101]
 
 
 def test_ingest_repairs_gaps(tmp_path):

@@ -17,7 +17,9 @@ from harwin.experiment import (
 )
 from harwin.layers import CoverageError, DivergenceError
 from harwin.model import ModelSpec, TrainConfig, stack_labels, stack_windows
-from harwin.preprocess import Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment
+from harwin.preprocess import (
+    ChannelStats, FoldPlan, Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment, window_arrays
+)
 
 
 def _blob_samples(n_per_class, sep=3.0, seed=0, n_classes=3, window_len=12):
@@ -30,8 +32,18 @@ def _blob_samples(n_per_class, sep=3.0, seed=0, n_classes=3, window_len=12):
     return out
 
 
+def _arrays(samples):
+    return stack_windows(samples), stack_labels(samples)
+
+
+def _identity(n_ch):
+    """Stats under which (w - 0) / 1 is w bit for bit."""
+    return ChannelStats(np.zeros(n_ch), np.ones(n_ch))
+
+
 SMALL_SPEC = ModelSpec(in_channels=2, conv_filters=(2, 3), kernels=(3, 5), n_classes=3)
 FAST_CFG = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=0)
+IDENTITY = _identity(2)
 
 
 def test_select_kernels_boundary():
@@ -44,7 +56,7 @@ def test_select_kernels_boundary():
 
 def test_run_cv_returns_one_result_per_fold():
     samples = _blob_samples(8)
-    results = run_cv(samples, 4, SMALL_SPEC, FAST_CFG, seed=0)
+    results = run_cv(*_arrays(samples), 4, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY)
     assert [r.fold for r in results] == [0, 1, 2, 3]
     for r in results:
         assert 0.0 <= r.accuracy <= 1.0
@@ -57,19 +69,19 @@ def test_run_cv_learns_separable_data():
     wide = ModelSpec(in_channels=2, conv_filters=(4, 6), kernels=(3, 5), n_classes=3)
     samples = _blob_samples(16)
     cfg = TrainConfig(batch_size=16, max_epochs=120, patience=120, seed=0)
-    results = run_cv(samples, 2, wide, cfg, seed=0)
+    results = run_cv(*_arrays(samples), 2, wide, cfg, seed=0, stats=IDENTITY)
     for r in results:
         assert r.accuracy == 1.0
 
 
 def test_run_cv_is_deterministic():
     samples = _blob_samples(8)
-    a = run_cv(samples, 3, SMALL_SPEC, FAST_CFG, seed=5)
-    b = run_cv(samples, 3, SMALL_SPEC, FAST_CFG, seed=5)
+    a = run_cv(*_arrays(samples), 3, SMALL_SPEC, FAST_CFG, seed=5, stats=IDENTITY)
+    b = run_cv(*_arrays(samples), 3, SMALL_SPEC, FAST_CFG, seed=5, stats=IDENTITY)
     assert [(r.accuracy, r.loss, r.epochs_to_best) for r in a] == [
         (r.accuracy, r.loss, r.epochs_to_best) for r in b
     ]
-    c = run_cv(samples, 3, SMALL_SPEC, FAST_CFG, seed=6)
+    c = run_cv(*_arrays(samples), 3, SMALL_SPEC, FAST_CFG, seed=6, stats=IDENTITY)
     assert [(r.accuracy, r.loss) for r in a] != [(r.accuracy, r.loss) for r in c]
 
 
@@ -77,8 +89,8 @@ def test_run_cv_honest_split_runs_and_differs():
     # the stop set changes, so the trained models (and losses) change too;
     # the inner tenth-for-stopping split needs >= 10 per class in the pool
     samples = _blob_samples(24)
-    default = run_cv(samples, 2, SMALL_SPEC, FAST_CFG, seed=0)
-    honest = run_cv(samples, 2, SMALL_SPEC, FAST_CFG, seed=0, honest_split=True)
+    default = run_cv(*_arrays(samples), 2, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY)
+    honest = run_cv(*_arrays(samples), 2, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY, honest_split=True)
     assert len(honest) == 2
     assert [(r.loss) for r in default] != [(r.loss) for r in honest]
 
@@ -90,7 +102,7 @@ def test_run_cv_per_fold_stats_handles_unscaled_input():
         Sample(window=s.window * 40.0 + 300.0, class_index=s.class_index, subject_id=0, origin=s.origin)
         for s in raw
     ]
-    results = run_cv(scaled, 2, SMALL_SPEC, FAST_CFG, seed=1, per_fold_stats=True)
+    results = run_cv(*_arrays(scaled), 2, SMALL_SPEC, FAST_CFG, seed=1, stats=None)
     for r in results:
         assert np.isfinite(r.loss)
 
@@ -110,8 +122,8 @@ def test_per_fold_stats_match_per_window_concatenation_bitwise():
         assert (mean == data.mean(axis=0)).all() and (std == data.std(axis=0)).all(), sec
         oracle = np.stack([(w - data.mean(axis=0)) / data.std(axis=0) for w in copies])
         spec = ModelSpec(kernels=select_kernels(sec))
-        got = _fit_fold(x, y, plan, 1, spec, FAST_CFG, seed=3, per_fold_stats=True)
-        want = _fit_fold(oracle, y, plan, 1, spec, FAST_CFG, seed=3)
+        got = _fit_fold(x, y, plan, 1, spec, FAST_CFG, seed=3, stats=None)
+        want = _fit_fold(oracle, y, plan, 1, spec, FAST_CFG, seed=3, stats=_identity(18))
         assert (got.accuracy, got.loss, got.history) == (want.accuracy, want.loss, want.history), sec
         for a, b in zip(got.model.tensors(), want.model.tensors()):
             assert (a == b).all(), sec
@@ -134,15 +146,67 @@ def test_window_level_stats_match_gathered_copy_bitwise(monkeypatch):
             assert (std == data.std(axis=0)).all(), (sec, windows_per_chunk)
 
 
+def test_fit_fold_standardizing_gathered_batches_matches_a_standardized_signal_bitwise():
+    """Raw windows standardized batch by batch with the global stats train
+    the same model as windows cut from apply_zscore's standardized copy."""
+    sig = generate_synthetic(6, samples_per_class=2, segment_len=300)
+    stats = compute_stats([sig])
+    for sec in (0.1, 0.5):
+        x, y = window_arrays(collect_segments([sig]), WindowSpec(sec))
+        old = segment(collect_segments(apply_zscore([sig], stats)), WindowSpec(sec))
+        plan = FoldPlan.stratified(y, 4, seed=0)
+        spec = ModelSpec(kernels=select_kernels(sec))
+        got = _fit_fold(x, y, plan, 2, spec, FAST_CFG, seed=3, stats=stats)
+        want = _fit_fold(*_arrays(old), plan, 2, spec, FAST_CFG, seed=3, stats=_identity(18))
+        assert (got.accuracy, got.loss, got.history) == (want.accuracy, want.loss, want.history), sec
+        for a, b in zip(got.model.tensors(), want.model.tensors()):
+            assert (a == b).all(), sec
+
+
+def test_run_cv_only_reads_a_read_only_window_array():
+    sig = generate_synthetic(2, samples_per_class=2, segment_len=120)
+    x, y = window_arrays(collect_segments([sig]), WindowSpec(0.25))
+    before = x.copy()
+    spec = ModelSpec(kernels=select_kernels(0.25))
+    for stats in (compute_stats([sig]), None):
+        for honest_split in (False, True):
+            run_cv(x, y, 2, spec, FAST_CFG, 0, stats=stats, honest_split=honest_split)
+    assert not x.flags.writeable
+    assert (x == before).all()
+
+
+def test_run_sweep_holds_one_window_array(monkeypatch):
+    """Beside the one raw window array of a duration, a sweep's data path
+    keeps less than half a signal: no standardized signal, no copied
+    segments and no per-fold window array, under either protocol."""
+    import tracemalloc
+
+    monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg, stats: (net, 1, []))
+    monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx, stats: (1.0, 0.0))
+    monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", 1 << 14)  # 128 KiB, under 1% of the signal
+    sig = generate_synthetic(3, samples_per_class=40, segment_len=500)
+    x_nbytes = window_arrays(collect_segments([sig]), WindowSpec(0.1))[0].nbytes
+    for per_fold_stats in (False, True):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_sweep([sig], [0.1], FAST_CFG, seed=0, folds=2, per_fold_stats=per_fold_stats)
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert not report.rows[0].failed
+        assert extra < x_nbytes + 0.5 * sig.channels.nbytes, (per_fold_stats, extra, x_nbytes)
+
+
 def _stub_train_and_evaluate(monkeypatch, calls):
     """Replace the training and evaluation that _fit_fold calls by stubs that
     record their arguments."""
 
-    def train(net, x, y, fit_idx, stop_idx, cfg):
+    def train(net, x, y, fit_idx, stop_idx, cfg, stats):
         calls.append(("train", x, fit_idx, stop_idx))
         return net, 1, []
 
-    def evaluate(net, x, y, idx):
+    def evaluate(net, x, y, idx, stats):
         calls.append(("evaluate", x, idx))
         return 1.0, 0.0
 
@@ -158,7 +222,7 @@ def test_fit_fold_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypat
     plan = make_folds(samples, 4, seed=0)
     for honest_split in (False, True):
         calls.clear()
-        _fit_fold(x, y, plan, 2, SMALL_SPEC, FAST_CFG, seed=0, honest_split=honest_split)
+        _fit_fold(x, y, plan, 2, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY, honest_split=honest_split)
         (_, fit_x, fit_idx, stop_idx), (_, test_x, test_idx) = calls
         assert fit_x is x and test_x is x
         train_idx, held_out = plan.train_test(2)
@@ -185,7 +249,7 @@ def test_fit_fold_copies_no_fold(monkeypatch):
         for fold in range(plan.k):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _fit_fold(x, y, plan, fold, spec, FAST_CFG, seed=0)
+            _fit_fold(x, y, plan, fold, spec, FAST_CFG, seed=0, stats=_identity(18))
             extra = tracemalloc.get_traced_memory()[1] - base
             assert extra < 0.1 * x.nbytes, (fold, extra, x.nbytes)
     finally:
@@ -193,23 +257,24 @@ def test_fit_fold_copies_no_fold(monkeypatch):
 
 
 def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
-    """Per-fold normalization works in place on each fold's own stack, so a
-    cross-validation holds one window array at a time, not a raw and a
+    """Per-fold normalization standardizes each gathered batch, so a
+    cross-validation holds the caller's one window array, not a raw and a
     normalized one."""
     import tracemalloc
 
     # stubs that keep no reference to the array they are handed
-    monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg: (net, 1, []))
-    monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx: (1.0, 0.0))
+    monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg, stats: (net, 1, []))
+    monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx, stats: (1.0, 0.0))
     monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", 1)  # one window per chunk, next to nothing
     segments = collect_segments([generate_synthetic(3, samples_per_class=4, segment_len=500)])
     samples = segment(segments, WindowSpec(0.5))
-    nbytes = stack_windows(samples).nbytes
+    x, y = _arrays(samples)
+    nbytes = x.nbytes
     spec = ModelSpec(kernels=select_kernels(0.5))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run_cv(samples, 4, spec, FAST_CFG, seed=0, per_fold_stats=True)
+        run_cv(x, y, 4, spec, FAST_CFG, seed=0, stats=None)
         extra = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -219,15 +284,15 @@ def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
 def test_run_cv_per_fold_stats_rejects_constant_channel():
     flat = [Sample(s.window * [1.0, 0.0], s.class_index, 0, s.origin) for s in _blob_samples(8)]
     with pytest.raises(CoverageError, match="channel 1 is constant"):
-        run_cv(flat, 2, SMALL_SPEC, FAST_CFG, seed=0, per_fold_stats=True)
+        run_cv(*_arrays(flat), 2, SMALL_SPEC, FAST_CFG, seed=0, stats=None)
 
 
 def test_run_cv_rejects_too_few_samples_per_class():
     with pytest.raises(CoverageError, match="class"):
-        run_cv(_blob_samples(3), 4, SMALL_SPEC, FAST_CFG, seed=0)
+        run_cv(*_arrays(_blob_samples(3)), 4, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY)
     # the honest split's inner ten-fold split needs 10 windows per class
     with pytest.raises(CoverageError, match="need at least 10"):
-        run_cv(_blob_samples(8), 2, SMALL_SPEC, FAST_CFG, seed=0, honest_split=True)
+        run_cv(*_arrays(_blob_samples(8)), 2, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY, honest_split=True)
 
 
 # ---------------------------------------------------------------------------
@@ -371,5 +436,5 @@ def test_train_single_is_fold_zero_of_five_fold_cv():
     cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=1)
     res = train_single([sig], 0.25, cfg, seed=1)
     samples = segment(collect_segments(apply_zscore([sig], compute_stats([sig]))), WindowSpec(0.25))
-    fold0 = run_cv(samples, 5, ModelSpec(kernels=select_kernels(0.25)), cfg, seed=1)[0]
+    fold0 = run_cv(*_arrays(samples), 5, ModelSpec(kernels=select_kernels(0.25)), cfg, seed=1, stats=_identity(18))[0]
     assert (res.accuracy, res.loss, res.epochs_to_best) == (fold0.accuracy, fold0.loss, fold0.epochs_to_best)

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harwin.dataset import ActivitySegment, LabeledSignal, generate_synthetic
+from harwin.dataset import ActivitySegment, LabeledSignal, collect_segments, generate_synthetic
 from harwin.layers import CoverageError, GeometryError
+from harwin.model import stack_labels, stack_windows
 from harwin.preprocess import (
+    FoldPlan,
     Sample,
     WindowSpec,
     apply_zscore,
     compute_stats,
     make_folds,
     segment,
+    window_arrays,
 )
 
 
@@ -189,6 +192,35 @@ def test_segment_starts_form_arithmetic_progression(length, sec):
         # every window ends in bounds and the next start would not fit
         assert starts[-1] + w <= length
         assert starts[-1] + stride + w > length
+
+
+def test_window_arrays_equal_stacked_segment_windows():
+    """One array per duration holds segment()'s windows in segment()'s
+    order, bit for bit and in np.stack's layout, with their classes."""
+    segments = collect_segments([generate_synthetic(4, samples_per_class=2, segment_len=420)])
+    segments.insert(3, _segment_of(7, segment_id=99, class_index=4))  # shorter than any window here
+    for sec in (0.1, 0.5, 4.0):
+        samples = segment(segments, WindowSpec(sec))
+        x, y = window_arrays(segments, WindowSpec(sec))
+        if not samples:  # 4 s windows do not fit 420-step segments
+            assert x.shape == (0, 400, 18) and y.shape == (0,)
+            continue
+        want = stack_windows(samples)
+        assert x.shape == want.shape and x.strides == want.strides, sec
+        assert (x == want).all(), sec
+        assert y.dtype == np.int64 and (y == stack_labels(samples)).all(), sec
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0, 0] = 1.0
+
+
+def test_window_arrays_without_windows_fail_folding():
+    x, y = window_arrays([_segment_of(30), _segment_of(49, 1, 1)], WindowSpec(0.5))
+    assert x.shape == (0, 50, 18) and y.shape == (0,)
+    x, y = window_arrays([], WindowSpec(0.5))
+    assert x.shape == (0, 50, 18) and y.shape == (0,)
+    with pytest.raises(CoverageError, match="no samples"):
+        FoldPlan.stratified(y, 4, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from harwin.model import EVAL_CHUNK, ModelSpec, TrainConfig, build_model, evaluate, train
+from harwin.preprocess import ChannelStats
+
+# (w - 0) / 1 is w bit for bit: the blobs are trained on as they are
+IDENTITY = ChannelStats(np.zeros(2), np.ones(2))
 
 
 def _blobs(n_per_class, window_len=12, channels=2, n_classes=3, seed=0, sep=3.0):
@@ -28,8 +32,8 @@ def test_train_solves_separable_blobs():
     every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(batch_size=16, max_epochs=100, patience=100, seed=0)
-    best, best_epoch, history = train(net, x, y, every, every, cfg)
-    acc, loss = evaluate(best, x, y, every)
+    best, best_epoch, history = train(net, x, y, every, every, cfg, IDENTITY)
+    acc, loss = evaluate(best, x, y, every, IDENTITY)
     assert acc == 1.0
     assert loss < 0.3
     assert 1 <= best_epoch <= len(history)
@@ -42,7 +46,7 @@ def test_train_loss_decreases():
     every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=1)
     cfg = TrainConfig(batch_size=8, max_epochs=25, patience=25, seed=1)
-    _, _, history = train(net, x, y, every, every, cfg)
+    _, _, history = train(net, x, y, every, every, cfg, IDENTITY)
     assert history[-1].train_loss < history[0].train_loss
 
 
@@ -52,7 +56,7 @@ def test_early_stopping_patience_bound():
     every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=2)
     cfg = TrainConfig(batch_size=8, max_epochs=400, patience=5, seed=2)
-    _, best_epoch, history = train(net, x, y, every, every, cfg)
+    _, best_epoch, history = train(net, x, y, every, every, cfg, IDENTITY)
     assert len(history) <= best_epoch + 5
     if len(history) < 400:  # stopped by patience, not the cap
         assert len(history) == best_epoch + 5
@@ -63,7 +67,7 @@ def test_patience_zero_stops_after_first_epoch():
     every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(batch_size=8, max_epochs=50, patience=0, seed=0)
-    _, best_epoch, history = train(net, x, y, every, every, cfg)
+    _, best_epoch, history = train(net, x, y, every, every, cfg, IDENTITY)
     assert len(history) == 1
     assert best_epoch == 1
 
@@ -73,7 +77,7 @@ def test_epoch_indices_are_one_based():
     every = np.arange(len(y))
     net = build_model(_small_spec(), 12, seed=4)
     cfg = TrainConfig(batch_size=8, max_epochs=3, patience=3, seed=4)
-    _, best_epoch, history = train(net, x, y, every, every, cfg)
+    _, best_epoch, history = train(net, x, y, every, every, cfg, IDENTITY)
     assert len(history) == 3
     assert best_epoch >= 1
 
@@ -85,7 +89,7 @@ def test_train_is_deterministic_per_seed():
     run = []
     for _ in range(2):
         net = build_model(_small_spec(), 12, seed=6)
-        best, best_epoch, history = train(net, x, y, every, every, cfg)
+        best, best_epoch, history = train(net, x, y, every, every, cfg, IDENTITY)
         run.append((best, best_epoch, [h.train_loss for h in history]))
     assert run[0][1] == run[1][1]
     assert run[0][2] == run[1][2]
@@ -93,7 +97,7 @@ def test_train_is_deterministic_per_seed():
         assert np.array_equal(a, b)
 
     net = build_model(_small_spec(), 12, seed=6)
-    _, _, other = train(net, x, y, every, every, TrainConfig(batch_size=8, max_epochs=10, patience=10, seed=13))
+    _, _, other = train(net, x, y, every, every, TrainConfig(batch_size=8, max_epochs=10, patience=10, seed=13), IDENTITY)
     assert [h.train_loss for h in other] != run[0][2]
 
 
@@ -104,7 +108,7 @@ def test_divergence_raises_with_epoch_number():
     # an absurd learning rate drives the activations past float64 range
     cfg = TrainConfig(batch_size=8, max_epochs=50, patience=50, seed=3, learning_rate=1e150)
     with pytest.raises(RuntimeError, match=r"diverged at epoch \d+"):
-        train(net, x, y, every, every, cfg)
+        train(net, x, y, every, every, cfg, IDENTITY)
 
 
 def test_train_rejects_empty_inputs():
@@ -113,9 +117,9 @@ def test_train_rejects_empty_inputs():
     net = build_model(_small_spec(), 12, seed=0)
     cfg = TrainConfig(max_epochs=1, seed=0)
     with pytest.raises(ValueError, match="training"):
-        train(net, x, y, every[:0], every, cfg)
+        train(net, x, y, every[:0], every, cfg, IDENTITY)
     with pytest.raises(ValueError, match="stopping"):
-        train(net, x, y, every, every[:0], cfg)
+        train(net, x, y, every, every[:0], cfg, IDENTITY)
 
 
 def test_train_and_evaluate_reject_mismatched_classes():
@@ -125,9 +129,9 @@ def test_train_and_evaluate_reject_mismatched_classes():
     for windows, classes in ((x, y[1:]), (x[1:], y)):
         some = np.arange(len(classes) // 2)  # valid in both arrays
         with pytest.raises(ValueError, match="one class per window"):
-            train(net, windows, classes, some, some, cfg)
+            train(net, windows, classes, some, some, cfg, IDENTITY)
         with pytest.raises(ValueError, match="one class per window"):
-            evaluate(net, windows, classes, some)
+            evaluate(net, windows, classes, some, IDENTITY)
 
 
 def test_evaluate_breaks_argmax_ties_toward_lowest_class():
@@ -136,7 +140,7 @@ def test_evaluate_breaks_argmax_ties_toward_lowest_class():
     # all logits identical => every prediction is class 0
     x, y = _blobs(5, seed=1)
     every = np.arange(len(y))
-    acc, loss = evaluate(zeroed, x, y, every)
+    acc, loss = evaluate(zeroed, x, y, every, IDENTITY)
     n_class0 = int((y == 0).sum())
     assert acc == pytest.approx(n_class0 / len(y))
     assert loss == pytest.approx(np.log(3.0), rel=1e-12)
@@ -146,7 +150,7 @@ def test_evaluate_rejects_empty():
     net = build_model(_small_spec(), 12, seed=0)
     x, y = _blobs(1)
     with pytest.raises(ValueError, match="no samples"):
-        evaluate(net, x, y, np.arange(0))
+        evaluate(net, x, y, np.arange(0), IDENTITY)
 
 
 def test_evaluate_chunking_is_seamless():
@@ -156,11 +160,11 @@ def test_evaluate_chunking_is_seamless():
     x, y = _blobs(20, seed=11)
     net = build_model(_small_spec(), 12, seed=5)
     every = np.arange(len(y))
-    acc1, loss1 = evaluate(net, x, y, every)
+    acc1, loss1 = evaluate(net, x, y, every, IDENTITY)
     old = model_mod.EVAL_CHUNK
     model_mod.EVAL_CHUNK = 7
     try:
-        acc2, loss2 = evaluate(net, x, y, every)
+        acc2, loss2 = evaluate(net, x, y, every, IDENTITY)
     finally:
         model_mod.EVAL_CHUNK = old
     assert acc1 == acc2
@@ -173,4 +177,4 @@ def test_evaluate_gathers_indexed_windows_like_a_copy():
     x, y = _blobs(EVAL_CHUNK // 3 + 30, seed=13)
     perm = np.random.default_rng(2).permutation(len(y))[: EVAL_CHUNK + 40]
     net = build_model(_small_spec(), 12, seed=8)
-    assert evaluate(net, x, y, perm) == evaluate(net, x[perm], y[perm], np.arange(len(perm)))
+    assert evaluate(net, x, y, perm, IDENTITY) == evaluate(net, x[perm], y[perm], np.arange(len(perm)), IDENTITY)
