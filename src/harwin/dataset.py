@@ -256,21 +256,16 @@ def generate_synthetic(seed: int, samples_per_class: int, segment_len: int) -> L
     rng = np.random.default_rng(seed)
     codes = sorted(DEFAULT_ACTIVITIES.code_to_class)
     t = np.arange(segment_len) / SAMPLE_RATE_HZ
-    blocks = []
-    labels = []
-    for _ in range(samples_per_class):
-        for code in codes:
-            c = DEFAULT_ACTIVITIES.class_of(code)
-            freq = 2.0 + 3.0 * c
-            phase = 2.0 * np.pi * (c * N_CHANNELS + np.arange(N_CHANNELS)) / (5 * N_CHANNELS)
-            clean = np.sin(2.0 * np.pi * freq * t[None, :] + phase[:, None])
-            blocks.append(clean + rng.normal(0.0, 0.3, size=(N_CHANNELS, segment_len)))
-            labels.append(np.full(segment_len, code, dtype=np.int64))
-    return LabeledSignal(
-        SYNTHETIC_SUBJECT_ID,
-        np.concatenate(blocks, axis=1),
-        np.concatenate(labels),
-    )
+    channels = np.empty((N_CHANNELS, samples_per_class * len(codes) * segment_len))
+    for b, code in enumerate(codes * samples_per_class):
+        c = DEFAULT_ACTIVITIES.class_of(code)
+        freq = 2.0 + 3.0 * c
+        phase = 2.0 * np.pi * (c * N_CHANNELS + np.arange(N_CHANNELS)) / (5 * N_CHANNELS)
+        clean = np.sin(2.0 * np.pi * freq * t[None, :] + phase[:, None])
+        block = channels[:, b * segment_len : (b + 1) * segment_len]
+        np.add(clean, rng.normal(0.0, 0.3, size=block.shape), out=block)
+    labels = np.repeat(np.array(codes * samples_per_class, dtype=np.int64), segment_len)
+    return LabeledSignal(SYNTHETIC_SUBJECT_ID, channels, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,9 @@ def run_cv(
     stats: ChannelStats | None,
     honest_split: bool = False,
 ) -> list[FoldResult]:
-    """Stratified k-fold over the raw windows ``x`` (classes ``y``): train
-    on k-1 folds, test on the held-out fold.
+    """Stratified k-fold over the raw windows ``x`` (classes ``y``; a row
+    labelled -1 is in no fold): train on k-1 folds, test on the held-out
+    fold.
 
     Every batch is standardized with ``stats`` as it is gathered; with
     ``stats=None`` each fold uses the statistics of its own training folds

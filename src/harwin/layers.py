@@ -115,27 +115,28 @@ def conv1d_backward(
 def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Width-2, stride-2 max pooling over the last axis of a (B, C, L)
     array; a trailing odd element is dropped. Ties pick the earlier element.
-    Returns the pooled array and the absolute argmax indices used by the
-    backward pass."""
+    Returns the pooled array and, for the backward pass, a bool array of the
+    same shape that is True where the first element of a pair won."""
     length = x.shape[2]
     if length < 2:
         raise ValueError(f"input length {length} is too short to pool")
     n_pairs = length // 2
     pairs = x[:, :, : 2 * n_pairs].reshape(x.shape[0], x.shape[1], n_pairs, 2)
     first_wins = pairs[..., 0] >= pairs[..., 1]
-    pooled = np.where(first_wins, pairs[..., 0], pairs[..., 1])
-    idx = 2 * np.arange(n_pairs) + np.where(first_wins, 0, 1)
-    return pooled, idx
+    return np.where(first_wins, pairs[..., 0], pairs[..., 1]), first_wins
 
 
-def maxpool_backward(idx: np.ndarray, grad_out: np.ndarray, input_len: int) -> np.ndarray:
-    """Scatter pooled gradients back to the argmax positions."""
-    if idx.shape != grad_out.shape:
-        raise ValueError("idx and grad_out shapes must match")
-    if idx.size and (idx.min() < 0 or idx.max() >= input_len):
-        raise ValueError(f"pool index out of range for input length {input_len}")
-    grad_x = np.zeros((idx.shape[0], idx.shape[1], input_len))
-    np.put_along_axis(grad_x, idx, grad_out, axis=2)
+def maxpool_backward(first_wins: np.ndarray, grad_out: np.ndarray, input_len: int) -> np.ndarray:
+    """Route each pooled gradient back to the winner of its pair; the loser
+    and a trailing odd element get zero."""
+    if first_wins.shape != grad_out.shape:
+        raise ValueError("first_wins and grad_out shapes must match")
+    if input_len // 2 != grad_out.shape[2]:
+        raise ValueError(f"{grad_out.shape[2]} pooled positions do not pool input length {input_len}")
+    grad_x = np.zeros(grad_out.shape[:2] + (input_len,))
+    n = 2 * grad_out.shape[2]
+    grad_x[:, :, 0:n:2] = np.where(first_wins, grad_out, 0.0)
+    grad_x[:, :, 1:n:2] = np.where(first_wins, 0.0, grad_out)
     return grad_x
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,10 +190,10 @@ class ForwardCache:
     x: np.ndarray
     a1: np.ndarray
     p1: np.ndarray
-    idx1: np.ndarray | None
+    first1: np.ndarray | None
     a2: np.ndarray
     p2: np.ndarray
-    idx2: np.ndarray | None
+    first2: np.ndarray | None
     flat: np.ndarray
     z1: np.ndarray
     h1d: np.ndarray
@@ -223,16 +223,16 @@ def forward(
     a1 = conv1d_forward(x, model.conv1_w, model.conv1_b)
     r1 = relu(a1)
     if plan.pool1_applied:
-        p1, idx1 = maxpool_forward(r1)
+        p1, first1 = maxpool_forward(r1)
     else:
-        p1, idx1 = r1, None
+        p1, first1 = r1, None
 
     a2 = conv1d_forward(p1, model.conv2_w, model.conv2_b)
     r2 = relu(a2)
     if plan.pool2_applied:
-        p2, idx2 = maxpool_forward(r2)
+        p2, first2 = maxpool_forward(r2)
     else:
-        p2, idx2 = r2, None
+        p2, first2 = r2, None
 
     flat = p2.reshape(p2.shape[0], plan.flatten)
 
@@ -245,7 +245,7 @@ def forward(
     h2d, mask2 = dropout(h2, model.spec.dropout_rate, training, rng)
 
     logits = dense_forward(h2d, model.out_w, model.out_b)
-    cache = ForwardCache(x, a1, p1, idx1, a2, p2, idx2, flat, z1, h1d, mask1, z2, h2d, mask2)
+    cache = ForwardCache(x, a1, p1, first1, a2, p2, first2, flat, z1, h1d, mask1, z2, h2d, mask2)
     return logits, cache
 
 
@@ -266,14 +266,14 @@ def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -
     g_p2 = g_flat.reshape(cache.p2.shape)
 
     if plan.pool2_applied:
-        g_r2 = maxpool_backward(cache.idx2, g_p2, plan.conv2_out)
+        g_r2 = maxpool_backward(cache.first2, g_p2, plan.conv2_out)
     else:
         g_r2 = g_p2
     g_a2 = relu_backward(cache.a2, g_r2)
     g_p1, g_conv2_w, g_conv2_b = conv1d_backward(cache.p1, model.conv2_w, g_a2)
 
     if plan.pool1_applied:
-        g_r1 = maxpool_backward(cache.idx1, g_p1, plan.conv1_out)
+        g_r1 = maxpool_backward(cache.first1, g_p1, plan.conv1_out)
     else:
         g_r1 = g_p1
     g_a1 = relu_backward(cache.a1, g_r1)
@@ -471,17 +471,7 @@ def save_model(model: ModelParams, path: str | Path) -> None:
             spec.n_classes,
             spec.dropout_rate,
         ),
-        struct.pack(
-            "<6I2B",
-            plan.window_len,
-            plan.conv1_out,
-            plan.pool1_out,
-            plan.conv2_out,
-            plan.pool2_out,
-            plan.flatten,
-            plan.pool1_applied,
-            plan.pool2_applied,
-        ),
+        struct.pack("<6I2B", *astuple(plan)),
     ]
     for t in model.tensors():
         parts.append(np.ascontiguousarray(t, dtype="<f8").tobytes())
@@ -512,17 +502,10 @@ def load_model(path: str | Path) -> ModelParams:
         n_classes=vals[8],
         dropout_rate=vals[9],
     )
-    pv = struct.unpack("<6I2B", take(6 * 4 + 2))
-    plan = ShapePlan(
-        window_len=pv[0],
-        conv1_out=pv[1],
-        pool1_out=pv[2],
-        conv2_out=pv[3],
-        pool2_out=pv[4],
-        flatten=pv[5],
-        pool1_applied=bool(pv[6]),
-        pool2_applied=bool(pv[7]),
-    )
+    stored = struct.unpack("<6I2B", take(6 * 4 + 2))
+    plan = plan_shapes(spec, stored[0])  # the plan is derived; the stored copy must agree
+    if astuple(plan) != stored:
+        raise ValueError(f"{path}: stored shape plan does not match its architecture")
     tensors = [
         np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
         for shape in param_shapes(spec, plan)

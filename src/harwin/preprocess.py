@@ -1,11 +1,14 @@
 """Per-channel statistics, sliding-window extraction and fold assignment.
 
-``window_arrays`` copies every window of a duration once into one read-only
-array of **raw** windows; folds are dealt from its label array
-(``FoldPlan.stratified``). A fold is an array of window indices: training
-and evaluation gather their batches from the one window array through it
-and standardize each gathered copy with a ``ChannelStats``, so neither the
-signal nor a fold is ever copied out in standardized form.
+``window_arrays`` concatenates the kept segments once and returns a
+read-only ``sliding_window_view`` of it, one row per start position, with a
+label array that marks where ``segment`` has a window (its class) and where
+it has none (-1); no window is copied. Folds are dealt from that label array
+(``FoldPlan.stratified``), and rows labelled -1 fall in no fold. A fold is
+an array of window indices: training and evaluation gather their batches
+from the view through it and standardize each gathered copy with a
+``ChannelStats``, so neither the signal nor a fold is ever copied out in
+standardized form.
 
 ``segment`` (one ``Sample`` view per window), ``make_folds``,
 ``apply_zscore`` and ``model.stack_windows``/``stack_labels`` remain as a
@@ -121,49 +124,56 @@ def segment(segments: list[ActivitySegment], spec: WindowSpec) -> list[Sample]:
 
 
 def window_arrays(segments: list[ActivitySegment], spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Every window of ``segment(segments, spec)``, in its order, as one
-    read-only (N, window_len, C) array of raw values, and their int64 classes.
+    """A read-only (N, window_len, C) view of every window over one
+    concatenation of the segments, one row per start position, and int64
+    labels: a row's segment class where ``segment(segments, spec)`` has that
+    window, -1 where it has none (a window straddling two segments, or one
+    that does not start on the stride).
 
-    Each segment's windows are copied in one piece, never window by window.
-    The array is laid out like ``np.stack`` of the windows, each window a
-    C-order (C, window_len) block, so a batch gathered from it transposes
-    to channel-major without a copy."""
-    views = [_windows_of(seg, spec) for seg in segments]
-    n_ch = views[0].shape[2] if views else N_CHANNELS
-    buf = np.empty((sum(len(v) for v in views), n_ch, spec.window_len))
-    if views:
-        np.concatenate([v.transpose(0, 2, 1) for v in views], out=buf)
-    x = buf.transpose(0, 2, 1)
-    x.flags.writeable = False
-    classes = np.array([seg.class_index for seg in segments], dtype=np.int64)
-    return x, np.repeat(classes, [len(v) for v in views])
+    ``x[y >= 0]`` is ``np.stack`` of ``segment``'s windows, in its order,
+    bit for bit and with the same strides."""
+    w = spec.window_len
+    n_ch = segments[0].channels.shape[0] if segments else N_CHANNELS
+    sig = np.concatenate([np.empty((n_ch, 0))] + [seg.channels for seg in segments], axis=1)
+    y = np.full(max(0, sig.shape[1] - w + 1), -1, dtype=np.int64)
+    start = 0
+    for seg in segments:
+        # a segment shorter than a window has none, and its slice is empty
+        y[start : start + len(_windows_of(seg, spec)) * spec.stride : spec.stride] = seg.class_index
+        start += seg.channels.shape[1]
+    # a signal shorter than a window has no start: slide over placeholders, keep none
+    x = sliding_window_view(sig if y.size else np.empty((n_ch, w)), w, axis=1)[:, : y.size]
+    return x.transpose(1, 2, 0), y
 
 
 @dataclass
 class FoldPlan:
     k: int
-    assignment: np.ndarray  # (n_samples,) fold index per sample
+    assignment: np.ndarray  # (n_samples,) fold index per sample, -1 for none
 
     def train_test(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted window indices of every other fold and of ``fold``."""
+        """Sorted window indices of every other fold and of ``fold``; rows
+        in no fold are on neither side."""
         if not 0 <= fold < self.k:
             raise ValueError(f"fold {fold} out of range for k={self.k}")
         test = np.flatnonzero(self.assignment == fold)
-        train = np.flatnonzero(self.assignment != fold)
+        train = np.flatnonzero((self.assignment != fold) & (self.assignment >= 0))
         return train, test
 
     @classmethod
     def stratified(cls, labels: np.ndarray, k: int, seed: int) -> FoldPlan:
         """Shuffle each class of ``labels``, deal it round-robin into k
         folds. Every class needs at least k windows; per-class fold counts
-        then differ by at most one."""
+        then differ by at most one. A label below 0 puts its row in no fold
+        (-1) and draws nothing from the rng."""
         if k < 2:
             raise ValueError(f"need k >= 2 folds, got {k}")
-        if labels.size == 0:
+        kept = labels[labels >= 0]
+        if kept.size == 0:
             raise CoverageError("no samples to fold")
         rng = np.random.default_rng(seed)
-        assignment = np.empty(labels.size, dtype=np.int64)
-        for c in np.unique(labels):
+        assignment = np.full(labels.size, -1, dtype=np.int64)
+        for c in np.unique(kept):
             idx = np.flatnonzero(labels == c)
             if idx.size < k:
                 raise CoverageError(

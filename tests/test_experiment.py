@@ -156,8 +156,9 @@ def test_fit_fold_standardizing_gathered_batches_matches_a_standardized_signal_b
         old = segment(collect_segments(apply_zscore([sig], stats)), WindowSpec(sec))
         plan = FoldPlan.stratified(y, 4, seed=0)
         spec = ModelSpec(kernels=select_kernels(sec))
+        old_plan = FoldPlan.stratified(stack_labels(old), 4, seed=0)
         got = _fit_fold(x, y, plan, 2, spec, FAST_CFG, seed=3, stats=stats)
-        want = _fit_fold(*_arrays(old), plan, 2, spec, FAST_CFG, seed=3, stats=_identity(18))
+        want = _fit_fold(*_arrays(old), old_plan, 2, spec, FAST_CFG, seed=3, stats=_identity(18))
         assert (got.accuracy, got.loss, got.history) == (want.accuracy, want.loss, want.history), sec
         for a, b in zip(got.model.tensors(), want.model.tensors()):
             assert (a == b).all(), sec
@@ -176,26 +177,28 @@ def test_run_cv_only_reads_a_read_only_window_array():
 
 
 def test_run_sweep_holds_one_window_array(monkeypatch):
-    """Beside the one raw window array of a duration, a sweep's data path
-    keeps less than half a signal: no standardized signal, no copied
-    segments and no per-fold window array, under either protocol."""
+    """At every default duration, a sweep's data path holds less than two
+    and a half signals beyond the signal itself, under either protocol:
+    the windows are views of one kept-signal copy, and there is no
+    standardized signal, no copied window and no per-fold window array."""
     import tracemalloc
 
     monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg, stats: (net, 1, []))
     monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx, stats: (1.0, 0.0))
     monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", 1 << 14)  # 128 KiB, under 1% of the signal
     sig = generate_synthetic(3, samples_per_class=40, segment_len=500)
-    x_nbytes = window_arrays(collect_segments([sig]), WindowSpec(0.1))[0].nbytes
     for per_fold_stats in (False, True):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            report = run_sweep([sig], [0.1], FAST_CFG, seed=0, folds=2, per_fold_stats=per_fold_stats)
+            report = run_sweep(
+                [sig], list(experiment.DEFAULT_WINDOWS_SEC), FAST_CFG, seed=0, folds=2, per_fold_stats=per_fold_stats
+            )
             extra = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert not report.rows[0].failed
-        assert extra < x_nbytes + 0.5 * sig.channels.nbytes, (per_fold_stats, extra, x_nbytes)
+        assert not any(row.failed for row in report.rows)
+        assert extra < 2.5 * sig.channels.nbytes, (per_fold_stats, extra / sig.channels.nbytes)
 
 
 def _stub_train_and_evaluate(monkeypatch, calls):

@@ -288,15 +288,15 @@ def test_conv_out_len_known_values():
 
 def test_maxpool_known_values():
     x = np.array([[[3.0, 1.0, 2.0, 5.0, 4.0]]])  # odd tail dropped
-    pooled, idx = maxpool_forward(x)
+    pooled, first_wins = maxpool_forward(x)
     assert np.array_equal(pooled, np.array([[[3.0, 5.0]]]))
-    assert np.array_equal(idx, np.array([[[0, 3]]]))
+    assert first_wins.dtype == bool and np.array_equal(first_wins, np.array([[[True, False]]]))
 
 
 def test_maxpool_tie_prefers_earlier():
-    pooled, idx = maxpool_forward(np.array([[[2.0, 2.0, 1.0, 1.0]]]))
+    pooled, first_wins = maxpool_forward(np.array([[[2.0, 2.0, 1.0, 1.0]]]))
     assert np.array_equal(pooled, np.array([[[2.0, 1.0]]]))
-    assert np.array_equal(idx, np.array([[[0, 2]]]))
+    assert np.array_equal(first_wins, np.array([[[True, True]]]))
 
 
 def test_maxpool_rejects_length_one():
@@ -306,14 +306,16 @@ def test_maxpool_rejects_length_one():
 
 def test_maxpool_backward_scatters_to_argmax():
     x = np.array([[[3.0, 1.0, 2.0, 5.0]]])
-    _, idx = maxpool_forward(x)
-    grad = maxpool_backward(idx, np.array([[[10.0, 20.0]]]), 4)
+    _, first_wins = maxpool_forward(x)
+    grad = maxpool_backward(first_wins, np.array([[[10.0, 20.0]]]), 4)
     assert np.array_equal(grad, np.array([[[10.0, 0.0, 0.0, 20.0]]]))
 
 
-def test_maxpool_backward_rejects_bad_index():
-    with pytest.raises(ValueError, match="out of range"):
-        maxpool_backward(np.array([[[5]]]), np.array([[[1.0]]]), 4)
+def test_maxpool_backward_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shapes must match"):
+        maxpool_backward(np.array([[[True]]]), np.array([[[1.0, 2.0]]]), 4)
+    with pytest.raises(ValueError, match="do not pool input length 6"):
+        maxpool_backward(np.array([[[True, False]]]), np.array([[[1.0, 2.0]]]), 6)
 
 
 @settings(max_examples=50)
@@ -322,14 +324,15 @@ def test_maxpool_grad_mass_is_conserved(length, channels, seed):
     """Everything routed back lands on exactly one input per pair."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(1, channels, length))
-    pooled, idx = maxpool_forward(x)
+    pooled, first_wins = maxpool_forward(x)
     gout = rng.normal(size=pooled.shape)
-    gin = maxpool_backward(idx, gout, length)
+    gin = maxpool_backward(first_wins, gout, length)
     assert gin.shape == x.shape
     assert np.allclose(gin.sum(), gout.sum())
-    # the scattered positions hold the pooled values' gradients exactly
-    taken = np.take_along_axis(gin, idx, axis=2)
-    assert np.array_equal(taken, gout)
+    # the winners' positions hold the pooled values' gradients exactly
+    idx = 2 * np.arange(pooled.shape[2]) + ~first_wins
+    assert np.array_equal(np.take_along_axis(x, idx, axis=2), pooled)
+    assert np.array_equal(np.take_along_axis(gin, idx, axis=2), gout)
 
 
 # ---------------------------------------------------------------------------

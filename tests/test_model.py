@@ -201,6 +201,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_model(path)
 
 
+def test_checkpoint_rejects_a_plan_its_spec_does_not_give(tmp_path):
+    """The shape plan follows from the spec and window length; a stored plan
+    that contradicts them fails at load, not later in forward."""
+    import struct
+
+    net = build_model(ModelSpec(), 50, seed=0)
+    path = tmp_path / "model.bin"
+    save_model(net, path)
+    blob = path.read_bytes()
+    plan_at = len(b"HARM1") + struct.calcsize("<9Id")
+    window_len_patched = blob[:plan_at] + struct.pack("<I", 60) + blob[plan_at + 4 :]
+    pool2_at = plan_at + struct.calcsize("<6I2B") - 1
+    pool2_flipped = blob[:pool2_at] + bytes([1 - blob[pool2_at]]) + blob[pool2_at + 1 :]
+    for patched in (window_len_patched, pool2_flipped):
+        path.write_bytes(patched)
+        with pytest.raises(ValueError, match="stored shape plan does not match its architecture"):
+            load_model(path)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)

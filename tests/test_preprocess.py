@@ -195,32 +195,72 @@ def test_segment_starts_form_arithmetic_progression(length, sec):
 
 
 def test_window_arrays_equal_stacked_segment_windows():
-    """One array per duration holds segment()'s windows in segment()'s
+    """The rows labelled 0 or more are segment()'s windows in segment()'s
     order, bit for bit and in np.stack's layout, with their classes."""
     segments = collect_segments([generate_synthetic(4, samples_per_class=2, segment_len=420)])
     segments.insert(3, _segment_of(7, segment_id=99, class_index=4))  # shorter than any window here
     for sec in (0.1, 0.5, 4.0):
         samples = segment(segments, WindowSpec(sec))
         x, y = window_arrays(segments, WindowSpec(sec))
+        kept = x[y >= 0]
         if not samples:  # 4 s windows do not fit 420-step segments
-            assert x.shape == (0, 400, 18) and y.shape == (0,)
+            assert kept.shape == (0, 400, 18) and (y < 0).all()
             continue
         want = stack_windows(samples)
-        assert x.shape == want.shape and x.strides == want.strides, sec
-        assert (x == want).all(), sec
-        assert y.dtype == np.int64 and (y == stack_labels(samples)).all(), sec
+        assert kept.shape == want.shape and kept.strides == want.strides, sec
+        assert (kept == want).all(), sec
+        assert y.dtype == np.int64 and (y[y >= 0] == stack_labels(samples)).all(), sec
         assert not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             x[0, 0, 0] = 1.0
 
 
+def test_window_arrays_are_views_of_one_signal():
+    segments = [_segment_of(60, 0, 0), _segment_of(75, 1, 1)]
+    x, y = window_arrays(segments, WindowSpec(0.25))  # W=25, stride 6
+    assert x.shape == (60 + 75 - 25 + 1, 25, 18) and y.shape == (len(x),)
+    assert np.shares_memory(x[0], x[1])
+    assert not x.flags.writeable
+    assert not any(np.shares_memory(x, seg.channels) for seg in segments)  # one copy of the kept signal
+    assert np.array_equal(x[60 + 6], segments[1].channels[:, 6:31].T)
+
+
+def test_window_arrays_first_segment_shorter_than_a_window():
+    """A first segment without windows labels nothing, not the tail of y."""
+    segments = [_segment_of(30, 0, 3), _segment_of(62, 1, 1)]
+    x, y = window_arrays(segments, WindowSpec(0.5))  # W=50, stride 12
+    assert y.shape == (30 + 62 - 50 + 1,)
+    assert np.flatnonzero(y >= 0).tolist() == [30, 42]
+    assert (y[y >= 0] == 1).all()
+    assert np.array_equal(x[30], segments[1].channels[:, :50].T)
+
+
+def test_window_arrays_no_window_straddles_a_boundary_of_one_class():
+    """Two signals that meet on the same class are still two segments: the
+    start positions whose window would cross the boundary are labelled -1."""
+    acts = collect_segments(
+        [
+            LabeledSignal(1, np.arange(18 * 40.0).reshape(18, 40), np.full(40, 4)),
+            LabeledSignal(2, -np.arange(18 * 40.0).reshape(18, 40), np.full(40, 4)),
+        ]
+    )
+    spec = WindowSpec(0.1)  # W=10, stride 2
+    assert [a.class_index for a in acts] == [2, 2]  # activity 4 is class 2
+    _, y = window_arrays(acts, spec)
+    starts = np.flatnonzero(y >= 0)
+    assert (y[starts] == 2).all()
+    assert starts.tolist() == list(range(0, 31, 2)) + list(range(40, 71, 2))
+    assert len(starts) == len(segment(acts, spec))
+    assert (y[31:40] == -1).all()
+
+
 def test_window_arrays_without_windows_fail_folding():
-    x, y = window_arrays([_segment_of(30), _segment_of(49, 1, 1)], WindowSpec(0.5))
-    assert x.shape == (0, 50, 18) and y.shape == (0,)
-    x, y = window_arrays([], WindowSpec(0.5))
-    assert x.shape == (0, 50, 18) and y.shape == (0,)
-    with pytest.raises(CoverageError, match="no samples"):
-        FoldPlan.stratified(y, 4, seed=0)
+    for segments in ([_segment_of(30), _segment_of(49, 1, 1)], [_segment_of(49)], []):
+        x, y = window_arrays(segments, WindowSpec(0.5))
+        assert x.shape[1:] == (50, 18) and y.shape == (len(x),)
+        assert (y < 0).all()
+        with pytest.raises(CoverageError, match="no samples"):
+            FoldPlan.stratified(y, 4, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +343,32 @@ def test_make_folds_stratification_property(counts, k, seed):
         fold_counts = np.bincount(plan.assignment[labels == cls], minlength=k)
         assert fold_counts.sum() == n
         assert fold_counts.max() - fold_counts.min() <= 1
+
+
+@settings(max_examples=40)
+@given(
+    counts=st.lists(st.integers(8, 40), min_size=1, max_size=5),
+    k=st.integers(2, 8),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_stratified_puts_negative_labels_in_no_fold(counts, k, seed):
+    """Rows labelled below 0 are in no fold, and the other rows get the
+    folds they would get with those rows taken out."""
+    compact = np.repeat(np.arange(len(counts)), counts)
+    rng = np.random.default_rng(seed)
+    labels = compact.copy()
+    for at in sorted(rng.integers(0, len(labels) + 1, size=len(labels)), reverse=True):
+        labels = np.insert(labels, at, -1)
+    kept = labels >= 0
+    plan = FoldPlan.stratified(labels, k, seed)
+    want = FoldPlan.stratified(compact, k, seed)
+    assert (plan.assignment[~kept] == -1).all()
+    assert np.array_equal(plan.assignment[kept], want.assignment)
+    rows = np.flatnonzero(kept)
+    for fold in range(k):
+        train, test = plan.train_test(fold)
+        want_train, want_test = want.train_test(fold)
+        assert np.array_equal(train, rows[want_train]) and np.array_equal(test, rows[want_test])
 
 
 def test_fold_distribution_on_synthetic_windows():
