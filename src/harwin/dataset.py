@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -280,49 +283,64 @@ def generate_synthetic(seed: int, samples_per_class: int, segment_len: int) -> L
 CACHE_MAGIC = b"HARW1"
 
 
-def _pack_signals(signals: list[LabeledSignal]) -> bytes:
-    parts = [CACHE_MAGIC, struct.pack("<I", len(signals))]
+def _pack_signals(signals: list[LabeledSignal]) -> Iterator[bytes | memoryview]:
+    """The cache's bytes part by part; each array part is a view of the
+    signal's own memory, so no part is copied and no parts are joined."""
+    yield CACHE_MAGIC
+    yield struct.pack("<I", len(signals))
     for sig in signals:
         c, t = sig.channels.shape
-        parts.append(struct.pack("<qIQ", sig.subject_id, c, t))
-        parts.append(np.ascontiguousarray(sig.labels, dtype="<i8").tobytes())
-        parts.append(np.ascontiguousarray(sig.channels, dtype="<f8").tobytes())
-    return b"".join(parts)
+        yield struct.pack("<qIQ", sig.subject_id, c, t)
+        yield np.ascontiguousarray(sig.labels, dtype="<i8").data
+        yield np.ascontiguousarray(sig.channels, dtype="<f8").data
 
 
 def save_signals(signals: list[LabeledSignal], path: str | Path) -> None:
-    Path(path).write_bytes(_pack_signals(signals))
+    with open(path, "wb") as f:
+        f.writelines(_pack_signals(signals))
 
 
 def load_signals(path: str | Path) -> list[LabeledSignal]:
-    blob = Path(path).read_bytes()
-    if blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a dataset cache (bad magic)")
-    off = len(CACHE_MAGIC)
+    """Read a cache written by save_signals; each labels and channels part
+    is read straight into its own array."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(CACHE_MAGIC)) != CACHE_MAGIC:
+            raise ValueError(f"{path}: not a dataset cache (bad magic)")
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(f"{path}: truncated dataset cache")
-        chunk = blob[off : off + n]
-        off += n
-        return chunk
+        def check(n: int) -> None:
+            if f.tell() + n > size:
+                raise ValueError(f"{path}: truncated dataset cache")
 
-    (count,) = struct.unpack("<I", take(4))
-    signals = []
-    for _ in range(count):
-        subject, c, t = struct.unpack("<qIQ", take(20))
-        labels = np.frombuffer(take(8 * t), dtype="<i8").copy()
-        channels = np.frombuffer(take(8 * c * t), dtype="<f8").reshape(c, t).copy()
-        signals.append(LabeledSignal(int(subject), channels, labels))
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in dataset cache")
+        def take(n: int) -> bytes:
+            check(n)
+            return f.read(n)
+
+        def take_array(shape: tuple[int, ...], dtype: str) -> np.ndarray:
+            check(np.dtype(dtype).itemsize * math.prod(shape))  # before allocating what the header claims
+            arr = np.empty(shape, dtype=dtype)
+            if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise ValueError(f"{path}: truncated dataset cache")
+            return arr
+
+        (count,) = struct.unpack("<I", take(4))
+        signals = []
+        for _ in range(count):
+            subject, c, t = struct.unpack("<qIQ", take(20))
+            labels = take_array((t,), "<i8")
+            channels = take_array((c, t), "<f8")
+            signals.append(LabeledSignal(int(subject), channels, labels))
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes in dataset cache")
     return signals
 
 
 def dataset_fingerprint(signals: list[LabeledSignal]) -> str:
     """Content hash of a dataset, stable across runs on identical data."""
-    return "sha256:" + hashlib.sha256(_pack_signals(signals)).hexdigest()
+    digest = hashlib.sha256()
+    for part in _pack_signals(signals):
+        digest.update(part)
+    return "sha256:" + digest.hexdigest()
 
 
 def load_subject_file(path: str | Path, subject_id: int) -> LabeledSignal:

@@ -232,8 +232,10 @@ def run_sweep(
             spec = ModelSpec(kernels=(k1, k2))
             wspec = WindowSpec(w_sec)
             plan_shapes(spec, wspec.window_len)
-            x, y = window_arrays(segments, wspec)
-            fold_results = run_cv(x, y, folds, spec, cfg, seed, stats=stats, honest_split=honest_split)
+            # no name holds the window array, so it is freed before the next duration's
+            fold_results = run_cv(
+                *window_arrays(segments, wspec), folds, spec, cfg, seed, stats=stats, honest_split=honest_split
+            )
         except (GeometryError, CoverageError) as err:
             rows.append(
                 SweepRow(window_sec=w_sec, k1=k1, k2=k2, folds=[], failed=True, reason=str(err))

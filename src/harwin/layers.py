@@ -13,17 +13,25 @@ is pinned: the output is bit-for-bit equal to a plain quadruple loop, which
 the tests rely on. The loop runs over tiles of max(1, ROW // B) output
 positions. Each tile's input is copied into a (C, positions * B) scratch,
 position-major with the batch innermost, so one (channel, tap) term is a
-single (F, n) broadcast multiply-add over contiguous rows of about ROW
-elements. Rows must stay longer than a third of numpy's 8192-element ufunc
-buffer (np.getbufsize()): numpy runs a broadcast multiply with shorter rows
-through its buffered iterator, and with rows of 2,560 elements or fewer a
-call ran about 2x slower. Short windows' single tiles stay below that
-(L_out * B = 1,024 for conv1 at 0.1 s and batch 128). Copying per tile
-rather than the whole input keeps a call's scratch near 3 MiB. The layout decides only where an element
-sits in memory, never the order of one output element's terms. The backward
-convolution is one GEMM pair per tap. Its sums run in BLAS order, so it is
-checked against finite differences and a per-(channel, tap) reference loop
-by tolerance, not bit for bit.
+single (F, n) product plus an in-place add over contiguous rows of n <= ROW
+elements. Copying per tile rather than the whole input keeps a call's
+scratch near 3 MiB. The product takes one of two paths, chosen per tile
+from n. numpy runs a broadcast multiply whose rows are shorter than a
+third of its ufunc buffer (3 * n < np.getbufsize(), so n <= 2,730 at the
+default 8192) through its buffered iterator, which made a call about 2x
+slower; short windows' tiles are that short (n = L_out * B = 1,024 for
+conv1 at 0.1 s and batch 128). Those rows take the product from
+np.einsum("f,n->fn"), longer rows from the broadcast multiply. Both give
+the same bits with one exception: einsum writes 0.0 + w*x, so a -0.0
+product comes out +0.0. That changes an output only while its running sum
+is still -0.0, which needs a -0.0 bias entry, so a call whose bias holds a
+-0.0 takes the broadcast path throughout. The choice reads numpy's buffer
+size and changes no numpy state. The layout and the path decide only where
+an element sits in memory and how a product is formed, never the order of
+one output element's terms. The backward convolution is one GEMM pair per
+tap. Its sums run in BLAS order, so it is checked against finite
+differences and a per-(channel, tap) reference loop by tolerance, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +42,10 @@ import numpy as np
 
 
 # Elements per row of the forward convolution's tiles (positions x batch):
-# each (channel, tap) term is one (F, ROW) multiply-add over contiguous rows.
+# each (channel, tap) term is one (F, ROW) product plus add over contiguous
+# rows. A tile whose rows are under a third of np.getbufsize() takes its
+# products from einsum, unless the bias holds a -0.0 (see the module
+# docstring); longer rows take a broadcast multiply.
 ROW = 4096
 
 
@@ -73,6 +84,10 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     if batch == 0:
         return out
     tile = min(out_len, max(1, ROW // batch))  # output positions per tile
+    wt = weights.transpose(1, 2, 0).copy()  # (C, K, F): each wt[c, k] is contiguous
+    # einsum turns a -0.0 product into +0.0, which shows only in a sum still at a -0.0 bias
+    einsum_ok = not (np.signbit(bias) & (bias == 0.0)).any()
+    bufsize = np.getbufsize()
     xt_buf = np.empty((n_in, tile + kernel - 1, batch))
     acc_buf = np.empty((n_filters, tile * batch))
     term_buf = np.empty_like(acc_buf)
@@ -84,9 +99,15 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
         rows = xt.reshape(n_in, -1)  # rows[c, j * B + b] = x[b, c, p + j]
         acc, term = acc_buf[:, :n], term_buf[:, :n]
         acc[...] = bias[:, None]
+        # numpy's buffered iterator would run a broadcast multiply over rows this short
+        use_einsum = einsum_ok and 3 * n < bufsize
         for c in range(n_in):
             for k in range(kernel):
-                np.multiply(weights[:, c, k, None], rows[c, None, k * batch : k * batch + n], out=term)
+                row = rows[c, k * batch : k * batch + n]
+                if use_einsum:
+                    np.einsum("f,n->fn", wt[c, k], row, out=term)
+                else:
+                    np.multiply(wt[c, k, :, None], row, out=term)
                 acc += term
         out[:, :, p:q] = acc.reshape(n_filters, q - p, batch).transpose(2, 0, 1)
     return out

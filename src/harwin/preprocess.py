@@ -36,15 +36,25 @@ def compute_stats(signals: list[LabeledSignal]) -> ChannelStats:
     """Population mean/std per channel over the concatenation of all signals.
 
     A constant channel would divide by zero downstream, so it is rejected
-    here rather than silently producing infinities.
+    here rather than silently producing infinities. Each channel is reduced
+    through one row of all its timesteps, with the operations of numpy's
+    ``mean`` and ``std``, so the result is bitwise that of
+    ``np.concatenate(...).mean/std(axis=1)`` without the concatenated copy.
     """
     if not signals:
         raise ValueError("no signals to compute stats over")
-    data = np.concatenate([s.channels for s in signals], axis=1)
-    if data.shape[1] < 2:
+    total = sum(s.n_timesteps for s in signals)
+    if total < 2:
         raise ValueError("need at least 2 timesteps to compute stats")
-    mean = data.mean(axis=1)
-    std = data.std(axis=1)
+    mean = np.empty(N_CHANNELS)
+    std = np.empty(N_CHANNELS)
+    row = np.empty(total)
+    for c in range(N_CHANNELS):
+        np.concatenate([s.channels[c] for s in signals], out=row)
+        mean[c] = row.sum() / total
+        row -= mean[c]
+        row *= row
+        std[c] = np.sqrt(row.sum() / total)
     flat = np.flatnonzero(std == 0.0)
     if flat.size:
         raise ValueError(f"channel {flat[0]} is constant; cannot normalize")

@@ -355,6 +355,37 @@ def test_fingerprint_tracks_content(tmp_path):
     assert dataset_fingerprint(load_signals(path)) == fp1
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak memory it allocated beyond what was live before."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_bytes_stream_without_a_second_copy(tmp_path):
+    """The fingerprint hashes and save_signals writes the cache's parts as
+    views of the signal, and load_signals reads each part into its own
+    array: none of them holds the signal twice."""
+    import hashlib
+
+    sig = generate_synthetic(3, samples_per_class=40, segment_len=500)  # 14 MiB of channels
+    path = tmp_path / "c.bin"
+    fp, extra = _traced_peak(dataset_fingerprint, [sig])
+    assert extra < 0.05 * sig.channels.nbytes, extra / sig.channels.nbytes
+    _, extra = _traced_peak(save_signals, [sig], path)
+    assert extra < 0.05 * sig.channels.nbytes, extra / sig.channels.nbytes
+    assert fp == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    (back,), extra = _traced_peak(load_signals, path)
+    assert extra < 1.05 * (sig.channels.nbytes + sig.labels.nbytes), extra / sig.channels.nbytes
+    assert np.array_equal(back.channels, sig.channels) and np.array_equal(back.labels, sig.labels)
+
+
 # ---------------------------------------------------------------------------
 # directory ingestion
 # ---------------------------------------------------------------------------

@@ -177,10 +177,11 @@ def test_run_cv_only_reads_a_read_only_window_array():
 
 
 def test_run_sweep_holds_one_window_array(monkeypatch):
-    """At every default duration, a sweep's data path holds less than two
+    """At every default duration, a sweep's data path holds less than one
     and a half signals beyond the signal itself, under either protocol:
-    the windows are views of one kept-signal copy, and there is no
-    standardized signal, no copied window and no per-fold window array."""
+    the windows are views of one kept-signal copy, freed before the next
+    duration's, and there is no standardized signal, no copied window, no
+    per-fold window array and no joined cache bytes for the fingerprint."""
     import tracemalloc
 
     monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg, stats: (net, 1, []))
@@ -198,7 +199,7 @@ def test_run_sweep_holds_one_window_array(monkeypatch):
         finally:
             tracemalloc.stop()
         assert not any(row.failed for row in report.rows)
-        assert extra < 2.5 * sig.channels.nbytes, (per_fold_stats, extra / sig.channels.nbytes)
+        assert extra < 1.5 * sig.channels.nbytes, (per_fold_stats, extra / sig.channels.nbytes)
 
 
 def _stub_train_and_evaluate(monkeypatch, calls):

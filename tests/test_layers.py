@@ -46,6 +46,11 @@ def conv_naive(x, w, b):
     return out
 
 
+def same_bits(a, b):
+    """Bitwise equality, which unlike == tells -0.0 from +0.0."""
+    return a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+
+
 def conv_unblocked(x, w, b):
     """The forward before batch blocking: the whole batch in one pass, bias
     first, then one (channel, tap) product at a time in channel-major order."""
@@ -138,10 +143,7 @@ def test_conv_matches_naive_loop_bitwise():
         x = rng.normal(size=(3, c_in, length))
         w = rng.normal(size=(c_out, c_in, kernel))
         b = rng.normal(size=c_out)
-        got = conv1d_forward(x, w, b)
-        ref = conv_naive(x, w, b)
-        assert got.shape == ref.shape
-        assert (got == ref).all()  # bit-for-bit, not allclose
+        assert same_bits(conv1d_forward(x, w, b), conv_naive(x, w, b))  # not allclose, and not ==
 
 
 def test_conv_single_channel_matches_dot_products():
@@ -180,9 +182,10 @@ def test_conv_backward_matches_finite_differences():
 
 
 def short_window_geometries():
-    """(c_in, c_out, kernel, length) of conv1 (18 -> 16, kernel 3) and conv2
-    (16 -> 32, kernel 5) at the 0.1 s and 0.25 s windows' lengths."""
-    return [(18, 16, 3, 10), (18, 16, 3, 25), (16, 32, 5, 8), (16, 32, 5, 11)]
+    """(c_in, c_out, kernel, length) of conv1 (18 -> 16) and conv2 (16 -> 32)
+    at the 0.1 s and 0.25 s windows (kernels 3 and 5) and at the 0.5 s
+    window (kernels 7 and 11)."""
+    return [(18, 16, 3, 10), (18, 16, 3, 25), (16, 32, 5, 8), (16, 32, 5, 11), (18, 16, 7, 50), (16, 32, 11, 22)]
 
 
 def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
@@ -196,13 +199,46 @@ def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
             x = rng.normal(size=(batch, c_in, length))
             got = conv1d_forward(x, w, b)
             assert got.flags.c_contiguous
-            assert (got == conv_unblocked(x, w, b)).all(), (c_in, length, batch)
+            assert same_bits(got, conv_unblocked(x, w, b)), (c_in, length, batch)
             tile = max(1, ROW // batch)
             split_with_short_last_tile |= out_len > tile and out_len % tile != 0
         # a non-contiguous input: a (B, L, C) array seen through swapaxes
         x = rng.normal(size=(25, length, c_in)).swapaxes(1, 2)
-        assert (conv1d_forward(x, w, b) == conv_unblocked(x, w, b)).all(), (c_in, length)
+        assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b)), (c_in, length)
     assert split_with_short_last_tile  # several tiles, the last one short
+
+
+def test_conv_forward_bits_hold_across_the_short_row_threshold():
+    """Rows of fewer than a third of numpy's buffer size take their products
+    from einsum, longer rows from a broadcast multiply; both keep every bit
+    of the unblocked loop, the sign of zero included. Inputs hold exact
+    zeros, as relu and pool outputs do, and filter 0 is all negative, so
+    its products over a zero input are -0.0: with a -0.0 bias the loop's
+    sum stays -0.0, which an einsum product (0.0 + w*x) would turn to +0.0.
+    The call leaves numpy's buffer size as it found it."""
+    rng = np.random.default_rng(37)
+    bufsize = np.getbufsize()
+    longest_short_row = (bufsize - 1) // 3
+    cases = [(geometry, 128) for geometry in sweep_geometries() + short_window_geometries()]
+    for out_len in (1, 2):  # one tile of out_len * batch row elements
+        for n in (longest_short_row - 1, longest_short_row, longest_short_row + 1):
+            batch = (n + out_len - 1) // out_len
+            cases += [((18, 16, 3, out_len + 2), batch), ((16, 32, 5, out_len + 4), batch)]
+    rows_seen = set()
+    for (c_in, c_out, kernel, length), batch in cases:
+        x = relu(rng.normal(size=(batch, c_in, length)))
+        x[::3] = 0.0  # whole windows of zeros
+        w = rng.normal(size=(c_out, c_in, kernel))
+        w[0] = -np.abs(w[0])
+        b = rng.normal(size=c_out)
+        for bias in (b, np.where(np.arange(c_out) % 2 == 0, -0.0, b), np.zeros(c_out)):
+            got = conv1d_forward(x, w, bias)
+            assert np.getbufsize() == bufsize
+            assert same_bits(got, conv_unblocked(x, w, bias)), (c_in, length, batch, bias[0])
+        assert np.signbit(conv_unblocked(x, w, np.full(c_out, -0.0))[0, 0]).all()
+        tile = min(length - kernel + 1, max(1, ROW // batch))
+        rows_seen.add(tile * batch)
+    assert {longest_short_row, longest_short_row + 1} <= rows_seen
 
 
 def test_conv_forward_empty_batch():

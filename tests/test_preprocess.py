@@ -53,6 +53,33 @@ def test_compute_stats_spans_signals():
     assert stats.std[0] == pytest.approx(2.0)
 
 
+def test_compute_stats_is_bitwise_the_concatenated_formula():
+    """Per-channel reduction gives numpy's mean and std of the concatenated
+    signals bit for bit, and holds one channel's row, not the signals again."""
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    signals = [
+        LabeledSignal(
+            i,
+            rng.normal(rng.normal(scale=1e3, size=(18, 1)), rng.uniform(0.01, 50.0, size=(18, 1)), size=(18, n)),
+            np.zeros(n, dtype=np.int64),
+        )
+        for i, n in enumerate((20011, 9001, 3))
+    ]
+    data = np.concatenate([s.channels for s in signals], axis=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stats = compute_stats(signals)
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (stats.mean.view(np.uint64) == data.mean(axis=1).view(np.uint64)).all()
+    assert (stats.std.view(np.uint64) == data.std(axis=1).view(np.uint64)).all()
+    assert extra < 0.1 * data.nbytes, extra / data.nbytes
+
+
 def test_compute_stats_rejects_constant_channel():
     ch = np.tile(np.arange(4, dtype=np.float64), (18, 1))
     ch[3] = 7.0
