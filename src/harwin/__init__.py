@@ -17,10 +17,10 @@ from .dataset import (
     load_signals,
     save_signals,
 )
-from .experiment import SweepReport, SweepRow, run_cv, run_sweep, select_kernels, train_single
+from .experiment import SweepReport, SweepRow, run_cell, run_sweep, select_kernels, train_single
 from .model import ModelParams, ModelSpec, TrainConfig, build_model, evaluate, load_model, plan_shapes, save_model, train
 from .preprocess import (
-    ChannelStats, Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment, window_arrays
+    ChannelStats, Sample, WindowSpec, apply_zscore, compute_stats, kept_signal, make_folds, segment, window_arrays
 )
 from .report import format_report_csv, load_report, render_all, save_report
 
@@ -48,13 +48,14 @@ __all__ = [
     "format_report_csv",
     "generate_synthetic",
     "ingest_directory",
+    "kept_signal",
     "load_model",
     "load_report",
     "load_signals",
     "make_folds",
     "plan_shapes",
     "render_all",
-    "run_cv",
+    "run_cell",
     "run_sweep",
     "save_model",
     "save_report",

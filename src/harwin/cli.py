@@ -103,6 +103,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError("--samples-per-class must be >= 1")
     if args.segment_len < 2:
         raise UsageError("--segment-len must be >= 2")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     sig = dataset.generate_synthetic(args.seed, args.samples_per_class, args.segment_len)
     dataset.save_signals([sig], args.out)
     print(f"wrote {args.out}: 1 signal, {sig.n_timesteps} timesteps")
@@ -124,13 +126,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from None
     cfg = _train_config(args)
+    for out in (args.model_out, args.metrics_json):
+        if out and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {out}: {Path(out).parent} is not a directory")
     signals = _load_signals(args)
     _progress(f"training at window {args.window:g} s (seed {args.seed})")
-    result = experiment.train_single(
-        signals, args.window, cfg, args.seed, kernels=kernels
-    )
+    model, result = experiment.train_single(signals, args.window, cfg, args.seed, kernels=kernels)
     if args.model_out:
-        save_model(result.model, args.model_out)
+        save_model(model, args.model_out)
         _progress(f"saved model to {args.model_out}")
     if args.metrics_json:
         doc = {
@@ -157,6 +160,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     windows = _parse_list(args.windows, "--windows", float)
     _check_windows(windows, "--windows")
     cfg = _train_config(args)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable one fails before any data is read
     signals = _load_signals(args)
     rep = experiment.run_sweep(
         signals,
@@ -168,8 +173,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         per_fold_stats=args.per_fold_stats,
         progress=_progress,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.save_report(rep, out_dir / "report.json")
     report.render_all(rep, out_dir)
     _progress(f"wrote {out_dir}/report.json, report.csv and box plots")

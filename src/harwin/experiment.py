@@ -1,23 +1,27 @@
 """Cross-validated training and the window-duration sweep.
 
-The sweep trains one model per (window duration, fold) pair and aggregates
-per-duration accuracy/loss/epoch statistics. Kernel sizes follow the window:
-short windows (<= 0.25 s) use (3, 5), everything longer (7, 11). A duration
-whose geometry fails (``GeometryError``) or whose windows cannot fill the
-folds (``CoverageError``) is a failed row; any other error aborts the sweep.
+A sweep is a flat list of independent cells, one per (window duration,
+fold). ``run_cell`` trains and tests one from the sweep's inputs and its key
+alone; ``assemble`` builds the report from the cells' outcomes, in any
+order. Kernel sizes follow the window: short windows (<= 0.25 s) use (3, 5),
+everything longer (7, 11). A cell whose geometry fails (``GeometryError``)
+or whose windows cannot fill the folds (``CoverageError``) fails its
+duration's row; any other error aborts the sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import ActivitySet, DEFAULT_ACTIVITIES, LabeledSignal, collect_segments, dataset_fingerprint
+from .dataset import (
+    ActivitySegment, ActivitySet, DEFAULT_ACTIVITIES, LabeledSignal, collect_segments, dataset_fingerprint
+)
 from .layers import CoverageError, GeometryError
-from .model import ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, train
-from .preprocess import ChannelStats, FoldPlan, WindowSpec, compute_stats, window_arrays
+from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, train
+from .preprocess import ChannelStats, FoldPlan, WindowSpec, compute_stats, kept_signal, window_arrays
 
 SHORT_WINDOW_SEC = 0.25
 SHORT_KERNELS = (3, 5)
@@ -52,6 +56,7 @@ class FoldResult:
     accuracy: float
     loss: float
     epochs_to_best: int
+    history: list[EpochStats] = field(default_factory=list)  # per epoch; not archived
 
 
 @dataclass
@@ -135,70 +140,68 @@ def _window_level_stats(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.
     return mean, std
 
 
-def _fit_fold(
-    x: np.ndarray,
-    y: np.ndarray,
-    plan: FoldPlan,
+def run_cell(
+    sig: np.ndarray,
+    segments: list[ActivitySegment],
+    window_sec: float,
     fold: int,
-    spec: ModelSpec,
+    folds: int,
     cfg: TrainConfig,
     seed: int,
     *,
     stats: ChannelStats | None,
     honest_split: bool = False,
-) -> SingleRunResult:
-    """Train on the folds of ``plan`` but ``fold`` and test on ``fold``.
+    kernels: tuple[int, int] | None = None,
+) -> tuple[ModelParams, FoldResult]:
+    """Train on every fold of a stratified ``folds``-fold plan, dealt with
+    ``seed``, but ``fold``, and test on ``fold``; return the best model and
+    the fold's result. ``kernels`` overrides ``select_kernels``.
 
-    Folds are index arrays into the raw (N, W, C) windows ``x`` (classes
-    ``y``); ``train`` and ``evaluate`` gather their batches from ``x``
-    itself and standardize each gathered copy, so no fold is copied and
-    ``x`` is only read. They standardize with ``stats``, or, when it is
-    None, with the statistics of the training folds' windows. The model,
-    rng and inner split are seeded with ``seed + fold``. See ``run_cv`` for
-    ``honest_split``."""
+    The windows are read-only views of ``sig``, the ``kept_signal`` of
+    ``segments``, and folds are index arrays into them: ``train`` and
+    ``evaluate`` standardize each batch they gather with ``stats``, or, when
+    it is None (``--per-fold-stats``), with the training folds' statistics.
+    The model, rng and inner split are seeded with ``seed + fold``. The test
+    fold doubles as the early-stopping set, the optimistic protocol this
+    reproduces, unless ``honest_split`` carves a stratified tenth of the
+    training folds for stopping.
+    """
+    spec = ModelSpec(kernels=kernels or select_kernels(window_sec))
+    wspec = WindowSpec(window_sec)
+    plan_shapes(spec, wspec.window_len)
+    x, y = window_arrays(sig, segments, wspec)
+    train_idx, test_idx = FoldPlan.stratified(y, folds, seed).train_test(fold)
     fold_seed = seed + fold
-    train_idx, test_idx = plan.train_test(fold)
     if stats is None:
         stats = ChannelStats(*_window_level_stats(x, train_idx))
     fit_idx, stop_idx = train_idx, test_idx
     if honest_split:
         fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)
         fit_idx, stop_idx = train_idx[fit], train_idx[stop]
-    net = build_model(spec, x.shape[1], fold_seed)
+    net = build_model(spec, wspec.window_len, fold_seed)
     best, best_epoch, history = train(net, x, y, fit_idx, stop_idx, replace(cfg, seed=fold_seed), stats)
     accuracy, loss = evaluate(best, x, y, test_idx, stats)
-    return SingleRunResult(best, accuracy, loss, best_epoch, history)
+    return best, FoldResult(fold, accuracy, loss, best_epoch, history)
 
 
-def run_cv(
-    x: np.ndarray,
-    y: np.ndarray,
-    k: int,
-    base_spec: ModelSpec,
-    cfg: TrainConfig,
-    seed: int,
-    *,
-    stats: ChannelStats | None,
-    honest_split: bool = False,
-) -> list[FoldResult]:
-    """Stratified k-fold over the raw windows ``x`` (classes ``y``; a row
-    labelled -1 is in no fold): train on k-1 folds, test on the held-out
-    fold.
-
-    Every batch is standardized with ``stats`` as it is gathered; with
-    ``stats=None`` each fold uses the statistics of its own training folds
-    (``--per-fold-stats``). By default the held-out fold doubles as the
-    early-stopping set — the optimistic protocol this reproduces.
-    ``honest_split`` instead carves a tenth of the training pool
-    (stratified) for stopping, so the test fold is never seen before the
-    final evaluation.
-    """
-    plan = FoldPlan.stratified(y, k, seed)
-    results = []
-    for fold in range(k):
-        r = _fit_fold(x, y, plan, fold, base_spec, cfg, seed, stats=stats, honest_split=honest_split)
-        results.append(FoldResult(fold, r.accuracy, r.loss, r.epochs_to_best))
-    return results
+def assemble(
+    outcomes: dict[tuple[float, int], FoldResult | str], *, seed: int, fingerprint: str, config: dict
+) -> SweepReport:
+    """The sweep report from its cell outcomes, each a ``FoldResult`` or the
+    reason its cell failed, keyed by ``(window_sec, fold)``: one row per
+    duration, in ascending order, with its folds in index order. A row with
+    a failed fold is failed, with the reason of its lowest-numbered one.
+    The report does not depend on the order of ``outcomes``."""
+    rows = []
+    for w_sec in sorted({w for w, _ in outcomes}):
+        k1, k2 = select_kernels(w_sec)
+        results = [outcomes[cell] for cell in sorted(outcomes) if cell[0] == w_sec]
+        reasons = [r for r in results if isinstance(r, str)]
+        if reasons:
+            rows.append(SweepRow(window_sec=w_sec, k1=k1, k2=k2, folds=[], failed=True, reason=reasons[0]))
+        else:
+            rows.append(SweepRow(window_sec=w_sec, k1=k1, k2=k2, folds=results))
+    return SweepReport(rows=rows, seed=seed, dataset_fingerprint=fingerprint, config=config)
 
 
 def run_sweep(
@@ -213,58 +216,43 @@ def run_sweep(
     per_fold_stats: bool = False,
     progress=None,
 ) -> SweepReport:
-    """Cross-validate one model per window duration over a shared dataset.
+    """Cross-validate one model per window duration over a shared dataset:
+    run the cells ``(w, f)`` for each duration ``w`` in ascending order and
+    each fold ``f`` in order, then ``assemble`` their outcomes.
 
-    A ``GeometryError`` or ``CoverageError`` for a single duration marks
-    that row failed with the reason; anything else, divergence included,
-    propagates.
+    A ``GeometryError`` or ``CoverageError`` from a cell fails its
+    duration's row with the reason, and that duration's later cells are
+    skipped; anything else, divergence included, propagates.
     """
     check_windows(windows_sec)
     fingerprint = dataset_fingerprint(signals)
     stats = None if per_fold_stats else compute_stats(signals)
     segments = collect_segments(signals, acts)
-    rows = []
-    for w_sec in sorted(windows_sec):
-        k1, k2 = select_kernels(w_sec)
+    sig = kept_signal(segments)
+    outcomes: dict[tuple[float, int], FoldResult | str] = {}
+    failed = set()
+    for w_sec, fold in [(w, f) for w in sorted(windows_sec) for f in range(folds)]:
+        if w_sec in failed:
+            continue
         if progress is not None:
-            progress(f"window {w_sec:g} s: kernels ({k1}, {k2})")
+            progress(f"window {w_sec:g} s: kernels {select_kernels(w_sec)}, fold {fold + 1}/{folds}")
         try:
-            spec = ModelSpec(kernels=(k1, k2))
-            wspec = WindowSpec(w_sec)
-            plan_shapes(spec, wspec.window_len)
-            # no name holds the window array, so it is freed before the next duration's
-            fold_results = run_cv(
-                *window_arrays(segments, wspec), folds, spec, cfg, seed, stats=stats, honest_split=honest_split
+            _, outcomes[w_sec, fold] = run_cell(
+                sig, segments, w_sec, fold, folds, cfg, seed, stats=stats, honest_split=honest_split
             )
         except (GeometryError, CoverageError) as err:
-            rows.append(
-                SweepRow(window_sec=w_sec, k1=k1, k2=k2, folds=[], failed=True, reason=str(err))
-            )
-            continue
-        rows.append(SweepRow(window_sec=w_sec, k1=k1, k2=k2, folds=fold_results))
-    return SweepReport(
-        rows=rows,
-        seed=seed,
-        dataset_fingerprint=fingerprint,
-        config={
-            "folds": folds,
-            "batch_size": cfg.batch_size,
-            "max_epochs": cfg.max_epochs,
-            "patience": cfg.patience,
-            "learning_rate": cfg.learning_rate,
-            "honest_split": honest_split,
-            "per_fold_stats": per_fold_stats,
-        },
-    )
-
-
-@dataclass
-class SingleRunResult:
-    model: ModelParams
-    accuracy: float
-    loss: float
-    epochs_to_best: int
-    history: list
+            outcomes[w_sec, fold] = str(err)
+            failed.add(w_sec)
+    config = {
+        "folds": folds,
+        "batch_size": cfg.batch_size,
+        "max_epochs": cfg.max_epochs,
+        "patience": cfg.patience,
+        "learning_rate": cfg.learning_rate,
+        "honest_split": honest_split,
+        "per_fold_stats": per_fold_stats,
+    }
+    return assemble(outcomes, seed=seed, fingerprint=fingerprint, config=config)
 
 
 def train_single(
@@ -275,15 +263,10 @@ def train_single(
     *,
     acts: ActivitySet = DEFAULT_ACTIVITIES,
     kernels: tuple[int, int] | None = None,
-) -> SingleRunResult:
-    """One standardize/window/train run with a held-out fifth for stopping
-    and evaluation: fold 0 of a 5-fold plan. Used by the CLI's single-model
-    path."""
+) -> tuple[ModelParams, FoldResult]:
+    """One cell with global statistics: train on four fifths, stop on and
+    evaluate the held-out fifth (fold 0 of a 5-fold plan). Used by the
+    CLI's single-model path."""
     stats = compute_stats(signals)
     segments = collect_segments(signals, acts)
-    wspec = WindowSpec(window_sec)
-    spec = ModelSpec(kernels=kernels or select_kernels(window_sec))
-    plan_shapes(spec, wspec.window_len)
-    x, y = window_arrays(segments, wspec)
-    plan = FoldPlan.stratified(y, 5, seed)
-    return _fit_fold(x, y, plan, 0, spec, cfg, seed, stats=stats)
+    return run_cell(kept_signal(segments), segments, window_sec, 0, 5, cfg, seed, stats=stats, kernels=kernels)

@@ -329,6 +329,8 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

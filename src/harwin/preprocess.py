@@ -1,9 +1,10 @@
 """Per-channel statistics, sliding-window extraction and fold assignment.
 
-``window_arrays`` concatenates the kept segments once and returns a
-read-only ``sliding_window_view`` of it, one row per start position, with a
-label array that marks where ``segment`` has a window (its class) and where
-it has none (-1); no window is copied. Folds are dealt from that label array
+``kept_signal`` concatenates the kept segments once per sweep. For each
+window duration, ``window_arrays`` cuts a read-only ``sliding_window_view``
+of that one array, one row per start position, with a label array that marks
+where ``segment`` has a window (its class) and where it has none (-1); no
+window and no signal is copied. Folds are dealt from that label array
 (``FoldPlan.stratified``), and rows labelled -1 fall in no fold. A fold is
 an array of window indices: training and evaluation gather their batches
 from the view through it and standardize each gathered copy with a
@@ -133,9 +134,16 @@ def segment(segments: list[ActivitySegment], spec: WindowSpec) -> list[Sample]:
     return samples
 
 
-def window_arrays(segments: list[ActivitySegment], spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """A read-only (N, window_len, C) view of every window over one
-    concatenation of the segments, one row per start position, and int64
+def kept_signal(segments: list[ActivitySegment]) -> np.ndarray:
+    """The kept segments' channels, concatenated in order into one
+    (C, T_kept) array: the one copy every duration's windows view."""
+    n_ch = segments[0].channels.shape[0] if segments else N_CHANNELS
+    return np.concatenate([np.empty((n_ch, 0))] + [seg.channels for seg in segments], axis=1)
+
+
+def window_arrays(sig: np.ndarray, segments: list[ActivitySegment], spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only (N, window_len, C) view of every window over ``sig``,
+    the ``kept_signal(segments)``, one row per start position, and int64
     labels: a row's segment class where ``segment(segments, spec)`` has that
     window, -1 where it has none (a window straddling two segments, or one
     that does not start on the stride).
@@ -143,8 +151,6 @@ def window_arrays(segments: list[ActivitySegment], spec: WindowSpec) -> tuple[np
     ``x[y >= 0]`` is ``np.stack`` of ``segment``'s windows, in its order,
     bit for bit and with the same strides."""
     w = spec.window_len
-    n_ch = segments[0].channels.shape[0] if segments else N_CHANNELS
-    sig = np.concatenate([np.empty((n_ch, 0))] + [seg.channels for seg in segments], axis=1)
     y = np.full(max(0, sig.shape[1] - w + 1), -1, dtype=np.int64)
     start = 0
     for seg in segments:
@@ -152,7 +158,7 @@ def window_arrays(segments: list[ActivitySegment], spec: WindowSpec) -> tuple[np
         y[start : start + len(_windows_of(seg, spec)) * spec.stride : spec.stride] = seg.class_index
         start += seg.channels.shape[1]
     # a signal shorter than a window has no start: slide over placeholders, keep none
-    x = sliding_window_view(sig if y.size else np.empty((n_ch, w)), w, axis=1)[:, : y.size]
+    x = sliding_window_view(sig if y.size else np.empty((sig.shape[0], w)), w, axis=1)[:, : y.size]
     return x.transpose(1, 2, 0), y
 
 

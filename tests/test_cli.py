@@ -51,6 +51,8 @@ def test_synth_validation_exit_2(capsys):
     assert cli(["synth", "--segment-len", "1", "--out", "x.bin"]) == 2
     err = capsys.readouterr().err
     assert "segment-len" in err
+    assert cli(["synth", "--seed", "-1", "--out", "x.bin"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_missing_cache_exits_1_with_stderr_only(capsys):
@@ -152,6 +154,7 @@ def test_train_bad_window_exit_2(capsys):
         # window; sweep has no --kernels flag, so argparse rejects them there
         ["--kernels", "0,5"],
         ["--kernels", "99,5", "--window", "0.5"],
+        ["--seed", "-1"],
     ],
 )
 def test_bad_train_config_exits_2_before_loading(capsys, command, flags):
@@ -162,6 +165,27 @@ def test_bad_train_config_exits_2_before_loading(capsys, command, flags):
     assert out.out == ""
     assert "loading cache" not in out.err
     assert "error:" in out.err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--windows", "0.1", "--out-dir", "taken"],
+        ["train", "--window", "0.1", "--model-out", "nodir/m.bin"],
+        ["train", "--window", "0.1", "--metrics-json", "nodir/metrics.json"],
+        ["train", "--window", "0.1", "--model-out", "taken/m.bin"],
+    ],
+)
+def test_unwritable_output_exits_1_before_loading(tmp_cwd, capsys, command):
+    _synth()
+    (tmp_cwd / "taken").write_text("a file, not a directory\n")
+    capsys.readouterr()
+    assert cli([*command, "--cache", "cache.bin", "--max-epochs", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "loading cache" not in out.err
+    assert "error:" in out.err
+    assert not (tmp_cwd / "nodir").exists()
 
 
 def test_sweep_divergence_exits_1(capsys):

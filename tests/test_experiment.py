@@ -1,35 +1,56 @@
-"""Cross-validation harness and the window-duration sweep."""
+"""Cross-validation cells, their assembly and the window-duration sweep."""
+
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from harwin import experiment
-from harwin.dataset import collect_segments, generate_synthetic
+from harwin.dataset import ActivitySegment, collect_segments, generate_synthetic
 from harwin.experiment import (
     FoldResult,
     SweepRow,
-    _fit_fold,
     _window_level_stats,
-    run_cv,
+    assemble,
+    run_cell,
     run_sweep,
     select_kernels,
     train_single,
 )
 from harwin.layers import CoverageError, DivergenceError
-from harwin.model import ModelSpec, TrainConfig, stack_labels, stack_windows
+from harwin.model import EpochStats, ModelSpec, TrainConfig, build_model, evaluate, stack_labels, stack_windows, train
 from harwin.preprocess import (
-    ChannelStats, FoldPlan, Sample, WindowSpec, apply_zscore, compute_stats, make_folds, segment, window_arrays
+    ChannelStats,
+    FoldPlan,
+    WindowSpec,
+    apply_zscore,
+    compute_stats,
+    kept_signal,
+    make_folds,
+    segment,
+    window_arrays,
 )
+from harwin.report import format_report_csv, save_report
+
+BLOB_SEC = 0.1  # 10 timesteps: a blob segment is exactly one window
 
 
-def _blob_samples(n_per_class, sep=3.0, seed=0, n_classes=3, window_len=12):
+def _blob_segments(n_per_class, sep=3.0, seed=0, n_classes=3, scale=1.0, offset=0.0):
+    """One-window segments, ``n_per_class`` per class: class c is noise
+    around (c - 1) * sep on every channel."""
     rng = np.random.default_rng(seed)
-    out = []
+    segments = []
     for c in range(n_classes):
-        for i in range(n_per_class):
-            w = rng.normal(size=(window_len, 2)) * 0.1 + (c - 1) * sep
-            out.append(Sample(window=w, class_index=c, subject_id=0, origin=(c, i)))
-    return out
+        for _ in range(n_per_class):
+            channels = (rng.normal(size=(18, 10)) * 0.1 + (c - 1) * sep) * scale + offset
+            segments.append(ActivitySegment(len(segments), 0, c, channels))
+    return segments
+
+
+def _blob_cell(segments, fold, folds, cfg=None, seed=0, **kwargs):
+    kwargs.setdefault("stats", IDENTITY)
+    return run_cell(kept_signal(segments), segments, BLOB_SEC, fold, folds, cfg or FAST_CFG, seed, **kwargs)
 
 
 def _arrays(samples):
@@ -41,9 +62,34 @@ def _identity(n_ch):
     return ChannelStats(np.zeros(n_ch), np.ones(n_ch))
 
 
-SMALL_SPEC = ModelSpec(in_channels=2, conv_filters=(2, 3), kernels=(3, 5), n_classes=3)
+def _reference_cell(x, y, fold, folds, spec, cfg, seed, stats):
+    """One cell of the default protocol by hand, over a stacked window
+    array, seeded as ``run_cell`` seeds it."""
+    train_idx, test_idx = FoldPlan.stratified(y, folds, seed).train_test(fold)
+    net = build_model(spec, x.shape[1], seed + fold)
+    best, best_epoch, history = train(net, x, y, train_idx, test_idx, replace(cfg, seed=seed + fold), stats)
+    accuracy, loss = evaluate(best, x, y, test_idx, stats)
+    return best, FoldResult(fold, accuracy, loss, best_epoch, history)
+
+
+def _bits(result):
+    """A fold result's fields with every float as its exact bits."""
+    return (
+        result.fold,
+        result.accuracy.hex(),
+        result.loss.hex(),
+        result.epochs_to_best,
+        [(h.train_loss.hex(), h.stop_loss.hex()) for h in result.history],
+    )
+
+
+def _assert_same_model(a, b, msg=None):
+    for ta, tb in zip(a.tensors(), b.tensors()):
+        assert (ta == tb).all(), msg
+
+
 FAST_CFG = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=0)
-IDENTITY = _identity(2)
+IDENTITY = _identity(18)
 
 
 def test_select_kernels_boundary():
@@ -55,66 +101,61 @@ def test_select_kernels_boundary():
 
 
 def test_run_cv_returns_one_result_per_fold():
-    samples = _blob_samples(8)
-    results = run_cv(*_arrays(samples), 4, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY)
-    assert [r.fold for r in results] == [0, 1, 2, 3]
-    for r in results:
+    segments = _blob_segments(8)
+    for fold in range(4):
+        model, r = _blob_cell(segments, fold, 4)
+        assert r.fold == fold
         assert 0.0 <= r.accuracy <= 1.0
         assert np.isfinite(r.loss)
         assert 1 <= r.epochs_to_best <= 2
+        assert r.epochs_to_best <= len(r.history) <= 2
+        assert model.plan.window_len == 10 and model.spec.kernels == select_kernels(BLOB_SEC)
 
 
 def test_run_cv_learns_separable_data():
-    # a touch wider than SMALL_SPEC: two conv filters can die on a bad init
-    wide = ModelSpec(in_channels=2, conv_filters=(4, 6), kernels=(3, 5), n_classes=3)
-    samples = _blob_samples(16)
+    segments = _blob_segments(16)
     cfg = TrainConfig(batch_size=16, max_epochs=120, patience=120, seed=0)
-    results = run_cv(*_arrays(samples), 2, wide, cfg, seed=0, stats=IDENTITY)
-    for r in results:
+    for fold in range(2):
+        _, r = _blob_cell(segments, fold, 2, cfg)
         assert r.accuracy == 1.0
 
 
 def test_run_cv_is_deterministic():
-    samples = _blob_samples(8)
-    a = run_cv(*_arrays(samples), 3, SMALL_SPEC, FAST_CFG, seed=5, stats=IDENTITY)
-    b = run_cv(*_arrays(samples), 3, SMALL_SPEC, FAST_CFG, seed=5, stats=IDENTITY)
-    assert [(r.accuracy, r.loss, r.epochs_to_best) for r in a] == [
-        (r.accuracy, r.loss, r.epochs_to_best) for r in b
-    ]
-    c = run_cv(*_arrays(samples), 3, SMALL_SPEC, FAST_CFG, seed=6, stats=IDENTITY)
-    assert [(r.accuracy, r.loss) for r in a] != [(r.accuracy, r.loss) for r in c]
+    segments = _blob_segments(8)
+    a = [_blob_cell(segments, fold, 3, seed=5) for fold in range(3)]
+    b = [_blob_cell(segments, fold, 3, seed=5) for fold in range(3)]
+    assert [_bits(r) for _, r in a] == [_bits(r) for _, r in b]
+    for (ma, _), (mb, _) in zip(a, b):
+        _assert_same_model(ma, mb)
+    c = [_blob_cell(segments, fold, 3, seed=6)[1] for fold in range(3)]
+    assert [(r.accuracy, r.loss) for _, r in a] != [(r.accuracy, r.loss) for r in c]
 
 
 def test_run_cv_honest_split_runs_and_differs():
     # the stop set changes, so the trained models (and losses) change too;
     # the inner tenth-for-stopping split needs >= 10 per class in the pool
-    samples = _blob_samples(24)
-    default = run_cv(*_arrays(samples), 2, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY)
-    honest = run_cv(*_arrays(samples), 2, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY, honest_split=True)
-    assert len(honest) == 2
-    assert [(r.loss) for r in default] != [(r.loss) for r in honest]
+    segments = _blob_segments(24)
+    default = [_blob_cell(segments, fold, 2)[1] for fold in range(2)]
+    honest = [_blob_cell(segments, fold, 2, honest_split=True)[1] for fold in range(2)]
+    assert [r.loss for r in default] != [r.loss for r in honest]
 
 
 def test_run_cv_per_fold_stats_handles_unscaled_input():
     # grossly offset/scaled windows still train once per-fold stats kick in
-    raw = _blob_samples(8)
-    scaled = [
-        Sample(window=s.window * 40.0 + 300.0, class_index=s.class_index, subject_id=0, origin=s.origin)
-        for s in raw
-    ]
-    results = run_cv(*_arrays(scaled), 2, SMALL_SPEC, FAST_CFG, seed=1, stats=None)
-    for r in results:
+    segments = _blob_segments(8, scale=40.0, offset=300.0)
+    for fold in range(2):
+        _, r = _blob_cell(segments, fold, 2, seed=1, stats=None)
         assert np.isfinite(r.loss)
 
 
 def test_per_fold_stats_match_per_window_concatenation_bitwise():
     # raw (unstandardized) synthetic windows at a short, a middle and a long duration
     segments = collect_segments([generate_synthetic(5, samples_per_class=2, segment_len=420)])
+    sig = kept_signal(segments)
     for sec in (0.1, 0.5, 2.0):
         samples = segment(segments, WindowSpec(sec))
-        x, y = stack_windows(samples), stack_labels(samples)
-        plan = make_folds(samples, 4, seed=0)
-        train_idx, _ = plan.train_test(1)
+        x, y = _arrays(samples)
+        train_idx, _ = FoldPlan.stratified(y, 4, seed=3).train_test(1)
         mean, std = _window_level_stats(x, train_idx)
         # oracle: concatenate contiguous per-window copies, standardize window by window
         copies = [np.ascontiguousarray(s.window) for s in samples]
@@ -122,11 +163,10 @@ def test_per_fold_stats_match_per_window_concatenation_bitwise():
         assert (mean == data.mean(axis=0)).all() and (std == data.std(axis=0)).all(), sec
         oracle = np.stack([(w - data.mean(axis=0)) / data.std(axis=0) for w in copies])
         spec = ModelSpec(kernels=select_kernels(sec))
-        got = _fit_fold(x, y, plan, 1, spec, FAST_CFG, seed=3, stats=None)
-        want = _fit_fold(oracle, y, plan, 1, spec, FAST_CFG, seed=3, stats=_identity(18))
-        assert (got.accuracy, got.loss, got.history) == (want.accuracy, want.loss, want.history), sec
-        for a, b in zip(got.model.tensors(), want.model.tensors()):
-            assert (a == b).all(), sec
+        got_model, got = run_cell(sig, segments, sec, 1, 4, FAST_CFG, seed=3, stats=None)
+        want_model, want = _reference_cell(oracle, y, 1, 4, spec, FAST_CFG, seed=3, stats=IDENTITY)
+        assert _bits(got) == _bits(want), sec
+        _assert_same_model(got_model, want_model, sec)
 
 
 def test_window_level_stats_match_gathered_copy_bitwise(monkeypatch):
@@ -151,36 +191,34 @@ def test_fit_fold_standardizing_gathered_batches_matches_a_standardized_signal_b
     the same model as windows cut from apply_zscore's standardized copy."""
     sig = generate_synthetic(6, samples_per_class=2, segment_len=300)
     stats = compute_stats([sig])
+    segments = collect_segments([sig])
     for sec in (0.1, 0.5):
-        x, y = window_arrays(collect_segments([sig]), WindowSpec(sec))
         old = segment(collect_segments(apply_zscore([sig], stats)), WindowSpec(sec))
-        plan = FoldPlan.stratified(y, 4, seed=0)
         spec = ModelSpec(kernels=select_kernels(sec))
-        old_plan = FoldPlan.stratified(stack_labels(old), 4, seed=0)
-        got = _fit_fold(x, y, plan, 2, spec, FAST_CFG, seed=3, stats=stats)
-        want = _fit_fold(*_arrays(old), old_plan, 2, spec, FAST_CFG, seed=3, stats=_identity(18))
-        assert (got.accuracy, got.loss, got.history) == (want.accuracy, want.loss, want.history), sec
-        for a, b in zip(got.model.tensors(), want.model.tensors()):
-            assert (a == b).all(), sec
+        got_model, got = run_cell(kept_signal(segments), segments, sec, 2, 4, FAST_CFG, seed=3, stats=stats)
+        want_model, want = _reference_cell(*_arrays(old), 2, 4, spec, FAST_CFG, seed=3, stats=IDENTITY)
+        assert _bits(got) == _bits(want), sec
+        _assert_same_model(got_model, want_model, sec)
 
 
 def test_run_cv_only_reads_a_read_only_window_array():
-    sig = generate_synthetic(2, samples_per_class=2, segment_len=120)
-    x, y = window_arrays(collect_segments([sig]), WindowSpec(0.25))
-    before = x.copy()
-    spec = ModelSpec(kernels=select_kernels(0.25))
-    for stats in (compute_stats([sig]), None):
+    signal = generate_synthetic(2, samples_per_class=2, segment_len=120)
+    segments = collect_segments([signal])
+    sig = kept_signal(segments)
+    before = sig.copy()
+    sig.flags.writeable = False  # a write anywhere in the cell would raise
+    for stats in (compute_stats([signal]), None):
         for honest_split in (False, True):
-            run_cv(x, y, 2, spec, FAST_CFG, 0, stats=stats, honest_split=honest_split)
-    assert not x.flags.writeable
-    assert (x == before).all()
+            for fold in range(2):
+                run_cell(sig, segments, 0.25, fold, 2, FAST_CFG, 0, stats=stats, honest_split=honest_split)
+    assert (sig == before).all()
 
 
 def test_run_sweep_holds_one_window_array(monkeypatch):
-    """At every default duration, a sweep's data path holds less than one
-    and a half signals beyond the signal itself, under either protocol:
-    the windows are views of one kept-signal copy, freed before the next
-    duration's, and there is no standardized signal, no copied window, no
+    """At every default duration, a sweep's data path holds less than 1.4
+    signals beyond the signal itself, under either protocol: every
+    duration's windows are views of the one kept-signal copy built per
+    sweep, and there is no standardized signal, no copied window, no
     per-fold window array and no joined cache bytes for the fingerprint."""
     import tracemalloc
 
@@ -199,11 +237,11 @@ def test_run_sweep_holds_one_window_array(monkeypatch):
         finally:
             tracemalloc.stop()
         assert not any(row.failed for row in report.rows)
-        assert extra < 1.5 * sig.channels.nbytes, (per_fold_stats, extra / sig.channels.nbytes)
+        assert extra < 1.4 * sig.channels.nbytes, (per_fold_stats, extra / sig.channels.nbytes)
 
 
 def _stub_train_and_evaluate(monkeypatch, calls):
-    """Replace the training and evaluation that _fit_fold calls by stubs that
+    """Replace the training and evaluation that run_cell calls by stubs that
     record their arguments."""
 
     def train(net, x, y, fit_idx, stop_idx, cfg, stats):
@@ -221,15 +259,15 @@ def _stub_train_and_evaluate(monkeypatch, calls):
 def test_fit_fold_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypatch):
     calls = []
     _stub_train_and_evaluate(monkeypatch, calls)
-    samples = _blob_samples(16)  # the honest split's inner ten folds need 10 per class
-    x, y = stack_windows(samples), stack_labels(samples)
-    plan = make_folds(samples, 4, seed=0)
+    segments = _blob_segments(16)  # the honest split's inner ten folds need 10 per class
+    sig = kept_signal(segments)
+    _, y = window_arrays(sig, segments, WindowSpec(BLOB_SEC))
+    train_idx, held_out = FoldPlan.stratified(y, 4, seed=0).train_test(2)
     for honest_split in (False, True):
         calls.clear()
-        _fit_fold(x, y, plan, 2, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY, honest_split=honest_split)
+        run_cell(sig, segments, BLOB_SEC, 2, 4, FAST_CFG, seed=0, stats=IDENTITY, honest_split=honest_split)
         (_, fit_x, fit_idx, stop_idx), (_, test_x, test_idx) = calls
-        assert fit_x is x and test_x is x
-        train_idx, held_out = plan.train_test(2)
+        assert fit_x is test_x and np.shares_memory(fit_x, sig) and not fit_x.flags.writeable
         assert np.array_equal(test_idx, held_out)
         if honest_split:
             assert np.array_equal(np.sort(np.concatenate([fit_idx, stop_idx])), train_idx)
@@ -238,32 +276,31 @@ def test_fit_fold_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypat
 
 
 def test_fit_fold_copies_no_fold(monkeypatch):
-    """Beyond the model itself, a fold's fit allocates a small fraction of
-    the window array: the folds are index arrays, never copies."""
+    """Beyond the model itself, a cell allocates a small fraction of its
+    duration's stacked windows: the windows are views and the folds are
+    index arrays, never copies."""
     import tracemalloc
 
     _stub_train_and_evaluate(monkeypatch, [])
     segments = collect_segments([generate_synthetic(3, samples_per_class=4, segment_len=500)])
-    samples = segment(segments, WindowSpec(0.5))
-    x, y = stack_windows(samples), stack_labels(samples)
-    plan = make_folds(samples, 8, seed=0)
-    spec = ModelSpec(kernels=select_kernels(0.5))
+    sig = kept_signal(segments)
+    nbytes = stack_windows(segment(segments, WindowSpec(0.5))).nbytes
     tracemalloc.start()
     try:
-        for fold in range(plan.k):
+        for fold in range(8):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _fit_fold(x, y, plan, fold, spec, FAST_CFG, seed=0, stats=_identity(18))
+            run_cell(sig, segments, 0.5, fold, 8, FAST_CFG, seed=0, stats=IDENTITY)
             extra = tracemalloc.get_traced_memory()[1] - base
-            assert extra < 0.1 * x.nbytes, (fold, extra, x.nbytes)
+            assert extra < 0.1 * nbytes, (fold, extra, nbytes)
     finally:
         tracemalloc.stop()
 
 
 def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
-    """Per-fold normalization standardizes each gathered batch, so a
-    cross-validation holds the caller's one window array, not a raw and a
-    normalized one."""
+    """Per-fold normalization standardizes each gathered batch, so the cells
+    of a cross-validation hold less than one stacked window array beyond
+    the kept signal, not a raw and a normalized one."""
     import tracemalloc
 
     # stubs that keep no reference to the array they are handed
@@ -271,14 +308,13 @@ def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
     monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx, stats: (1.0, 0.0))
     monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", 1)  # one window per chunk, next to nothing
     segments = collect_segments([generate_synthetic(3, samples_per_class=4, segment_len=500)])
-    samples = segment(segments, WindowSpec(0.5))
-    x, y = _arrays(samples)
-    nbytes = x.nbytes
-    spec = ModelSpec(kernels=select_kernels(0.5))
+    sig = kept_signal(segments)
+    nbytes = stack_windows(segment(segments, WindowSpec(0.5))).nbytes
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        run_cv(x, y, 4, spec, FAST_CFG, seed=0, stats=None)
+        for fold in range(4):
+            run_cell(sig, segments, 0.5, fold, 4, FAST_CFG, seed=0, stats=None)
         extra = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -286,17 +322,19 @@ def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
 
 
 def test_run_cv_per_fold_stats_rejects_constant_channel():
-    flat = [Sample(s.window * [1.0, 0.0], s.class_index, 0, s.origin) for s in _blob_samples(8)]
+    segments = _blob_segments(8)
+    for seg in segments:
+        seg.channels[1] = 0.0
     with pytest.raises(CoverageError, match="channel 1 is constant"):
-        run_cv(*_arrays(flat), 2, SMALL_SPEC, FAST_CFG, seed=0, stats=None)
+        _blob_cell(segments, 0, 2, stats=None)
 
 
 def test_run_cv_rejects_too_few_samples_per_class():
     with pytest.raises(CoverageError, match="class"):
-        run_cv(*_arrays(_blob_samples(3)), 4, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY)
+        _blob_cell(_blob_segments(3), 0, 4)
     # the honest split's inner ten-fold split needs 10 windows per class
     with pytest.raises(CoverageError, match="need at least 10"):
-        run_cv(*_arrays(_blob_samples(8)), 2, SMALL_SPEC, FAST_CFG, seed=0, stats=IDENTITY, honest_split=True)
+        _blob_cell(_blob_segments(8), 0, 2, honest_split=True)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +453,79 @@ def test_run_sweep_progress_callback():
     lines = []
     run_sweep([_tiny_signal()], [0.1], FAST_CFG, seed=0, folds=2, progress=lines.append)
     assert lines and "0.1" in lines[0]
+    assert lines == ["window 0.1 s: kernels (3, 5), fold 1/2", "window 0.1 s: kernels (3, 5), fold 2/2"]
+
+
+@pytest.mark.parametrize("honest_split", [False, True])
+@pytest.mark.parametrize("per_fold_stats", [False, True])
+def test_a_cell_run_alone_equals_the_same_cell_in_run_sweep(honest_split, per_fold_stats):
+    sig = generate_synthetic(7, samples_per_class=2, segment_len=240)
+    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=0)
+    report = run_sweep(
+        [sig], [0.5, 0.1], cfg, seed=4, folds=2, honest_split=honest_split, per_fold_stats=per_fold_stats
+    )
+    segments = collect_segments([sig])
+    stats = None if per_fold_stats else compute_stats([sig])
+    assert [(row.window_sec, row.failed) for row in report.rows] == [(0.1, False), (0.5, False)]
+    for row in report.rows:
+        assert [f.fold for f in row.folds] == [0, 1]
+        for want in row.folds:
+            _, got = run_cell(
+                kept_signal(segments), segments, row.window_sec, want.fold, 2, cfg, 4,
+                stats=stats, honest_split=honest_split,
+            )
+            assert got.history and _bits(got) == _bits(want), (row.window_sec, want.fold)
+
+
+def test_run_sweep_skips_the_later_cells_of_a_failed_duration(monkeypatch):
+    ran = []
+
+    def cell(sig, segments, window_sec, fold, folds, cfg, seed, **kwargs):
+        ran.append((window_sec, fold))
+        if (window_sec, fold) == (0.1, 1):
+            raise CoverageError("channel 3 is constant in the training folds")
+        return None, FoldResult(fold, 1.0, 0.0, 1)
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
+    report = run_sweep([_tiny_signal()], [0.25, 0.1], FAST_CFG, seed=0, folds=3)
+    assert ran == [(0.1, 0), (0.1, 1), (0.25, 0), (0.25, 1), (0.25, 2)]
+    assert [(row.window_sec, row.failed, row.reason) for row in report.rows] == [
+        (0.1, True, "channel 3 is constant in the training folds"),
+        (0.25, False, None),
+    ]
+    assert report.rows[0].folds == [] and [f.fold for f in report.rows[1].folds] == [0, 1, 2]
+
+
+def test_assemble_gives_the_same_report_for_outcomes_in_any_order(tmp_path):
+    outcomes = {
+        (0.03, 0): "architecture invalid for window_len 3",
+        (0.5, 0): FoldResult(0, 0.75, 0.61, 3, [EpochStats(1.2, 0.9)]),
+        (0.5, 1): "the lowest-numbered failure",
+        (0.5, 2): "a later failure",
+        (0.5, 3): FoldResult(3, 0.5, 0.7, 2),
+    }
+    for w_sec, acc in ((0.1, 0.8), (2.0, 0.9)):
+        for fold in range(4):
+            outcomes[w_sec, fold] = FoldResult(fold, acc + 0.01 * fold, 0.3 - 0.02 * fold, 5 + fold)
+    config = {"folds": 4, "batch_size": 128, "max_epochs": 3, "patience": 3, "learning_rate": 1e-3,
+              "honest_split": False, "per_fold_stats": False}
+
+    def outputs(items, name):
+        report = assemble(dict(items), seed=7, fingerprint="sha256:ab", config=config)
+        save_report(report, tmp_path / name)
+        return report, (tmp_path / name).read_bytes(), format_report_csv(report)
+
+    report, json_bytes, csv = outputs(sorted(outcomes.items()), "sorted.json")
+    assert [row.window_sec for row in report.rows] == [0.03, 0.1, 0.5, 2.0]
+    assert [row.failed for row in report.rows] == [True, False, True, False]
+    assert report.rows[2].reason == "the lowest-numbered failure" and report.rows[2].folds == []
+    assert [f.fold for f in report.rows[1].folds] == [0, 1, 2, 3]
+    assert b"history" not in json_bytes
+    items = list(outcomes.items())
+    for seed in range(10):
+        random.Random(seed).shuffle(items)
+        _, shuffled_json, shuffled_csv = outputs(items, f"shuffled{seed}.json")
+        assert shuffled_json == json_bytes and shuffled_csv == csv, seed
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +536,24 @@ def test_run_sweep_progress_callback():
 def test_train_single_reports_holdout_metrics():
     sig = generate_synthetic(3, samples_per_class=2, segment_len=60)
     cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=1)
-    res = train_single([sig], 0.25, cfg, seed=1)
+    model, res = train_single([sig], 0.25, cfg, seed=1)
+    assert res.fold == 0
     assert 0.0 <= res.accuracy <= 1.0
     assert np.isfinite(res.loss)
     assert len(res.history) <= 3
-    assert res.model.plan.window_len == 25
+    assert model.plan.window_len == 25
     # kernel override is honored
-    res2 = train_single([sig], 0.25, cfg, seed=1, kernels=(3, 3))
-    assert res2.model.spec.kernels == (3, 3)
+    model2, _ = train_single([sig], 0.25, cfg, seed=1, kernels=(3, 3))
+    assert model2.spec.kernels == (3, 3)
 
 
 def test_train_single_is_fold_zero_of_five_fold_cv():
     sig = generate_synthetic(3, samples_per_class=2, segment_len=60)
     cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=1)
-    res = train_single([sig], 0.25, cfg, seed=1)
+    model, res = train_single([sig], 0.25, cfg, seed=1)
     samples = segment(collect_segments(apply_zscore([sig], compute_stats([sig]))), WindowSpec(0.25))
-    fold0 = run_cv(*_arrays(samples), 5, ModelSpec(kernels=select_kernels(0.25)), cfg, seed=1, stats=_identity(18))[0]
+    spec = ModelSpec(kernels=select_kernels(0.25))
+    fold0_model, fold0 = _reference_cell(*_arrays(samples), 0, 5, spec, cfg, seed=1, stats=IDENTITY)
     assert (res.accuracy, res.loss, res.epochs_to_best) == (fold0.accuracy, fold0.loss, fold0.epochs_to_best)
+    assert _bits(res) == _bits(fold0)
+    _assert_same_model(model, fold0_model)

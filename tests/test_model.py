@@ -232,6 +232,9 @@ def test_train_config_validation():
     for rate in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(seed=0).seed == 0
     cfg = TrainConfig()
     assert (cfg.batch_size, cfg.max_epochs, cfg.patience) == (128, 3000, 100)
     assert cfg.learning_rate == 1e-3
