@@ -6,12 +6,10 @@ stratified cross-validation swept over window durations.
 """
 
 from .dataset import (
+    ACTIVITY_CLASSES,
     ACTIVITY_NAMES,
-    DEFAULT_ACTIVITIES,
     ActivitySegment,
-    ActivitySet,
     LabeledSignal,
-    RawRecording,
     generate_synthetic,
     ingest_directory,
     load_signals,
@@ -27,15 +25,13 @@ from .report import format_report_csv, load_report, render_all, save_report
 __version__ = "0.1.0"
 
 __all__ = [
+    "ACTIVITY_CLASSES",
     "ACTIVITY_NAMES",
-    "DEFAULT_ACTIVITIES",
     "ActivitySegment",
-    "ActivitySet",
     "ChannelStats",
     "LabeledSignal",
     "ModelParams",
     "ModelSpec",
-    "RawRecording",
     "Sample",
     "SweepReport",
     "SweepRow",

@@ -9,15 +9,21 @@ offset ``o``: ``o`` temperature, ``o+1..o+3`` the +/-16 g accelerometer,
 ``o+10..o+12`` the magnetometer and ``o+13..o+16`` orientation. "NaN" marks a
 dropped reading. Only the +/-16 g accelerometer and the gyroscope of each IMU
 are retained (the +/-6 g unit saturates), giving 18 channels at 100 Hz.
+
+``load_subject_file`` parses a file with one np.loadtxt pass, checks the
+parsed array, takes the 18 retained channels into one fresh ``(18, T)`` array
+and repairs its gaps in place. The file is read again only to name the line
+of an error, and every ingest error names the file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
 import math
 import os
 import struct
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,7 +33,6 @@ import numpy as np
 SAMPLE_RATE_HZ = 100
 
 N_COLUMNS = 54
-N_READINGS = 52  # everything except timestamp and activity id
 
 IMU_OFFSETS = (3, 20, 37)  # hand, chest, ankle blocks, in file order
 _KEPT_SLOTS = (1, 2, 3, 7, 8, 9)  # acc16g x,y,z then gyro x,y,z
@@ -45,40 +50,10 @@ ACTIVITY_NAMES = {
     13: "descending stairs",
 }
 
+# Retained activity code -> contiguous class index.
+ACTIVITY_CLASSES = {2: 0, 3: 1, 4: 2, 12: 3, 13: 4}
+
 SYNTHETIC_SUBJECT_ID = 0
-
-
-@dataclass(frozen=True)
-class ActivitySet:
-    """Maps retained activity codes to contiguous class indices."""
-
-    code_to_class: dict[int, int]
-
-    def __post_init__(self) -> None:
-        n = len(self.code_to_class)
-        if n != 5:
-            raise ValueError(f"activity set must have exactly 5 entries, got {n}")
-        if sorted(self.code_to_class.values()) != list(range(5)):
-            raise ValueError("class indices must be a permutation of 0..4")
-
-    def __contains__(self, code: int) -> bool:
-        return code in self.code_to_class
-
-    def class_of(self, code: int) -> int:
-        return self.code_to_class[code]
-
-
-DEFAULT_ACTIVITIES = ActivitySet({2: 0, 3: 1, 4: 2, 12: 3, 13: 4})
-
-
-@dataclass
-class RawRecording:
-    """One subject's parsed protocol stream; NaN marks missing readings."""
-
-    subject_id: int
-    timestamps: np.ndarray  # (T,) seconds, strictly increasing
-    activity_ids: np.ndarray  # (T,) int
-    readings: np.ndarray  # (T, 52) float64
 
 
 @dataclass
@@ -110,9 +85,18 @@ class ActivitySegment:
     channels: np.ndarray  # (18, L) float64
 
 
-def _diagnose_lines(numbered: list[tuple[int, str]]) -> None:
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """The 1-based number and text of each line that holds a row: blank
+    lines hold none, as in np.loadtxt."""
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                yield lineno, line
+
+
+def _diagnose_lines(path: Path) -> None:
     """Raise for the first malformed line; no-op if all lines look fine."""
-    for lineno, line in numbered:
+    for lineno, line in _data_lines(path):
         fields = line.split()
         if len(fields) != N_COLUMNS:
             raise ValueError(
@@ -125,92 +109,63 @@ def _diagnose_lines(numbered: list[tuple[int, str]]) -> None:
                 raise ValueError(f"line {lineno}: unparsable number {tok!r}") from None
 
 
-def parse_pamap2_file(text: str, subject_id: int) -> RawRecording:
-    """Parse one protocol file into a raw recording.
-
-    Malformed lines (wrong field count, unparsable tokens, non-finite
-    timestamps, non-integer activity ids) and non-increasing timestamps are
-    hard errors naming the offending line; an empty file is a hard error.
-    """
-    numbered = [
-        (i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()
-    ]
-    if not numbered:
-        raise ValueError("empty recording")
-    try:
-        data = np.loadtxt(
-            io.StringIO("\n".join(line for _, line in numbered)),
-            dtype=np.float64,
-            comments=None,
-            ndmin=2,
-        )
-    except ValueError:
-        _diagnose_lines(numbered)
-        raise
-    if data.shape[1] != N_COLUMNS:
-        _diagnose_lines(numbered)
-        raise ValueError(f"expected {N_COLUMNS} fields per line, got {data.shape[1]}")
-
-    linenos = np.array([n for n, _ in numbered])
-    timestamps = data[:, 0]
-    activities = data[:, 1]
-    readings = data[:, 2:]
-
-    bad = ~np.isfinite(timestamps)
-    if bad.any():
-        raise ValueError(f"line {linenos[bad.argmax()]}: non-finite timestamp")
-    bad = ~np.isfinite(activities) | (activities != np.round(activities))
-    if bad.any():
-        raise ValueError(f"line {linenos[bad.argmax()]}: activity id is not an integer")
-    bad = np.isinf(readings).any(axis=1)
-    if bad.any():
-        raise ValueError(f"line {linenos[bad.argmax()]}: infinite sensor reading")
-    nonmono = np.flatnonzero(np.diff(timestamps) <= 0)
-    if nonmono.size:
-        raise ValueError(
-            f"line {linenos[nonmono[0] + 1]}: timestamps must be strictly increasing"
-        )
-
-    return RawRecording(
-        subject_id=subject_id,
-        timestamps=timestamps,
-        activity_ids=activities.astype(np.int64),
-        readings=readings,
-    )
-
-
-def select_channels(rec: RawRecording) -> LabeledSignal:
-    """Pull the 18 retained channels out of a raw recording.
-
-    Channel order is fixed: hand, chest, ankle; within each IMU the
-    accelerometer x,y,z then the gyroscope x,y,z. Missing readings stay NaN.
-    """
-    if rec.timestamps.size == 0:
-        raise ValueError("recording is empty")
-    channels = np.ascontiguousarray(rec.readings[:, SELECTED_READINGS].T)
-    return LabeledSignal(rec.subject_id, channels, rec.activity_ids.copy())
-
-
-def interpolate_missing(sig: LabeledSignal) -> LabeledSignal:
-    """Fill NaN gaps per channel: linear interior interpolation, edge fill
-    with the nearest valid value. A channel with no valid values is a hard
-    error."""
-    filled = sig.channels.copy()
-    for c in range(filled.shape[0]):
-        row = filled[c]
+def repair_gaps(channels: np.ndarray) -> None:
+    """Fill NaN gaps of each channel row in place: linear interior
+    interpolation, edge fill with the nearest valid value. A channel with no
+    valid values is a hard error."""
+    for c, row in enumerate(channels):
         missing = np.isnan(row)
         if not missing.any():
             continue
         valid = np.flatnonzero(~missing)
         if valid.size == 0:
             raise ValueError(f"channel {c} has no valid values")
-        filled[c] = np.interp(np.arange(row.size), valid, row[valid])
-    return LabeledSignal(sig.subject_id, filled, sig.labels.copy())
+        row[missing] = np.interp(np.flatnonzero(missing), valid, row[valid])
 
 
-def filter_activities(sig: LabeledSignal, acts: ActivitySet = DEFAULT_ACTIVITIES) -> list[ActivitySegment]:
+def _parse_protocol_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The gap-repaired ``(18, T)`` channels and ``(T,)`` labels of one
+    protocol file, parsed by one np.loadtxt pass over the file.
+
+    Malformed lines (wrong field count, unparsable tokens, non-finite
+    timestamps, non-integer activity ids, infinite readings) and
+    non-increasing timestamps are errors naming the line; the file is read
+    a second time only then, to find the line.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            data = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            _diagnose_lines(path)
+            raise
+    if data.size == 0:
+        raise ValueError("empty recording")
+    if data.shape[1] != N_COLUMNS:
+        _diagnose_lines(path)
+        raise ValueError(f"expected {N_COLUMNS} fields per line, got {data.shape[1]}")
+
+    def check(bad_rows: np.ndarray, message: str) -> None:
+        if bad_rows.any():
+            lineno, _ = next(itertools.islice(_data_lines(path), bad_rows.argmax(), None))
+            raise ValueError(f"line {lineno}: {message}")
+
+    timestamps = data[:, 0]
+    activities = data[:, 1]
+    check(~np.isfinite(timestamps), "non-finite timestamp")
+    check(~np.isfinite(activities) | (activities != np.round(activities)), "activity id is not an integer")
+    check(np.isinf(data[:, 2:]).any(axis=1), "infinite sensor reading")
+    # prepending -inf makes row 0 pass, so a flagged row is the later of the pair
+    check(np.diff(timestamps, prepend=-np.inf) <= 0, "timestamps must be strictly increasing")
+
+    channels = data.T[[r + 2 for r in SELECTED_READINGS]]  # a fresh C-contiguous (18, T)
+    repair_gaps(channels)
+    return channels, activities.astype(np.int64)
+
+
+def filter_activities(sig: LabeledSignal) -> list[ActivitySegment]:
     """Split a signal into maximal single-activity runs, dropping timesteps
-    whose label is not in the activity set (the transient code 0 included).
+    whose label is not a retained activity (the transient code 0 included).
     Each segment's channels are a view of the signal, not a copy."""
     labels = sig.labels
     t_total = labels.size
@@ -220,26 +175,24 @@ def filter_activities(sig: LabeledSignal, acts: ActivitySet = DEFAULT_ACTIVITIES
     bounds = np.concatenate(([0], change, [t_total]))
     segments: list[ActivitySegment] = []
     for start, end in zip(bounds[:-1], bounds[1:]):
-        code = int(labels[start])
-        if code in acts:
+        class_index = ACTIVITY_CLASSES.get(int(labels[start]))
+        if class_index is not None:
             segments.append(
                 ActivitySegment(
                     segment_id=len(segments),
                     subject_id=sig.subject_id,
-                    class_index=acts.class_of(code),
+                    class_index=class_index,
                     channels=sig.channels[:, start:end],
                 )
             )
     return segments
 
 
-def collect_segments(
-    signals: list[LabeledSignal], acts: ActivitySet = DEFAULT_ACTIVITIES
-) -> list[ActivitySegment]:
+def collect_segments(signals: list[LabeledSignal]) -> list[ActivitySegment]:
     """Segment every signal and renumber segment ids globally."""
     out: list[ActivitySegment] = []
     for sig in signals:
-        for seg in filter_activities(sig, acts):
+        for seg in filter_activities(sig):
             out.append(replace(seg, segment_id=len(out)))
     return out
 
@@ -257,11 +210,11 @@ def generate_synthetic(seed: int, samples_per_class: int, segment_len: int) -> L
     if samples_per_class < 1:
         raise ValueError(f"samples_per_class must be >= 1, got {samples_per_class}")
     rng = np.random.default_rng(seed)
-    codes = sorted(DEFAULT_ACTIVITIES.code_to_class)
+    codes = sorted(ACTIVITY_CLASSES)
     t = np.arange(segment_len) / SAMPLE_RATE_HZ
     channels = np.empty((N_CHANNELS, samples_per_class * len(codes) * segment_len))
     for b, code in enumerate(codes * samples_per_class):
-        c = DEFAULT_ACTIVITIES.class_of(code)
+        c = ACTIVITY_CLASSES[code]
         freq = 2.0 + 3.0 * c
         phase = 2.0 * np.pi * (c * N_CHANNELS + np.arange(N_CHANNELS)) / (5 * N_CHANNELS)
         clean = np.sin(2.0 * np.pi * freq * t[None, :] + phase[:, None])
@@ -344,9 +297,13 @@ def dataset_fingerprint(signals: list[LabeledSignal]) -> str:
 
 
 def load_subject_file(path: str | Path, subject_id: int) -> LabeledSignal:
-    """Parse, select channels and repair gaps for one protocol file."""
-    rec = parse_pamap2_file(Path(path).read_text(), subject_id)
-    return interpolate_missing(select_channels(rec))
+    """Parse, select channels and repair gaps for one protocol file. Every
+    error names the file (and the line, where there is one)."""
+    try:
+        channels, labels = _parse_protocol_file(Path(path))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return LabeledSignal(subject_id, channels, labels)
 
 
 def ingest_directory(

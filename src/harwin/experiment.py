@@ -16,9 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import (
-    ActivitySegment, ActivitySet, DEFAULT_ACTIVITIES, LabeledSignal, collect_segments, dataset_fingerprint
-)
+from .dataset import ActivitySegment, LabeledSignal, collect_segments, dataset_fingerprint
 from .layers import CoverageError, GeometryError
 from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, train
 from .preprocess import ChannelStats, FoldPlan, WindowSpec, compute_stats, kept_signal, window_arrays
@@ -211,7 +209,6 @@ def run_sweep(
     seed: int,
     *,
     folds: int = 8,
-    acts: ActivitySet = DEFAULT_ACTIVITIES,
     honest_split: bool = False,
     per_fold_stats: bool = False,
     progress=None,
@@ -227,7 +224,7 @@ def run_sweep(
     check_windows(windows_sec)
     fingerprint = dataset_fingerprint(signals)
     stats = None if per_fold_stats else compute_stats(signals)
-    segments = collect_segments(signals, acts)
+    segments = collect_segments(signals)
     sig = kept_signal(segments)
     outcomes: dict[tuple[float, int], FoldResult | str] = {}
     failed = set()
@@ -261,12 +258,11 @@ def train_single(
     cfg: TrainConfig,
     seed: int,
     *,
-    acts: ActivitySet = DEFAULT_ACTIVITIES,
     kernels: tuple[int, int] | None = None,
 ) -> tuple[ModelParams, FoldResult]:
     """One cell with global statistics: train on four fifths, stop on and
     evaluate the held-out fifth (fold 0 of a 5-fold plan). Used by the
     CLI's single-model path."""
     stats = compute_stats(signals)
-    segments = collect_segments(signals, acts)
+    segments = collect_segments(signals)
     return run_cell(kept_signal(segments), segments, window_sec, 0, 5, cfg, seed, stats=stats, kernels=kernels)

@@ -1,15 +1,16 @@
 """Protocol-file parsing, channel selection, gap repair, segmentation and the
 binary dataset cache."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from harwin.dataset import (
+    ACTIVITY_CLASSES,
     ACTIVITY_NAMES,
-    DEFAULT_ACTIVITIES,
-    ActivitySet,
     LabeledSignal,
     N_CHANNELS,
     SELECTED_READINGS,
@@ -18,11 +19,10 @@ from harwin.dataset import (
     filter_activities,
     generate_synthetic,
     ingest_directory,
-    interpolate_missing,
     load_signals,
-    parse_pamap2_file,
+    load_subject_file,
+    repair_gaps,
     save_signals,
-    select_channels,
 )
 
 
@@ -39,6 +39,13 @@ def make_text(rows):
 def counted_readings(base=0.0):
     # reading i carries the value base + i so selections are easy to check
     return [base + i for i in range(52)]
+
+
+def load_text(tmp_path, text, subject_id=1):
+    """load_subject_file on a protocol file holding exactly ``text``."""
+    path = tmp_path / f"subject{subject_id}.dat"
+    path.write_bytes(text.encode())
+    return load_subject_file(path, subject_id)
 
 
 # ---------------------------------------------------------------------------
@@ -59,16 +66,9 @@ def test_selected_reading_indices_are_the_hand_derived_set():
 
 def test_activity_codes():
     assert set(ACTIVITY_NAMES) == {2, 3, 4, 12, 13}
-    assert DEFAULT_ACTIVITIES.class_of(2) == 0
-    assert DEFAULT_ACTIVITIES.class_of(13) == 4
-    assert 0 not in DEFAULT_ACTIVITIES  # the transient marker is not a class
-
-
-def test_activity_set_validation():
-    with pytest.raises(ValueError, match="5 entries"):
-        ActivitySet({1: 0, 2: 1})
-    with pytest.raises(ValueError, match="permutation"):
-        ActivitySet({1: 0, 2: 1, 3: 2, 4: 3, 5: 5})
+    assert ACTIVITY_CLASSES[2] == 0
+    assert ACTIVITY_CLASSES[13] == 4
+    assert 0 not in ACTIVITY_CLASSES  # the transient marker is not a class
 
 
 # ---------------------------------------------------------------------------
@@ -76,74 +76,111 @@ def test_activity_set_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_parse_basic_file():
+def test_parse_basic_file(tmp_path):
     text = make_text([(0.01, 4, counted_readings()), (0.02, 4, counted_readings(100))])
-    rec = parse_pamap2_file(text, subject_id=101)
-    assert rec.subject_id == 101
-    assert rec.timestamps.tolist() == [0.01, 0.02]
-    assert rec.activity_ids.tolist() == [4, 4]
-    assert rec.readings.shape == (2, 52)
-    assert rec.readings[1, 0] == 100.0
+    sig = load_text(tmp_path, text, subject_id=101)
+    assert sig.subject_id == 101
+    assert sig.n_timesteps == 2
+    assert sig.labels.tolist() == [4, 4]
+    assert sig.channels.shape == (18, 2)
+    assert sig.channels[:, 1].tolist() == [100.0 + r for r in SELECTED_READINGS]
 
 
-def test_parse_nan_token_maps_to_reading_index():
-    # a NaN in the 4th field (heart rate is field 3) is reading index 1
+def test_parse_nan_token_maps_to_reading_index(tmp_path):
+    # a NaN in the 4th field (heart rate is field 3) is reading index 1,
+    # which no channel keeps
     readings = counted_readings()
     readings[1] = "NaN"
-    text = make_text([(0.01, 0, readings)])
-    rec = parse_pamap2_file(text, 7)
-    assert np.isnan(rec.readings[0, 1])
-    assert rec.readings[0, 0] == 0.0
-    assert rec.readings[0, 2] == 2.0
+    sig = load_text(tmp_path, make_text([(0.01, 0, readings)]), 7)
+    assert np.isfinite(sig.channels).all()
+    assert sig.channels[0, 0] == 2.0
+    # a NaN at reading index 3 is channel 1, and one row leaves it no value
+    readings[3] = "NaN"
+    with pytest.raises(ValueError, match="channel 1 has no valid values"):
+        load_text(tmp_path, make_text([(0.01, 0, readings)]), 7)
 
 
-def test_parse_skips_blank_lines_keeps_numbering():
+def test_parse_skips_blank_lines_keeps_numbering(tmp_path):
     text = make_line(0.01, 4, counted_readings()) + "\n\n" + make_line(0.02, 4, counted_readings())
-    rec = parse_pamap2_file(text, 1)
-    assert rec.timestamps.size == 2
+    assert load_text(tmp_path, text).n_timesteps == 2
+    bad = make_line(0.005, 4, counted_readings())
+    with pytest.raises(ValueError, match="line 3: timestamps"):
+        load_text(tmp_path, make_line(0.01, 4, counted_readings()) + "\n\n" + bad)
 
 
-def test_parse_rejects_wrong_field_count():
+def test_parse_rejects_wrong_field_count(tmp_path):
     good = make_line(0.01, 4, counted_readings())
     bad = "0.02 4 1.0 2.0"
     with pytest.raises(ValueError, match="line 2.*fields"):
-        parse_pamap2_file(good + "\n" + bad + "\n", 1)
+        load_text(tmp_path, good + "\n" + bad + "\n")
 
 
-def test_parse_rejects_unparsable_token():
+def test_parse_rejects_unparsable_token(tmp_path):
     readings = counted_readings()
     readings[5] = "bogus"
     text = make_line(0.01, 4, counted_readings()) + "\n" + make_line(0.02, 4, readings)
     with pytest.raises(ValueError, match="line 2.*bogus"):
-        parse_pamap2_file(text, 1)
+        load_text(tmp_path, text)
 
 
-def test_parse_rejects_non_integer_activity():
+def test_parse_rejects_non_integer_activity(tmp_path):
     text = make_text([(0.01, 2.5, counted_readings())])
     with pytest.raises(ValueError, match="line 1.*activity"):
-        parse_pamap2_file(text, 1)
+        load_text(tmp_path, text)
 
 
-def test_parse_rejects_non_increasing_timestamps():
+def test_parse_rejects_non_increasing_timestamps(tmp_path):
     text = make_text(
         [(0.02, 4, counted_readings()), (0.02, 4, counted_readings()), (0.01, 4, counted_readings())]
     )
     with pytest.raises(ValueError, match="line 2.*increasing"):
-        parse_pamap2_file(text, 1)
+        load_text(tmp_path, text)
 
 
-def test_parse_rejects_infinite_reading():
+def test_parse_rejects_infinite_reading(tmp_path):
     readings = counted_readings()
     readings[10] = "inf"
     with pytest.raises(ValueError, match="line 1.*infinite"):
-        parse_pamap2_file(make_text([(0.01, 4, readings)]), 1)
+        load_text(tmp_path, make_text([(0.01, 4, readings)]))
 
 
-def test_parse_rejects_empty_input():
+@pytest.mark.filterwarnings("error")
+def test_parse_rejects_empty_input(tmp_path):
+    # numpy's "input contained no data" warning stays inside the parser
     with pytest.raises(ValueError, match="empty"):
-        parse_pamap2_file("", 1)
+        load_text(tmp_path, "")
     with pytest.raises(ValueError, match="empty"):
-        parse_pamap2_file("\n\n  \n", 1)
+        load_text(tmp_path, "\n\n  \n")
+    with pytest.raises(ValueError, match=r"subject1\.dat: empty recording"):
+        load_text(tmp_path, " \r\n\t\r\n")
+
+
+def _readings_with(index, token):
+    readings = counted_readings()
+    readings[index] = token
+    return readings
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [  # each bad line follows a good one stamped 0.01 s
+        ("0.02 4 1.0 2.0", "expected 54 fields, got 4"),
+        (make_line(0.02, 4, _readings_with(5, "bogus")), "unparsable number 'bogus'"),
+        (make_line("nan", 4, counted_readings()), "non-finite timestamp"),
+        (make_line(0.02, 2.5, counted_readings()), "activity id is not an integer"),
+        (make_line(0.02, 4, _readings_with(10, "-inf")), "infinite sensor reading"),
+        (make_line(0.01, 4, counted_readings()), "timestamps must be strictly increasing"),
+    ],
+    ids=["fields", "unparsable", "timestamp", "activity", "infinite", "increasing"],
+)
+def test_parse_errors_name_the_file_and_line_after_blank_lines(tmp_path, bad_line, message, newline):
+    lines = ["", make_line(0.01, 4, counted_readings()), "  ", "", bad_line, make_line(0.03, 4, counted_readings())]
+    path = tmp_path / "subject101.dat"
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    with pytest.raises(ValueError) as err:
+        load_subject_file(path, 101)
+    assert str(err.value) == f"{path}: line 5: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -151,37 +188,34 @@ def test_parse_rejects_empty_input():
 # ---------------------------------------------------------------------------
 
 
-def test_select_channels_pulls_the_right_columns():
-    rec = parse_pamap2_file(make_text([(0.01, 4, counted_readings())]), 3)
-    sig = select_channels(rec)
+def test_select_channels_pulls_the_right_columns(tmp_path):
+    sig = load_text(tmp_path, make_text([(0.01, 4, counted_readings())]), 3)
     assert sig.subject_id == 3
     assert sig.channels.shape == (18, 1)
     assert sig.channels[:, 0].tolist() == list(map(float, SELECTED_READINGS))
     assert sig.labels.tolist() == [4]
+    assert sig.channels.flags.c_contiguous
 
 
 def test_interpolate_interior_gap_is_linear():
     ch = np.full((18, 5), 1.0)
     ch[0] = [0.0, np.nan, np.nan, 3.0, 4.0]
-    sig = LabeledSignal(1, ch, np.zeros(5, dtype=np.int64))
-    fixed = interpolate_missing(sig)
-    assert fixed.channels[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    repair_gaps(ch)
+    assert ch[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_interpolate_edges_hold_nearest_value():
     ch = np.full((18, 4), 1.0)
     ch[2] = [np.nan, 5.0, 6.0, np.nan]
-    sig = LabeledSignal(1, ch, np.zeros(4, dtype=np.int64))
-    fixed = interpolate_missing(sig)
-    assert fixed.channels[2].tolist() == [5.0, 5.0, 6.0, 6.0]
+    repair_gaps(ch)
+    assert ch[2].tolist() == [5.0, 5.0, 6.0, 6.0]
 
 
 def test_interpolate_rejects_all_missing_channel():
     ch = np.full((18, 3), 1.0)
     ch[7] = np.nan
-    sig = LabeledSignal(1, ch, np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match="channel 7"):
-        interpolate_missing(sig)
+        repair_gaps(ch)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(3, 40))
@@ -190,14 +224,18 @@ def test_interpolate_is_idempotent_and_preserves_valid_points(seed, n):
     ch = rng.normal(size=(18, n))
     holes = rng.random(size=ch.shape) < 0.3
     holes[:, 0] = False  # keep at least one valid point per channel
-    ch_holed = np.where(holes, np.nan, ch)
-    sig = LabeledSignal(1, ch_holed, np.zeros(n, dtype=np.int64))
-    once = interpolate_missing(sig)
-    assert np.isfinite(once.channels).all()
+    once = np.where(holes, np.nan, ch)
+    repair_gaps(once)
+    assert np.isfinite(once).all()
     # valid points survive untouched, bit for bit
-    assert np.array_equal(once.channels[~holes], ch[~holes])
-    twice = interpolate_missing(once)
-    assert np.array_equal(once.channels, twice.channels)
+    assert np.array_equal(once[~holes], ch[~holes])
+    # each hole takes what interpolating the whole row would give it
+    valid = [np.flatnonzero(~h) for h in holes]
+    ref = np.array([np.interp(np.arange(n), v, row[v]) for v, row in zip(valid, ch)])
+    assert np.array_equal(once, ref)
+    twice = once.copy()
+    repair_gaps(twice)
+    assert np.array_equal(once, twice)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +279,7 @@ def test_filter_activities_segments_tile_the_retained_timesteps(labels):
     sig = _sig_with_labels(labels)
     segs = filter_activities(sig)
     # total retained length matches a direct count
-    keep = [l for l in labels if l in DEFAULT_ACTIVITIES.code_to_class]
+    keep = [l for l in labels if l in ACTIVITY_CLASSES]
     assert sum(s.channels.shape[1] for s in segs) == len(keep)
     # runs are maximal: consecutive segments never share a class when adjacent
     # in the original signal; ids are sequential
@@ -443,3 +481,27 @@ def test_ingest_repairs_gaps(tmp_path):
     assert np.isfinite(sig.channels).all()
     # the hole sat between two equal values, so it takes that value
     assert sig.channels[0].tolist() == [2.0, 2.0, 2.0]
+
+
+def test_ingest_directory_error_names_the_bad_file_and_line(tmp_path):
+    _write_protocol_file(tmp_path / "subject101.dat", 3)
+    rows = [make_line(0.02, 4, counted_readings()), make_line(0.01, 4, counted_readings())]
+    (tmp_path / "subject102.dat").write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"subject102\.dat: line 2: timestamps must be strictly increasing"):
+        ingest_directory(tmp_path)
+    assert [s.subject_id for s in ingest_directory(tmp_path, [101])] == [101]
+
+
+def test_load_subject_file_peak_stays_under_two_parsed_arrays(tmp_path):
+    """One np.loadtxt pass over the file: no copy of its text, and the
+    channels are taken from the parsed array once and repaired in place."""
+    rows = 5000
+    data = np.random.default_rng(0).normal(size=(rows, 54))
+    data[:, 0] = np.arange(1, rows + 1) / 100
+    data[:, 1] = 4
+    data[::50, 2 + SELECTED_READINGS[1]] = np.nan  # gaps to repair
+    path = tmp_path / "subject101.dat"
+    np.savetxt(path, data, fmt="%.6g")
+    sig, extra = _traced_peak(load_subject_file, path, 101)
+    assert sig.channels.shape == (18, rows) and np.isfinite(sig.channels).all()
+    assert extra < 2 * data.nbytes, extra / data.nbytes
