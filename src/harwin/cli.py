@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import dataset, experiment, report
@@ -48,9 +48,10 @@ def _parse_list(text: str, flag: str, convert: type) -> list:
     return out
 
 
-def _check_windows(windows: list[float], flag: str) -> None:
+def _check(check, values: list, flag: str) -> None:
+    """Run a library check on a flag's values; its ValueError is bad usage."""
     try:
-        experiment.check_windows(windows)
+        check(values)
     except ValueError as err:
         raise UsageError(f"{flag}: {err}") from None
 
@@ -64,7 +65,10 @@ def _load_signals(args: argparse.Namespace) -> list[dataset.LabeledSignal]:
     if not data_dir:
         flags = "--cache or --data-dir" if "cache" in args else "--data-dir"
         raise FileNotFoundError(f"no input: pass {flags} (or set {ENV_DATA_DIR})")
-    subjects = _parse_list(args.subjects, "--subjects", int) if args.subjects else None
+    subjects = None
+    if args.subjects:
+        subjects = _parse_list(args.subjects, "--subjects", int)
+        _check(dataset.check_subjects, subjects, "--subjects")
     _progress(f"ingesting protocol files from {data_dir}")
     return dataset.ingest_directory(data_dir, subjects)
 
@@ -113,7 +117,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _check_windows([args.window], "--window")
+    _check(experiment.check_windows, [args.window], "--window")
     kernels = None
     if args.kernels:
         pair = _parse_list(args.kernels, "--kernels", int)
@@ -136,16 +140,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         save_model(model, args.model_out)
         _progress(f"saved model to {args.model_out}")
     if args.metrics_json:
-        doc = {
-            "window_sec": args.window,
-            "accuracy": result.accuracy,
-            "loss": result.loss,
-            "epochs_to_best": result.epochs_to_best,
-            "history": [
-                {"train_loss": h.train_loss, "stop_loss": h.stop_loss}
-                for h in result.history
-            ],
-        }
+        doc = dict(window_sec=args.window, **asdict(result))
+        del doc["fold"]  # train_single's one fold is always 0
         Path(args.metrics_json).write_text(json.dumps(doc, indent=2) + "\n")
     print(
         f"window {args.window:g} s: accuracy {result.accuracy * 100:.2f}% "
@@ -158,7 +154,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.folds < 2:
         raise UsageError("--folds must be >= 2")
     windows = _parse_list(args.windows, "--windows", float)
-    _check_windows(windows, "--windows")
+    _check(experiment.check_windows, windows, "--windows")
     cfg = _train_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable one fails before any data is read

@@ -102,11 +102,19 @@ def _diagnose_lines(path: Path) -> None:
             raise ValueError(
                 f"line {lineno}: expected {N_COLUMNS} fields, got {len(fields)}"
             )
-        for tok in fields:
-            try:
-                float(tok)
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparsable number {tok!r}") from None
+        if not _parses(line):
+            for tok in fields:
+                if not _parses(tok):
+                    raise ValueError(f"line {lineno}: unparsable number {tok!r}")
+
+
+def _parses(text: str) -> bool:
+    """Whether np.loadtxt, the parser that reads the file, accepts ``text``."""
+    try:
+        np.loadtxt([text], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return False
+    return True
 
 
 def repair_gaps(channels: np.ndarray) -> None:
@@ -282,7 +290,10 @@ def load_signals(path: str | Path) -> list[LabeledSignal]:
             subject, c, t = struct.unpack("<qIQ", take(20))
             labels = take_array((t,), "<i8")
             channels = take_array((c, t), "<f8")
-            signals.append(LabeledSignal(int(subject), channels, labels))
+            try:
+                signals.append(LabeledSignal(int(subject), channels, labels))
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes in dataset cache")
     return signals
@@ -306,6 +317,14 @@ def load_subject_file(path: str | Path, subject_id: int) -> LabeledSignal:
     return LabeledSignal(subject_id, channels, labels)
 
 
+def check_subjects(subjects: list[int]) -> None:
+    """Reject a subject listed twice: its windows would fall into both the
+    training and the test folds."""
+    repeated = [s for i, s in enumerate(subjects) if s in subjects[:i]]
+    if repeated:
+        raise ValueError(f"subject {repeated[0]} is listed more than once")
+
+
 def ingest_directory(
     data_dir: str | Path, subjects: list[int] | None = None
 ) -> list[LabeledSignal]:
@@ -313,7 +332,8 @@ def ingest_directory(
 
     With ``subjects`` unset, every ``subject*.dat`` file present is read,
     and one whose name is not ``subject`` plus a number is an error;
-    otherwise each requested subject's file must exist.
+    otherwise each requested subject's file must exist, and a subject
+    requested twice is an error.
     """
     root = Path(data_dir)
     if not root.is_dir():
@@ -327,6 +347,7 @@ def ingest_directory(
                 raise ValueError(f"{p}: not a subjectNNN.dat protocol file name")
         pairs = [(int(p.stem.removeprefix("subject")), p) for p in files]
     else:
+        check_subjects(subjects)
         pairs = [(s, root / f"subject{s}.dat") for s in subjects]
         for _, p in pairs:
             if not p.is_file():

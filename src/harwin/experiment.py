@@ -12,7 +12,7 @@ duration's row; any other error aborts the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -240,15 +240,8 @@ def run_sweep(
         except (GeometryError, CoverageError) as err:
             outcomes[w_sec, fold] = str(err)
             failed.add(w_sec)
-    config = {
-        "folds": folds,
-        "batch_size": cfg.batch_size,
-        "max_epochs": cfg.max_epochs,
-        "patience": cfg.patience,
-        "learning_rate": cfg.learning_rate,
-        "honest_split": honest_split,
-        "per_fold_stats": per_fold_stats,
-    }
+    config = asdict(cfg) | {"folds": folds, "honest_split": honest_split, "per_fold_stats": per_fold_stats}
+    del config["seed"]  # unused: each cell is seeded from the report's own seed
     return assemble(outcomes, seed=seed, fingerprint=fingerprint, config=config)
 
 

@@ -8,6 +8,7 @@ files.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -174,57 +175,35 @@ def render_all(report: SweepReport, out_dir: str | Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
+def _archived(pairs: list[tuple[str, object]]) -> dict:
+    """``asdict`` factory for report.json: every field but the per-epoch
+    ``history``, which only ``train --metrics-json`` writes."""
+    return {name: value for name, value in pairs if name != "history"}
+
+
+def _record(cls: type, doc: dict, **nested):
+    """A ``cls`` from its archived fields in ``doc``, with ``nested`` in
+    place of its list of records."""
+    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name != "history"} | nested)
+
+
 def save_report(report: SweepReport, path: str | Path) -> None:
-    doc = {
-        "seed": report.seed,
-        "dataset_fingerprint": report.dataset_fingerprint,
-        "config": report.config,
-        "rows": [
-            {
-                "window_sec": row.window_sec,
-                "k1": row.k1,
-                "k2": row.k2,
-                "failed": row.failed,
-                "reason": row.reason,
-                "folds": [
-                    {
-                        "fold": f.fold,
-                        "accuracy": f.accuracy,
-                        "loss": f.loss,
-                        "epochs_to_best": f.epochs_to_best,
-                    }
-                    for f in row.folds
-                ],
-            }
-            for row in report.rows
-        ],
-    }
+    """Write the report's dataclass fields as JSON, keys sorted."""
+    doc = asdict(report, dict_factory=_archived)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_report(path: str | Path) -> SweepReport:
-    """Read a report.json written by ``save_report``; a missing key or a
-    value of the wrong type is a ValueError naming the file."""
-    doc = json.loads(Path(path).read_text())
+    """Read a report.json written by ``save_report``; a file that is not
+    JSON, a missing key or a list or object out of place is a ValueError
+    naming the file."""
     try:
+        doc = json.loads(Path(path).read_text())
         rows = [
-            SweepRow(
-                window_sec=row["window_sec"],
-                k1=row["k1"],
-                k2=row["k2"],
-                failed=row["failed"],
-                reason=row["reason"],
-                folds=[
-                    FoldResult(fold=f["fold"], accuracy=f["accuracy"], loss=f["loss"], epochs_to_best=f["epochs_to_best"])
-                    for f in row["folds"]
-                ],
-            )
-            for row in doc["rows"]
+            _record(SweepRow, row, folds=[_record(FoldResult, f) for f in row["folds"]]) for row in doc["rows"]
         ]
-        return SweepReport(
-            rows=rows, seed=doc["seed"], dataset_fingerprint=doc["dataset_fingerprint"], config=doc["config"]
-        )
+        return _record(SweepReport, doc, rows=rows)
     except KeyError as err:
         raise ValueError(f"{path}: not a sweep report, missing key {err.args[0]!r}") from None
-    except TypeError as err:  # e.g. a list where an object belongs
+    except (TypeError, ValueError) as err:  # not JSON, or e.g. a list where an object belongs
         raise ValueError(f"{path}: not a sweep report, {err}") from None

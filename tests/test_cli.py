@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, stream discipline, artifact round-trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -86,8 +87,9 @@ def test_train_writes_model_and_metrics(tmp_cwd, capsys):
     doc = json.loads((tmp_cwd / "metrics.json").read_text())
     assert doc["window_sec"] == 0.25
     assert 0.0 <= doc["accuracy"] <= 1.0
-    assert len(doc["history"]) <= 3
-    assert {"train_loss", "stop_loss"} <= set(doc["history"][0])
+    assert list(doc) == ["window_sec", "accuracy", "loss", "epochs_to_best", "history"]
+    assert 1 <= len(doc["history"]) <= 3
+    assert all(list(h) == ["train_loss", "stop_loss"] for h in doc["history"])
 
 
 def test_train_kernel_override(tmp_cwd):
@@ -282,3 +284,31 @@ def test_ingest_stray_subject_file_exits_1_naming_it(tmp_cwd, capsys):
     err = capsys.readouterr().err
     assert "subject_notes.dat" in err and "not a subjectNNN.dat" in err
     assert not (tmp_cwd / "x.bin").exists()
+
+
+@pytest.mark.parametrize("command", [["ingest", "--out", "x.bin"], ["train", "--window", "0.1"], ["sweep", "--windows", "0.1"]])
+def test_repeated_subject_exits_2_before_reading(tmp_cwd, capsys, command):
+    (tmp_cwd / "data").mkdir()  # empty: looking for a protocol file would exit 1
+    assert cli([*command, "--data-dir", "data", "--subjects", "101,102,101"]) == 2
+    err = capsys.readouterr().err
+    assert "--subjects: subject 101 is listed more than once" in err
+    assert "ingesting" not in err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["train", "--cache", "bad.bin", "--window", "0.1"], "bad.bin: expected 18 channels, got shape (17, 3)"),
+        (["report", "--report", "bad.json"], "bad.json: not a sweep report, Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["cache", "report"],
+)
+def test_malformed_input_exits_1_naming_the_file(tmp_cwd, capsys, command, message):
+    header = b"HARW1" + struct.pack("<I", 1) + struct.pack("<qIQ", 101, 17, 3)
+    (tmp_cwd / "bad.bin").write_bytes(header + bytes(8 * 3) + bytes(8 * 17 * 3))
+    (tmp_cwd / "bad.json").write_text("not json\n")
+    assert cli(command) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: {message}\n" in out.err
+    assert "Traceback" not in out.err

@@ -167,12 +167,15 @@ def _readings_with(index, token):
     [  # each bad line follows a good one stamped 0.01 s
         ("0.02 4 1.0 2.0", "expected 54 fields, got 4"),
         (make_line(0.02, 4, _readings_with(5, "bogus")), "unparsable number 'bogus'"),
+        # np.loadtxt rejects both, though float() takes 1_0
+        (make_line(0.02, 4, _readings_with(5, "1_0")), "unparsable number '1_0'"),
+        (make_line(0.02, 4, _readings_with(5, "0x10")), "unparsable number '0x10'"),
         (make_line("nan", 4, counted_readings()), "non-finite timestamp"),
         (make_line(0.02, 2.5, counted_readings()), "activity id is not an integer"),
         (make_line(0.02, 4, _readings_with(10, "-inf")), "infinite sensor reading"),
         (make_line(0.01, 4, counted_readings()), "timestamps must be strictly increasing"),
     ],
-    ids=["fields", "unparsable", "timestamp", "activity", "infinite", "increasing"],
+    ids=["fields", "unparsable", "underscore", "hex", "timestamp", "activity", "infinite", "increasing"],
 )
 def test_parse_errors_name_the_file_and_line_after_blank_lines(tmp_path, bad_line, message, newline):
     lines = ["", make_line(0.01, 4, counted_readings()), "  ", "", bad_line, make_line(0.03, 4, counted_readings())]
@@ -454,6 +457,9 @@ def test_ingest_directory_errors(tmp_path):
         ingest_directory(tmp_path / "absent")
     with pytest.raises(FileNotFoundError, match="no subject"):
         ingest_directory(tmp_path)
+    # a repeated subject is rejected before any file is looked for
+    with pytest.raises(ValueError, match="subject 101 is listed more than once"):
+        ingest_directory(tmp_path, [101, 102, 101])
     _write_protocol_file(tmp_path / "subject101.dat", 2)
     with pytest.raises(FileNotFoundError, match="subject105"):
         ingest_directory(tmp_path, [101, 105])

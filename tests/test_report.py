@@ -8,6 +8,7 @@ import pytest
 
 from harwin.cli import cli
 from harwin.experiment import FoldResult, SweepReport, SweepRow
+from harwin.model import EpochStats
 from harwin.report import (
     CSV_HEADER,
     _box_stats,
@@ -182,6 +183,9 @@ def test_load_report_rejects_malformed_reports_naming_the_file(tmp_path, capsys)
     holed.write_text(json.dumps({**doc, "rows": [1]}))
     with pytest.raises(ValueError, match=r"holed\.json: not a sweep report"):
         load_report(holed)
+    holed.write_text("")
+    with pytest.raises(ValueError, match=r"holed\.json: not a sweep report, Expecting value"):
+        load_report(holed)
     assert cli(["report", "--report", str(bare), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing key 'rows'" in err and "Traceback" not in err
@@ -193,6 +197,69 @@ def test_json_save_is_byte_stable(tmp_path):
     save_report(rep, p1)
     save_report(load_report(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+PINNED_ARCHIVE = """{
+  "config": {
+    "batch_size": 128,
+    "folds": 2,
+    "honest_split": false,
+    "learning_rate": 0.001,
+    "max_epochs": 3,
+    "patience": 3,
+    "per_fold_stats": true
+  },
+  "dataset_fingerprint": "sha256:feed",
+  "rows": [
+    {
+      "failed": false,
+      "folds": [
+        {
+          "accuracy": 0.5,
+          "epochs_to_best": 1,
+          "fold": 0,
+          "loss": 1.25
+        },
+        {
+          "accuracy": 0.75,
+          "epochs_to_best": 2,
+          "fold": 1,
+          "loss": 0.625
+        }
+      ],
+      "k1": 3,
+      "k2": 5,
+      "reason": null,
+      "window_sec": 0.25
+    },
+    {
+      "failed": true,
+      "folds": [],
+      "k1": 7,
+      "k2": 11,
+      "reason": "no samples to fold",
+      "window_sec": 4.0
+    }
+  ],
+  "seed": 7
+}
+"""
+
+
+def test_save_report_writes_the_pinned_archive_text(tmp_path):
+    # history is left out; keys are sorted at every level
+    config = {
+        "batch_size": 128, "folds": 2, "honest_split": False, "learning_rate": 0.001,
+        "max_epochs": 3, "patience": 3, "per_fold_stats": True,
+    }
+    folds = [
+        FoldResult(0, 0.5, 1.25, 1, [EpochStats(2.0, 1.25)]),
+        FoldResult(1, 0.75, 0.625, 2, [EpochStats(1.5, 1.0), EpochStats(1.0, 0.625)]),
+    ]
+    rows = [_row(0.25, (3, 5), folds), _row(4.0, (7, 11), failed=True, reason="no samples to fold")]
+    path = tmp_path / "report.json"
+    save_report(SweepReport(rows=rows, seed=7, dataset_fingerprint="sha256:feed", config=config), path)
+    assert path.read_text() == PINNED_ARCHIVE
 
 
 def test_regenerated_outputs_are_byte_identical(tmp_path):
