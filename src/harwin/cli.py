@@ -57,18 +57,23 @@ def _check(check, values: list, flag: str) -> None:
 
 
 def _load_signals(args: argparse.Namespace) -> list[dataset.LabeledSignal]:
-    """Cache file wins; otherwise a data directory (flag or environment)."""
-    if getattr(args, "cache", None):
-        _progress(f"loading cache {args.cache}")
-        return dataset.load_signals(args.cache)
-    data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
-    if not data_dir:
-        flags = "--cache or --data-dir" if "cache" in args else "--data-dir"
-        raise FileNotFoundError(f"no input: pass {flags} (or set {ENV_DATA_DIR})")
+    """Cache file wins; otherwise a data directory (flag or environment).
+    ``--subjects`` picks subjects from either, in the order listed."""
     subjects = None
     if args.subjects:
         subjects = _parse_list(args.subjects, "--subjects", int)
         _check(dataset.check_subjects, subjects, "--subjects")
+    if getattr(args, "cache", None):
+        _progress(f"loading cache {args.cache}")
+        signals = dataset.load_signals(args.cache)
+        for s in subjects or ():
+            if all(sig.subject_id != s for sig in signals):
+                raise ValueError(f"{args.cache}: subject {s} is not in the dataset cache")
+        return signals if subjects is None else [sig for s in subjects for sig in signals if sig.subject_id == s]
+    data_dir = args.data_dir or os.environ.get(ENV_DATA_DIR)
+    if not data_dir:
+        flags = "--cache or --data-dir" if "cache" in args else "--data-dir"
+        raise FileNotFoundError(f"no input: pass {flags} (or set {ENV_DATA_DIR})")
     _progress(f"ingesting protocol files from {data_dir}")
     return dataset.ingest_directory(data_dir, subjects)
 

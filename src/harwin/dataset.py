@@ -25,6 +25,7 @@ import os
 import struct
 import warnings
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -261,41 +262,49 @@ def save_signals(signals: list[LabeledSignal], path: str | Path) -> None:
         f.writelines(_pack_signals(signals))
 
 
+@contextmanager
+def read_binary(path: str | Path, magic: bytes, kind: str):
+    """``with read_binary(...) as (unpack, array)``: ``unpack(fmt)`` reads a
+    struct, ``array(shape, dtype)`` reads into a fresh array. A read past the
+    end is refused before anything is allocated, the file must start with
+    ``magic`` and end where the body stops, and every ValueError, the body's
+    own included, is re-raised naming the file."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def array(shape: tuple[int, ...], dtype: str) -> np.ndarray:
+            nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+            if f.tell() + nbytes > size:  # checked before allocating what a header claims
+                raise ValueError(f"truncated {kind}")
+            arr = np.empty(shape, dtype=dtype)
+            if f.readinto(memoryview(arr).cast("B")) != nbytes:
+                raise ValueError(f"truncated {kind}")
+            return arr
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, array((struct.calcsize(fmt),), "u1"))
+
+        try:
+            if f.read(len(magic)) != magic:
+                raise ValueError(f"not a {kind} (bad magic)")
+            yield unpack, array
+            if f.read(1):
+                raise ValueError(f"trailing bytes in {kind}")
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
 def load_signals(path: str | Path) -> list[LabeledSignal]:
     """Read a cache written by save_signals; each labels and channels part
     is read straight into its own array."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if f.read(len(CACHE_MAGIC)) != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a dataset cache (bad magic)")
-
-        def check(n: int) -> None:
-            if f.tell() + n > size:
-                raise ValueError(f"{path}: truncated dataset cache")
-
-        def take(n: int) -> bytes:
-            check(n)
-            return f.read(n)
-
-        def take_array(shape: tuple[int, ...], dtype: str) -> np.ndarray:
-            check(np.dtype(dtype).itemsize * math.prod(shape))  # before allocating what the header claims
-            arr = np.empty(shape, dtype=dtype)
-            if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-                raise ValueError(f"{path}: truncated dataset cache")
-            return arr
-
-        (count,) = struct.unpack("<I", take(4))
-        signals = []
+    signals = []
+    with read_binary(path, CACHE_MAGIC, "dataset cache") as (unpack, array):
+        (count,) = unpack("<I")
         for _ in range(count):
-            subject, c, t = struct.unpack("<qIQ", take(20))
-            labels = take_array((t,), "<i8")
-            channels = take_array((c, t), "<f8")
-            try:
-                signals.append(LabeledSignal(int(subject), channels, labels))
-            except ValueError as err:
-                raise ValueError(f"{path}: {err}") from None
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes in dataset cache")
+            subject, c, t = unpack("<qIQ")
+            labels = array((t,), "<i8")
+            channels = array((c, t), "<f8")
+            signals.append(LabeledSignal(int(subject), channels, labels))
     return signals
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .layers import (
     relu_backward,
     softmax_xent,
 )
+from .dataset import read_binary
 from .preprocess import ChannelStats
 
 EVAL_CHUNK = 512
@@ -131,20 +132,10 @@ class ModelParams:
     out_b: np.ndarray
 
     def tensors(self) -> list[np.ndarray]:
-        """Parameter tensors in a fixed order, shared by Adam, gradient
-        stacking and the checkpoint format."""
-        return [
-            self.conv1_w,
-            self.conv1_b,
-            self.conv2_w,
-            self.conv2_b,
-            self.dense1_w,
-            self.dense1_b,
-            self.dense2_w,
-            self.dense2_b,
-            self.out_w,
-            self.out_b,
-        ]
+        """Parameter tensors, the fields after ``spec`` and ``plan`` in
+        declaration order, shared by Adam, gradient stacking and the
+        checkpoint format."""
+        return [getattr(self, f.name) for f in fields(self)[2:]]
 
     def with_tensors(self, tensors: list[np.ndarray]) -> "ModelParams":
         return ModelParams(self.spec, self.plan, *tensors)
@@ -453,65 +444,45 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints ("HARM1"): spec, shape plan and tensors, little-endian.
+# Checkpoints ("HARM1"): one model in one little-endian binary file.
+#
+#   magic "HARM1"
+#   <9Id  ModelSpec's fields in declaration order, pairs flattened: u32 in_channels,
+#         conv_filters[2], kernels[2], pool_width, dense_sizes[2], n_classes, f64 dropout_rate
+#   <6I2B ShapePlan's fields: u32 window_len, conv1_out, pool1_out, conv2_out,
+#         pool2_out, flatten, u8 pool1_applied, pool2_applied
+#   f64 tensors in tensors() order, each C-order in its param_shapes() shape: conv1_w,
+#         conv1_b, conv2_w, conv2_b, dense1_w, dense1_b, dense2_w, dense2_b, out_w, out_b
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"HARM1"
+_SPEC_HEADER = "<9Id"
+_PLAN_HEADER = "<6I2B"
 
 
 def save_model(model: ModelParams, path: str | Path) -> None:
-    spec, plan = model.spec, model.plan
-    parts = [
-        CKPT_MAGIC,
-        struct.pack(
-            "<9Id",
-            spec.in_channels,
-            *spec.conv_filters,
-            *spec.kernels,
-            spec.pool_width,
-            *spec.dense_sizes,
-            spec.n_classes,
-            spec.dropout_rate,
-        ),
-        struct.pack("<6I2B", *astuple(plan)),
-    ]
-    for t in model.tensors():
-        parts.append(np.ascontiguousarray(t, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    spec = [v for value in astuple(model.spec) for v in (value if isinstance(value, tuple) else (value,))]
+    with open(path, "wb") as f:
+        f.write(CKPT_MAGIC + struct.pack(_SPEC_HEADER, *spec) + struct.pack(_PLAN_HEADER, *astuple(model.plan)))
+        f.writelines(np.ascontiguousarray(t, dtype="<f8").data for t in model.tensors())
+
+
+def _unflat_spec(values: tuple) -> ModelSpec:
+    """The ModelSpec that save_model flattened into ``values``; a pair field
+    takes as many values as its default holds."""
+    it = iter(values)
+    return ModelSpec(
+        *(tuple(next(it) for _ in f.default) if isinstance(f.default, tuple) else next(it) for f in fields(ModelSpec))
+    )
 
 
 def load_model(path: str | Path) -> ModelParams:
-    blob = Path(path).read_bytes()
-    if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    off = len(CKPT_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(f"{path}: truncated model checkpoint")
-        chunk = blob[off : off + n]
-        off += n
-        return chunk
-
-    vals = struct.unpack("<9Id", take(9 * 4 + 8))
-    spec = ModelSpec(
-        in_channels=vals[0],
-        conv_filters=(vals[1], vals[2]),
-        kernels=(vals[3], vals[4]),
-        pool_width=vals[5],
-        dense_sizes=(vals[6], vals[7]),
-        n_classes=vals[8],
-        dropout_rate=vals[9],
-    )
-    stored = struct.unpack("<6I2B", take(6 * 4 + 2))
-    plan = plan_shapes(spec, stored[0])  # the plan is derived; the stored copy must agree
-    if astuple(plan) != stored:
-        raise ValueError(f"{path}: stored shape plan does not match its architecture")
-    tensors = [
-        np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-        for shape in param_shapes(spec, plan)
-    ]
-    if off != len(blob):
-        raise ValueError(f"{path}: trailing bytes in model checkpoint")
+    """Read a checkpoint written by save_model; every error names the file."""
+    with read_binary(path, CKPT_MAGIC, "model checkpoint") as (unpack, array):
+        spec = _unflat_spec(unpack(_SPEC_HEADER))
+        stored = unpack(_PLAN_HEADER)
+        plan = plan_shapes(spec, stored[0])  # the plan is derived; the stored copy must agree
+        if astuple(plan) != stored:
+            raise ValueError("stored shape plan does not match its architecture")
+        tensors = [array(shape, "<f8") for shape in param_shapes(spec, plan)]
     return ModelParams(spec, plan, *tensors)

@@ -8,8 +8,10 @@ files.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -181,9 +183,21 @@ def _archived(pairs: list[tuple[str, object]]) -> dict:
     return {name: value for name, value in pairs if name != "history"}
 
 
+def _fits(value: object, hint: type) -> bool:
+    """Whether a JSON value fits a field of type ``hint``: a number is never
+    a bool and is finite as a float, and an int will do for a float."""
+    if hint in (int, float):
+        return type(value) in (int, hint) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
+
+
 def _record(cls: type, doc: dict, **nested):
-    """A ``cls`` from its archived fields in ``doc``, with ``nested`` in
-    place of its list of records."""
+    """A ``cls`` from its archived fields in ``doc``, each checked against
+    the field's type, with ``nested`` in place of its list of records."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in nested and f.name != "history" and not _fits(doc[f.name], hints[f.name]):
+            raise ValueError(f"key {f.name!r} must hold {f.type}, not {json.dumps(doc[f.name])}")
     return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name != "history"} | nested)
 
 
@@ -195,8 +209,8 @@ def save_report(report: SweepReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> SweepReport:
     """Read a report.json written by ``save_report``; a file that is not
-    JSON, a missing key or a list or object out of place is a ValueError
-    naming the file."""
+    JSON, a missing key, a list or object out of place or a value its field
+    cannot hold is a ValueError naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
         rows = [

@@ -2,12 +2,13 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from harwin.cli import cli
-from harwin.dataset import load_signals
+from harwin.dataset import generate_synthetic, load_signals, save_signals
 from harwin.model import load_model
 
 pytestmark = pytest.mark.usefixtures("tmp_cwd")
@@ -286,13 +287,36 @@ def test_ingest_stray_subject_file_exits_1_naming_it(tmp_cwd, capsys):
     assert not (tmp_cwd / "x.bin").exists()
 
 
-@pytest.mark.parametrize("command", [["ingest", "--out", "x.bin"], ["train", "--window", "0.1"], ["sweep", "--windows", "0.1"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ingest", "--out", "x.bin"],
+        ["train", "--window", "0.1"],
+        ["sweep", "--windows", "0.1"],
+        ["train", "--window", "0.1", "--cache", "none.bin"],  # a missing cache would exit 1
+        ["sweep", "--windows", "0.1", "--cache", "none.bin"],
+    ],
+)
 def test_repeated_subject_exits_2_before_reading(tmp_cwd, capsys, command):
     (tmp_cwd / "data").mkdir()  # empty: looking for a protocol file would exit 1
     assert cli([*command, "--data-dir", "data", "--subjects", "101,102,101"]) == 2
     err = capsys.readouterr().err
     assert "--subjects: subject 101 is listed more than once" in err
-    assert "ingesting" not in err
+    assert "ingesting" not in err and "loading" not in err
+
+
+def test_sweep_reads_requested_subjects_from_cache(tmp_cwd, capsys):
+    first = replace(generate_synthetic(1, 2, 120), subject_id=101)
+    second = replace(generate_synthetic(2, 2, 120), subject_id=102)
+    save_signals([first, second], "two.bin")
+    save_signals([second], "one.bin")
+    sweep = ["sweep", "--windows", "0.1", "--folds", "2", "--max-epochs", "1"]
+    assert cli([*sweep, "--cache", "two.bin", "--subjects", "102", "--out-dir", "picked"]) == 0
+    assert cli([*sweep, "--cache", "one.bin", "--out-dir", "alone"]) == 0
+    assert (tmp_cwd / "picked" / "report.json").read_bytes() == (tmp_cwd / "alone" / "report.json").read_bytes()
+    capsys.readouterr()
+    assert cli([*sweep, "--cache", "two.bin", "--subjects", "102,103"]) == 1
+    assert "error: two.bin: subject 103 is not in the dataset cache\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -367,6 +367,32 @@ def test_cache_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back[1].labels, sig2.labels)
 
 
+def test_cache_bytes_are_pinned(tmp_path):
+    """The HARW1 layout, byte for byte: magic, u32 signal count, then per
+    signal an i64 subject id, u32 channel count and u64 timestep count,
+    the i64 labels and the channel-major f64 samples, all little-endian."""
+    rng = np.random.default_rng(0)
+    first = LabeledSignal(101, rng.normal(size=(18, 3)), np.array([4, 4, 12], dtype=np.int64))
+    second = LabeledSignal(102, rng.normal(size=(18, 2)), np.array([0, 13], dtype=np.int64))
+    path = tmp_path / "cache.bin"
+    save_signals([first, second], path)
+    blob = path.read_bytes()
+    expected = [
+        b"HARW1",
+        bytes.fromhex("02000000"),  # two signals
+        bytes.fromhex("6500000000000000" "12000000" "0300000000000000"),  # subject 101, 18 channels, 3 steps
+        first.labels.astype("<i8").tobytes(),
+        first.channels.astype("<f8").tobytes(),
+        bytes.fromhex("6600000000000000" "12000000" "0200000000000000"),  # subject 102, 18 channels, 2 steps
+        second.labels.astype("<i8").tobytes(),
+        second.channels.astype("<f8").tobytes(),
+    ]
+    for part in expected:
+        assert blob[: len(part)] == part
+        blob = blob[len(part) :]
+    assert blob == b""
+
+
 def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "c.bin"
     path.write_bytes(b"NOPE!" + b"\x00" * 10)

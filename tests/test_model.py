@@ -185,20 +185,64 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
         assert np.array_equal(a, b)  # bit-exact, not approx
 
 
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    """The HARM1 layout, byte for byte: magic, the spec header (u32 fields,
+    pairs flattened, then the f64 dropout rate), the plan header (six u32
+    lengths, two u8 flags), then every tensor as little-endian f64 in
+    tensors() order."""
+    net = build_model(ModelSpec(in_channels=2, conv_filters=(2, 3), kernels=(3, 5)), 12, seed=0)
+    path = tmp_path / "model.bin"
+    save_model(net, path)
+    blob = path.read_bytes()
+    magic = b"HARM1"
+    spec_header = bytes.fromhex(
+        "02000000" "02000000" "03000000" "03000000" "05000000"  # in_channels, conv_filters, kernels
+        "02000000" "20000000" "18000000" "05000000"  # pool_width, dense_sizes (32, 24), n_classes
+        "333333333333d33f"  # dropout_rate 0.3
+    )
+    plan_header = bytes.fromhex(
+        "0c000000" "0a000000" "05000000" "01000000" "01000000" "03000000"  # 12, 10, 5, 1, 1, 3
+        "01" "00"  # pool1 applied, pool2 skipped
+    )
+    tensors = b"".join(t.astype("<f8").tobytes() for t in net.tensors())
+    assert blob[:5] == magic
+    assert blob[5:49] == spec_header
+    assert blob[49:75] == plan_header
+    assert blob[75:] == tensors
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
+    """Every damaged checkpoint is a ValueError whose message starts with
+    the file's path, a header slot that the spec or the plan rejects
+    included."""
+    import struct
+
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"XXXXX" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="bad magic"):
-        load_model(path)
     net = build_model(ModelSpec(kernels=(3, 5)), 25, seed=11)
     save_model(net, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-16])
-    with pytest.raises(ValueError, match="truncated"):
-        load_model(path)
-    path.write_bytes(blob + b"\x00")
-    with pytest.raises(ValueError, match="trailing"):
-        load_model(path)
+
+    def patched(offset, fmt, value):
+        return blob[:offset] + struct.pack(fmt, value) + blob[offset + struct.calcsize(fmt) :]
+
+    spec_at = len(b"HARM1")
+    plan_at = spec_at + struct.calcsize("<9Id")
+    cases = [
+        (b"XXXXX" + b"\x00" * 64, "not a model checkpoint (bad magic)"),
+        (blob[:-16], "truncated model checkpoint"),
+        (blob + b"\x00", "trailing bytes in model checkpoint"),
+        (patched(spec_at + 36, "<d", 1.5), "dropout_rate must be in [0, 1), got 1.5"),
+        (patched(spec_at + 20, "<I", 3), "only pool width 2 is supported, got 3"),
+        (patched(spec_at + 12, "<I", 99), "first kernel 99 does not fit"),
+        (patched(plan_at, "<I", 3), "second kernel 5 does not fit in 1"),
+    ]
+    for damaged, message in cases:
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: "), str(err.value)
+        assert message in str(err.value)
+        assert str(err.value).count(str(path)) == 1
 
 
 def test_checkpoint_rejects_a_plan_its_spec_does_not_give(tmp_path):

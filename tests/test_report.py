@@ -191,6 +191,46 @@ def test_load_report_rejects_malformed_reports_naming_the_file(tmp_path, capsys)
     assert err.startswith("error: ") and "missing key 'rows'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        (("rows", 0, "folds", 1), "accuracy", None, "float, not null"),
+        (("rows", 1), "window_sec", "0.1", 'float, not "0.1"'),
+        (("rows", 0, "folds", 0), "accuracy", float("nan"), "float, not NaN"),
+        (("rows", 0, "folds", 0), "loss", True, "float, not true"),
+        (("rows", 0, "folds", 0), "epochs_to_best", 10.5, "int, not 10.5"),
+        (("rows", 0, "folds", 0), "epochs_to_best", 10**400, "int, not 1" + "0" * 400),
+        (("rows", 0), "k1", False, "int, not false"),
+        (("rows", 0), "failed", 0, "bool, not 0"),
+        (("rows", 0), "reason", 1, "str | None, not 1"),
+        ((), "seed", "42", 'int, not "42"'),
+        ((), "dataset_fingerprint", None, "str, not null"),
+        ((), "config", [], "dict, not []"),
+    ],
+    ids=[
+        "accuracy-null", "window-string", "accuracy-nan", "loss-bool", "epochs-fraction", "epochs-huge",
+        "k1-bool", "failed-int", "reason-int", "seed-string", "fingerprint-null", "config-list",
+    ],
+)
+def test_report_rejects_a_value_its_field_cannot_hold(tmp_path, capsys, where, key, value, message):
+    """`harwin report` on an archive with one bad value exits 1 naming the
+    file and the key, and writes nothing."""
+    path = tmp_path / "report.json"
+    save_report(_two_row_report(), path)
+    doc = json.loads(path.read_text())
+    record = doc
+    for step in where:
+        record = record[step]
+    record[key] = value
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert cli(["report", "--report", str(path), "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not a sweep report, key {key!r} must hold {message}\n"
+    assert not out_dir.exists()
+
+
 def test_json_save_is_byte_stable(tmp_path):
     rep = _two_row_report()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
