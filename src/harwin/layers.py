@@ -10,28 +10,37 @@ corresponding parameters/inputs.
 The forward convolution accumulates one (input-channel, tap) product term at
 a time, in channel-major order, starting from the bias. That summation order
 is pinned: the output is bit-for-bit equal to a plain quadruple loop, which
-the tests rely on. The loop runs over tiles of max(1, ROW // B) output
-positions. Each tile's input is copied into a (C, positions * B) scratch,
-position-major with the batch innermost, so one (channel, tap) term is a
-single (F, n) product plus an in-place add over contiguous rows of n <= ROW
-elements. Copying per tile rather than the whole input keeps a call's
-scratch near 3 MiB. The product takes one of two paths, chosen per tile
-from n. numpy runs a broadcast multiply whose rows are shorter than a
-third of its ufunc buffer (3 * n < np.getbufsize(), so n <= 2,730 at the
-default 8192) through its buffered iterator, which made a call about 2x
-slower; short windows' tiles are that short (n = L_out * B = 1,024 for
-conv1 at 0.1 s and batch 128). Those rows take the product from
-np.einsum("f,n->fn"), longer rows from the broadcast multiply. Both give
-the same bits with one exception: einsum writes 0.0 + w*x, so a -0.0
-product comes out +0.0. That changes an output only while its running sum
-is still -0.0, which needs a -0.0 bias entry, so a call whose bias holds a
--0.0 takes the broadcast path throughout. The choice reads numpy's buffer
-size and changes no numpy state. The layout and the path decide only where
-an element sits in memory and how a product is formed, never the order of
-one output element's terms. The backward convolution is one GEMM pair per
-tap. Its sums run in BLAS order, so it is checked against finite
-differences and a per-(channel, tap) reference loop by tolerance, not bit
-for bit.
+the tests rely on. The work is cut into blocks of (filter group x position
+tile), the cache blocking of Goto & van de Geijn (2008), "Anatomy of
+High-Performance Matrix Multiplication". Each tile's input is copied into a
+(C, positions * B) scratch, position-major with the batch innermost, so one
+(channel, tap) term of one group is a single (group, n) product plus an
+in-place add over contiguous rows of n = positions * B elements. A group's
+accumulator and product stay within GROUP elements each, so the pair fits
+in a 2 MiB L2 cache; a group is written back into the output as soon as its
+terms are summed. ``conv_tiling`` picks the blocks: the fewest blocks whose
+rows hold at most ROW elements and whose accumulators fit GROUP, with tiles
+and groups balanced so that none is short, and among those the fewest
+groups. It also keeps every row long enough to avoid numpy's buffered
+iterator where the call has such rows at all (below). Copying per tile
+rather than the whole input keeps a call's scratch near 2 MiB.
+
+The product takes one of two paths, chosen per tile from n. numpy runs a
+broadcast multiply whose rows are shorter than a third of its ufunc buffer
+(3 * n < np.getbufsize(), so n <= 2,730 at the default 8192) through its
+buffered iterator, which made a call about 2x slower; short windows' tiles
+are that short (n = L_out * B = 1,024 for conv1 at 0.1 s and batch 128).
+Those rows take the product from np.einsum("f,n->fn"), longer rows from the
+broadcast multiply. Both give the same bits with one exception: einsum
+writes 0.0 + w*x, so a -0.0 product comes out +0.0. That changes an output
+only while its running sum is still -0.0, which needs a -0.0 bias entry, so
+a call whose bias holds a -0.0 takes the broadcast path throughout. The
+choice reads numpy's buffer size and changes no numpy state. The blocks and
+the path decide only where an element sits in memory and how a product is
+formed, never the order of one output element's terms. The backward
+convolution is one GEMM pair per tap. Its sums run in BLAS order, so it is
+checked against finite differences and a per-(channel, tap) reference loop
+by tolerance, not bit for bit.
 """
 
 from __future__ import annotations
@@ -41,12 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Elements per row of the forward convolution's tiles (positions x batch):
-# each (channel, tap) term is one (F, ROW) product plus add over contiguous
-# rows. A tile whose rows are under a third of np.getbufsize() takes its
-# products from einsum, unless the bias holds a -0.0 (see the module
-# docstring); longer rows take a broadcast multiply.
-ROW = 4096
+# Most elements in one row of a forward tile (positions x batch): one
+# (channel, tap) term is a (group, n) product plus add over rows of n <= ROW
+# elements, unless a single position holds more. Rows under a third of
+# np.getbufsize() take their products from einsum, unless the bias holds a
+# -0.0 (see the module docstring); longer rows take a broadcast multiply.
+ROW = 8192
+# Most elements in one filter group's (group, n) accumulator, and in its
+# product: the pair takes 1 MiB, half of a 2 MiB L2 cache.
+GROUP = 65536
 
 
 class DivergenceError(ValueError):
@@ -83,34 +95,63 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     out = np.empty((batch, n_filters, out_len))
     if batch == 0:
         return out
-    tile = min(out_len, max(1, ROW // batch))  # output positions per tile
+    n_tiles, n_groups = conv_tiling(out_len, batch, n_filters)
+    tile_edges = [i * out_len // n_tiles for i in range(n_tiles + 1)]
+    group_edges = [i * n_filters // n_groups for i in range(n_groups + 1)]
+    tile = -(-out_len // n_tiles)  # the largest tile and group size the scratch must hold
+    group = -(-n_filters // n_groups)
     wt = weights.transpose(1, 2, 0).copy()  # (C, K, F): each wt[c, k] is contiguous
     # einsum turns a -0.0 product into +0.0, which shows only in a sum still at a -0.0 bias
     einsum_ok = not (np.signbit(bias) & (bias == 0.0)).any()
     bufsize = np.getbufsize()
     xt_buf = np.empty((n_in, tile + kernel - 1, batch))
-    acc_buf = np.empty((n_filters, tile * batch))
+    acc_buf = np.empty(group * tile * batch)
     term_buf = np.empty_like(acc_buf)
-    for p in range(0, out_len, tile):
-        q = min(p + tile, out_len)
+    for p, q in zip(tile_edges, tile_edges[1:]):
         n = (q - p) * batch
         xt = xt_buf[:, : q - p + kernel - 1]
         xt[...] = x[:, :, p : q + kernel - 1].transpose(1, 2, 0)
         rows = xt.reshape(n_in, -1)  # rows[c, j * B + b] = x[b, c, p + j]
-        acc, term = acc_buf[:, :n], term_buf[:, :n]
-        acc[...] = bias[:, None]
         # numpy's buffered iterator would run a broadcast multiply over rows this short
         use_einsum = einsum_ok and 3 * n < bufsize
-        for c in range(n_in):
-            for k in range(kernel):
-                row = rows[c, k * batch : k * batch + n]
-                if use_einsum:
-                    np.einsum("f,n->fn", wt[c, k], row, out=term)
-                else:
-                    np.multiply(wt[c, k, :, None], row, out=term)
-                acc += term
-        out[:, :, p:q] = acc.reshape(n_filters, q - p, batch).transpose(2, 0, 1)
+        for f0, f1 in zip(group_edges, group_edges[1:]):
+            acc = acc_buf[: (f1 - f0) * n].reshape(f1 - f0, n)
+            term = term_buf[: acc.size].reshape(acc.shape)
+            w = wt[:, :, f0:f1] if use_einsum else wt[:, :, f0:f1, None]
+            acc[...] = bias[f0:f1, None]
+            for c in range(n_in):
+                for k in range(kernel):
+                    row = rows[c, k * batch : k * batch + n]
+                    if use_einsum:
+                        np.einsum("f,n->fn", w[c, k], row, out=term)
+                    else:
+                        np.multiply(w[c, k], row, out=term)
+                    acc += term
+            out[:, f0:f1, p:q] = acc.reshape(f1 - f0, q - p, batch).transpose(2, 0, 1)
     return out
+
+
+def conv_tiling(out_len: int, batch: int, n_filters: int) -> tuple[int, int]:
+    """(n_tiles, n_groups) of the forward convolution's blocks for a batch of
+    ``batch`` windows with ``out_len`` output positions and ``n_filters``
+    filters. Tiles split the positions, and groups the filters, into parts
+    whose sizes differ by at most one. Of the splits whose largest row
+    (positions x batch) holds at most ROW elements, or a single position, and
+    whose largest (group, row) block at most GROUP elements, or a single
+    filter, it takes the one with the fewest blocks, and among those the
+    fewest groups. A split whose shortest row would fall under a third of
+    np.getbufsize() is passed over when a split with fewer tiles exists."""
+    bufsize = np.getbufsize()
+    n_tiles = -(-out_len // max(1, ROW // batch))
+    best = (out_len * n_filters + 1, 0, 0)
+    while n_tiles <= min(out_len, best[0]):
+        if best[1] and 3 * (out_len // n_tiles) * batch < bufsize:
+            break
+        n_groups = -(-n_filters // max(1, GROUP // (-(-out_len // n_tiles) * batch)))
+        if n_tiles * n_groups <= best[0]:
+            best = (n_tiles * n_groups, n_tiles, n_groups)
+        n_tiles += 1
+    return best[1], best[2]
 
 
 def conv1d_backward(

@@ -202,7 +202,8 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run a (B, window_len, 18) batch through the net; returns logits and
     the cache the backward pass needs. windows are time-major as produced by
-    the windowing stage and transposed to channel-major here."""
+    the windowing stage and transposed to channel-major here, which copies
+    nothing for a batch from ``gather``."""
     plan = model.plan
     if windows.ndim != 3 or windows.shape[1] != plan.window_len or windows.shape[2] != model.spec.in_channels:
         raise ValueError(
@@ -341,13 +342,17 @@ def stack_labels(samples: list) -> np.ndarray:
 def gather(x: np.ndarray, idx: np.ndarray, stats: ChannelStats) -> np.ndarray:
     """The windows ``x[idx]`` standardized per channel, (w - mean) / std.
 
-    The gathered copy is standardized in place, so ``x`` itself is only
-    read and each element gets the same two operations as ``apply_zscore``
-    applies to the signal."""
-    b = x[idx]
-    b -= stats.mean
-    b /= stats.std
-    return b
+    The gathered copy is channel-major, (B, C, W) in memory, and comes back
+    as its (B, W, C) view, so ``forward`` convolves it without another copy.
+    It is standardized in place, so ``x`` itself is only read and each
+    element gets the same two operations as ``apply_zscore`` applies to the
+    signal."""
+    # numpy lays the gathered windows out like x's own; a sliding window view
+    # over a (C, T) signal is channel-major already, and nothing is copied twice
+    b = np.ascontiguousarray(x.transpose(0, 2, 1)[idx])
+    b -= stats.mean[:, None]
+    b /= stats.std[:, None]
+    return b.transpose(0, 2, 1)
 
 
 def evaluate(

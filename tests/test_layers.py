@@ -13,6 +13,7 @@ from harwin.layers import (
     conv1d_backward,
     conv1d_forward,
     conv_out_len,
+    conv_tiling,
     dense_backward,
     dense_forward,
     dropout,
@@ -188,24 +189,63 @@ def short_window_geometries():
     return [(18, 16, 3, 10), (18, 16, 3, 25), (16, 32, 5, 8), (16, 32, 5, 11), (18, 16, 7, 50), (16, 32, 11, 22)]
 
 
+def one_second_geometries():
+    """(c_in, c_out, kernel, length) of conv1 and conv2 at the 1 s window."""
+    return [(18, 16, 7, 100), (16, 32, 11, 47)]
+
+
 def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
+    """Every split into position tiles and filter groups keeps the unblocked
+    loop's bits: the sweep's geometries from 0.1 s to 4 s, and at 0.5 s and
+    1 s filter counts that split into groups of unequal size."""
     rng = np.random.default_rng(19)
-    split_with_short_last_tile = False
-    for c_in, c_out, kernel, length in sweep_geometries() + short_window_geometries():
+    geometries = sweep_geometries() + short_window_geometries() + one_second_geometries()
+    geometries += [
+        (c_in, c_out, kernel, length)
+        for c_in, _, kernel, length in short_window_geometries()[4:] + one_second_geometries()
+        for c_out in (5, 17, 33)
+    ]
+    tiles_and_groups = uneven_groups = False
+    for c_in, c_out, kernel, length in geometries:
         w = rng.normal(size=(c_out, c_in, kernel))
         b = rng.normal(size=c_out)
         out_len = length - kernel + 1
-        for batch in (1, 25, 128, EVAL_CHUNK):
+        for batch in (1, 3, 25, 128, EVAL_CHUNK):
             x = rng.normal(size=(batch, c_in, length))
             got = conv1d_forward(x, w, b)
             assert got.flags.c_contiguous
-            assert same_bits(got, conv_unblocked(x, w, b)), (c_in, length, batch)
-            tile = max(1, ROW // batch)
-            split_with_short_last_tile |= out_len > tile and out_len % tile != 0
+            assert same_bits(got, conv_unblocked(x, w, b)), (c_in, c_out, length, batch)
+            n_tiles, n_groups = conv_tiling(out_len, batch, c_out)
+            tiles_and_groups |= n_tiles > 1 and n_groups > 1
+            uneven_groups |= c_out % n_groups != 0
         # a non-contiguous input: a (B, L, C) array seen through swapaxes
         x = rng.normal(size=(25, length, c_in)).swapaxes(1, 2)
         assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b)), (c_in, length)
-    assert split_with_short_last_tile  # several tiles, the last one short
+    assert tiles_and_groups  # several tiles and several filter groups in one call
+    assert uneven_groups  # filter groups of unequal size
+
+
+def test_conv_forward_keeps_a_negative_zero_bias_across_filter_groups():
+    """A -0.0 bias entry, in every filter group or in the last one alone,
+    keeps the loop's -0.0 sums, on rows short enough for einsum and on long
+    ones, as a zero bias and a plain one keep their bits."""
+    rng = np.random.default_rng(43)
+    # one tile of long rows, two tiles of long rows, one tile of einsum-short rows
+    cases = [((16, 32, 11, 47), 128), ((16, 33, 11, 22), 512), ((18, 33, 3, 3), 2730)]
+    for (c_in, c_out, kernel, length), batch in cases:
+        out_len = length - kernel + 1
+        assert conv_tiling(out_len, batch, c_out)[1] > 1, (c_out, out_len, batch)
+        x = relu(rng.normal(size=(batch, c_in, length)))
+        x[::3] = 0.0  # whole windows of zeros
+        w = rng.normal(size=(c_out, c_in, kernel))
+        w[::2] = -np.abs(w[::2])  # negative filters: -0.0 products over a zero input
+        w[-1] = -np.abs(w[-1])
+        b = rng.normal(size=c_out)
+        last_only = np.where(np.arange(c_out) == c_out - 1, -0.0, b)  # a -0.0 in the last group alone
+        for bias in (np.where(np.arange(c_out) % 2 == 0, -0.0, b), last_only, np.full(c_out, -0.0), np.zeros(c_out), b):
+            got = conv1d_forward(x, w, bias)
+            assert same_bits(got, conv_unblocked(x, w, bias)), (c_out, out_len, batch, bias[0])
+        assert np.signbit(conv1d_forward(x, w, np.full(c_out, -0.0))[0, ::2]).all()
 
 
 def test_conv_forward_bits_hold_across_the_short_row_threshold():

@@ -3,6 +3,7 @@ checkpoint round-trips."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from harwin.layers import GeometryError
 from harwin.model import (
@@ -10,11 +11,13 @@ from harwin.model import (
     TrainConfig,
     build_model,
     forward,
+    gather,
     load_model,
     loss_and_grads,
     plan_shapes,
     save_model,
 )
+from harwin.preprocess import ChannelStats
 
 # Hand-evaluated against the length recurrences with the pool-skip rules:
 # conv1 = W - K1 + 1, halve if floor(conv1/2) >= K2, conv2 = . - K2 + 1,
@@ -114,6 +117,27 @@ def test_forward_shapes_and_eval_determinism():
     logits2, _ = forward(net, batch)
     assert logits1.shape == (6, 5)
     assert np.array_equal(logits1, logits2)  # eval mode has no randomness
+
+
+def test_gather_is_channel_major_and_forward_convolves_it_in_place():
+    """gather returns a (B, W, C) view of (B, C, W) memory holding
+    (x[idx] - mean) / std bit for bit, whatever the layout of the windows it
+    reads; forward's channel-major input is that memory."""
+    rng = np.random.default_rng(41)
+    sig = rng.normal(size=(18, 160))
+    view = sliding_window_view(sig, 50, axis=1).transpose(1, 2, 0)  # (N, W, C) over a (C, T) signal
+    stats = ChannelStats(rng.normal(size=18), rng.uniform(0.5, 2.0, size=18))
+    idx = rng.permutation(len(view))[:25]
+    want = (view[idx] - stats.mean) / stats.std
+    model = build_model(ModelSpec(kernels=(7, 11)), 50, seed=3)
+    for x in (view, np.ascontiguousarray(view)):
+        gathered = gather(x, idx, stats)
+        assert gathered.shape == (25, 50, 18)
+        assert gathered.transpose(0, 2, 1).flags.c_contiguous
+        assert (gathered.view(np.uint64) == want.view(np.uint64)).all()
+        _, cache = forward(model, gathered, training=True, rng=np.random.default_rng(0))
+        assert np.shares_memory(cache.x, gathered)
+    assert gather(view, idx[:0], stats).shape == (0, 50, 18)
 
 
 def test_forward_rejects_wrong_window_shape():
