@@ -176,7 +176,14 @@ def build_model(spec: ModelSpec, window_len: int, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediates kept from a training forward pass for backprop."""
+    """What a training forward pass keeps for backprop: the channel-major
+    input, each conv layer's pre-ReLU output (a1, a2) and pooled map (p1,
+    p2, with the pool's winner masks), the flattened map and each dense
+    layer's pre-ReLU output and dropped-out activation (with its mask).
+    The ReLU outputs of the conv layers are not kept: relu_backward reads
+    a1 and a2, and each is dropped once pooled. When a pool is skipped, its
+    map is that ReLU output and its mask is None. Evaluation keeps none of
+    this (``forward(..., keep_cache=False)``)."""
 
     x: np.ndarray
     a1: np.ndarray
@@ -194,16 +201,31 @@ class ForwardCache:
     mask2: np.ndarray | None
 
 
+def _relu_pool(a: np.ndarray, pool: bool, in_place: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """ReLU of the conv output ``a`` (over ``a`` itself when ``in_place``),
+    then, when ``pool``, its width-2 max pool and winner mask. The ReLU
+    output is dropped here once pooled."""
+    r = relu(a, out=a if in_place else None)
+    return maxpool_forward(r) if pool else (r, None)
+
+
 def forward(
     model: ModelParams,
     windows: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, ForwardCache | None]:
     """Run a (B, window_len, 18) batch through the net; returns logits and
     the cache the backward pass needs. windows are time-major as produced by
     the windowing stage and transposed to channel-major here, which copies
-    nothing for a batch from ``gather``."""
+    nothing for a batch from ``gather``; they are only read.
+
+    With ``keep_cache=False`` (evaluation) the cache is None: each conv
+    layer's ReLU runs in place on its output, and every activation is
+    dropped once the next layer has read it, so beside the input only a
+    layer's output and the map it reads are alive. Either way every logit gets the same operations in
+    the same order, so the logits are bit-identical."""
     plan = model.plan
     if windows.ndim != 3 or windows.shape[1] != plan.window_len or windows.shape[2] != model.spec.in_channels:
         raise ValueError(
@@ -213,22 +235,20 @@ def forward(
     x = np.ascontiguousarray(windows.transpose(0, 2, 1))
 
     a1 = conv1d_forward(x, model.conv1_w, model.conv1_b)
-    r1 = relu(a1)
-    if plan.pool1_applied:
-        p1, first1 = maxpool_forward(r1)
-    else:
-        p1, first1 = r1, None
+    p1, first1 = _relu_pool(a1, plan.pool1_applied, in_place=not keep_cache)
+    if not keep_cache:
+        del x, a1, first1
 
     a2 = conv1d_forward(p1, model.conv2_w, model.conv2_b)
-    r2 = relu(a2)
-    if plan.pool2_applied:
-        p2, first2 = maxpool_forward(r2)
-    else:
-        p2, first2 = r2, None
+    p2, first2 = _relu_pool(a2, plan.pool2_applied, in_place=not keep_cache)
+    if not keep_cache:
+        del p1, a2, first2
 
     flat = p2.reshape(p2.shape[0], plan.flatten)
 
     z1 = dense_forward(flat, model.dense1_w, model.dense1_b)
+    if not keep_cache:
+        del p2, flat
     h1 = relu(z1)
     h1d, mask1 = dropout(h1, model.spec.dropout_rate, training, rng)
 
@@ -237,13 +257,15 @@ def forward(
     h2d, mask2 = dropout(h2, model.spec.dropout_rate, training, rng)
 
     logits = dense_forward(h2d, model.out_w, model.out_b)
-    cache = ForwardCache(x, a1, p1, first1, a2, p2, first2, flat, z1, h1d, mask1, z2, h2d, mask2)
-    return logits, cache
+    if not keep_cache:
+        return logits, None
+    return logits, ForwardCache(x, a1, p1, first1, a2, p2, first2, flat, z1, h1d, mask1, z2, h2d, mask2)
 
 
 def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> list[np.ndarray]:
     """Backprop grad_logits through the cached pass; gradients come back in
-    tensors() order."""
+    tensors() order. Each conv-sized gradient is dropped once the layer
+    below has read it."""
     plan = model.plan
 
     g_h2d, g_out_w, g_out_b = dense_backward(cache.h2d, model.out_w, grad_logits)
@@ -256,19 +278,15 @@ def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -
 
     g_flat, g_dense1_w, g_dense1_b = dense_backward(cache.flat, model.dense1_w, g_z1)
     g_p2 = g_flat.reshape(cache.p2.shape)
-
-    if plan.pool2_applied:
-        g_r2 = maxpool_backward(cache.first2, g_p2, plan.conv2_out)
-    else:
-        g_r2 = g_p2
+    g_r2 = maxpool_backward(cache.first2, g_p2, plan.conv2_out) if plan.pool2_applied else g_p2
     g_a2 = relu_backward(cache.a2, g_r2)
+    del g_flat, g_p2, g_r2
     g_p1, g_conv2_w, g_conv2_b = conv1d_backward(cache.p1, model.conv2_w, g_a2)
+    del g_a2
 
-    if plan.pool1_applied:
-        g_r1 = maxpool_backward(cache.first1, g_p1, plan.conv1_out)
-    else:
-        g_r1 = g_p1
+    g_r1 = maxpool_backward(cache.first1, g_p1, plan.conv1_out) if plan.pool1_applied else g_p1
     g_a1 = relu_backward(cache.a1, g_r1)
+    del g_p1, g_r1
     _, g_conv1_w, g_conv1_b = conv1d_backward(cache.x, model.conv1_w, g_a1, input_grad=False)
 
     return [
@@ -361,7 +379,9 @@ def evaluate(
     """Accuracy and mean cross-entropy of the windows ``x[idx]`` (classes
     ``y[idx]``), standardized with ``stats``, in eval mode. Each chunk of
     EVAL_CHUNK windows is gathered from ``x`` on its own, so memory stays
-    bounded and no fold is copied.
+    bounded and no fold is copied, and its forward pass keeps no backward
+    cache (``keep_cache=False``): a chunk's peak is about 2.5x its gathered
+    windows' bytes, against about 5x for a cached pass.
 
     Argmax ties resolve to the lowest class index (np.argmax behaviour).
     """
@@ -375,7 +395,7 @@ def evaluate(
     for lo in range(0, n, EVAL_CHUNK):
         chunk = idx[lo : lo + EVAL_CHUNK]
         cb = y[chunk]
-        logits, _ = forward(model, gather(x, chunk, stats))
+        logits, _ = forward(model, gather(x, chunk, stats), keep_cache=False)
         _, losses, _ = softmax_xent(logits, cb)
         correct += int((logits.argmax(axis=1) == cb).sum())
         loss_sum += float(losses.sum())

@@ -7,12 +7,12 @@ files.
 
 from __future__ import annotations
 
+import html
 import json
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -51,6 +51,11 @@ def write_report_csv(report: SweepReport, path: str | Path) -> None:
 _W, _H = 640, 360
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 20, 24, 52
 _BOX_W = 34
+
+
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: &, < and > escaped, & first."""
+    return html.escape(text, quote=False)
 
 
 def _box_stats(values: list[float]) -> tuple[float, float, float, float, float]:
@@ -104,7 +109,7 @@ def render_boxplot_svg(groups: list[tuple[float, list[float]]], metric: str) -> 
         )
         out.append(
             f'<text x="{_LEFT - 8}" y="{fmt(y + 4)}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{escape(f"{tick:.3g}")}</text>'
+            f'font-size="11" font-family="sans-serif">{_escape(f"{tick:.3g}")}</text>'
         )
     slot = plot_w / len(stats)
     for i, (label, (w_lo, q1, med, q3, w_hi)) in enumerate(stats):
@@ -129,7 +134,7 @@ def render_boxplot_svg(groups: list[tuple[float, list[float]]], metric: str) -> 
         )
         out.append(
             f'<text x="{fmt(cx)}" y="{_H - _BOTTOM + 18}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{escape(f"{label:g}")}</text>'
+            f'font-size="11" font-family="sans-serif">{_escape(f"{label:g}")}</text>'
         )
     out.append(
         f'<text x="{_LEFT + plot_w / 2}" y="{_H - 12}" text-anchor="middle" '
@@ -138,7 +143,7 @@ def render_boxplot_svg(groups: list[tuple[float, list[float]]], metric: str) -> 
     out.append(
         f'<text x="16" y="{_TOP + plot_h / 2}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif" transform="rotate(-90 16 {_TOP + plot_h / 2})">'
-        f"{escape(metric)}</text>"
+        f"{_escape(metric)}</text>"
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"

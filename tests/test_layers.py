@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harwin.layers import (
-    ROW,
     adam_step,
     conv1d_backward,
     conv1d_forward,
@@ -276,8 +275,10 @@ def test_conv_forward_bits_hold_across_the_short_row_threshold():
             assert np.getbufsize() == bufsize
             assert same_bits(got, conv_unblocked(x, w, bias)), (c_in, length, batch, bias[0])
         assert np.signbit(conv_unblocked(x, w, np.full(c_out, -0.0))[0, 0]).all()
-        tile = min(length - kernel + 1, max(1, ROW // batch))
-        rows_seen.add(tile * batch)
+        out_len = length - kernel + 1
+        n_tiles = conv_tiling(out_len, batch, c_out)[0]
+        edges = [i * out_len // n_tiles for i in range(n_tiles + 1)]
+        rows_seen.update((q - p) * batch for p, q in zip(edges, edges[1:]))
     assert {longest_short_row, longest_short_row + 1} <= rows_seen
 
 

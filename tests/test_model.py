@@ -1,15 +1,21 @@
 """Shape planning, initialization, the assembled forward/backward pass and
 checkpoint round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from harwin.dataset import SAMPLE_RATE_HZ
+from harwin.experiment import DEFAULT_WINDOWS_SEC, select_kernels
 from harwin.layers import GeometryError
 from harwin.model import (
+    EVAL_CHUNK,
     ModelSpec,
     TrainConfig,
     build_model,
+    evaluate,
     forward,
     gather,
     load_model,
@@ -158,6 +164,68 @@ def test_forward_training_dropout_differs_and_is_seeded():
     assert np.array_equal(t1, t2)
     assert not np.array_equal(t1, t3)
     assert not np.array_equal(t1, eval_logits)
+
+
+def test_uncached_forward_gives_the_cached_logits_bit_for_bit():
+    """Evaluation's pass (in-place ReLU, no cache) and the cached pass give
+    the same logit bits at every default duration, and on plans that skip
+    pool 1, pool 2 or both; neither writes to its input windows."""
+    rng = np.random.default_rng(47)
+    cases = [(int(round(sec * SAMPLE_RATE_HZ)), select_kernels(sec)) for sec in DEFAULT_WINDOWS_SEC]
+    cases += [(12, (3, 5)), (7, (3, 5))]  # pool 2 skipped; both pools skipped
+    plans = set()
+    for window, kernels in cases:
+        net = build_model(ModelSpec(kernels=kernels), window, seed=window)
+        plans.add((net.plan.pool1_applied, net.plan.pool2_applied))
+        batch = rng.normal(size=(9, window, 18))
+        batch[::4] = 0.0  # whole windows of zeros, so ReLU meets exact zeros
+        before = batch.copy()
+        cached, cache = forward(net, batch)
+        uncached, none = forward(net, batch, keep_cache=False)
+        assert none is None and cache is not None
+        assert (uncached.view(np.uint64) == cached.view(np.uint64)).all(), window
+        assert (batch.view(np.uint64) == before.view(np.uint64)).all(), window
+    assert {(False, True), (True, False), (False, False)} <= plans
+
+
+def test_evaluate_leaves_its_windows_unchanged():
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(40, 50, 18))
+    y = rng.integers(0, 5, size=40)
+    stats = ChannelStats(rng.normal(size=18), rng.uniform(0.5, 2.0, size=18))
+    before = x.copy()
+    evaluate(build_model(ModelSpec(), 50, seed=2), x, y, np.arange(0, 40, 3), stats)
+    assert (x.view(np.uint64) == before.view(np.uint64)).all()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("window", [50, 100, 200, 400])
+def test_activation_peaks_stay_a_small_multiple_of_the_input(window):
+    """Evaluating one EVAL_CHUNK of windows keeps no backward cache and drops
+    each activation after its reader: it peaks under 3x the gathered chunk
+    (a cached pass took 4.2-5.4x). A training step at batch 128 drops the
+    conv ReLU outputs and each gradient once read: under 6x the batch
+    (7.1-9.0x when every array lived to the end of its pass)."""
+    rng = np.random.default_rng(window)
+    net = build_model(ModelSpec(kernels=(7, 11)), window, seed=1)
+    signal = rng.normal(size=(18, EVAL_CHUNK + window - 1))
+    x = sliding_window_view(signal, window, axis=1).transpose(1, 2, 0)  # (N, W, C) over a (C, T) signal
+    y = rng.integers(0, 5, size=len(x))
+    stats = ChannelStats(rng.normal(size=18), rng.uniform(0.5, 2.0, size=18))
+    idx = rng.permutation(len(x))
+    chunk_bytes = EVAL_CHUNK * window * 18 * 8
+    assert _peak_bytes(lambda: evaluate(net, x, y, idx, stats)) <= 3 * chunk_bytes
+    batch = gather(x, idx[:128], stats)
+    step = lambda: loss_and_grads(net, batch, y[idx[:128]], training=True, rng=np.random.default_rng(0))
+    assert _peak_bytes(step) <= 6 * batch.nbytes
 
 
 def test_gradients_match_finite_differences_small_net():

@@ -1,11 +1,16 @@
 """CSV formatting, SVG box plots and the JSON archive round-trip."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harwin
 from harwin.cli import cli
 from harwin.experiment import FoldResult, SweepReport, SweepRow
 from harwin.model import EpochStats
@@ -98,6 +103,25 @@ def test_svg_is_well_formed_with_one_box_per_group():
     assert "accuracy (%)" in texts
     assert "window (s)" in texts
     assert "0.1" in texts and "0.5" in texts and "1" in texts
+
+
+def test_svg_escapes_markup_in_its_labels():
+    svg = render_boxplot_svg([(0.5, [1.0, 2.0])], "loss & <a>")
+    assert "loss &amp; &lt;a&gt;</text>" in svg
+    texts = [e.text for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
+    assert "loss & <a>" in texts
+
+
+def test_import_loads_no_network_modules():
+    """Importing harwin pulls in no URL, HTTP or mail machinery; xml.sax's
+    escape would bring in urllib.request, http.client and email."""
+    env = dict(os.environ)
+    package_root = str(Path(harwin.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = "import sys, harwin; print(sorted({'urllib.request', 'http.client', 'email'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_svg_handles_degenerate_equal_values():
