@@ -138,9 +138,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     for out in (args.model_out, args.metrics_json):
         if out and not Path(out).parent.is_dir():
             raise FileNotFoundError(f"cannot write {out}: {Path(out).parent} is not a directory")
-    signals = _load_signals(args)
-    _progress(f"training at window {args.window:g} s (seed {args.seed})")
-    model, result = experiment.train_single(signals, args.window, cfg, args.seed, kernels=kernels)
+    model, result = experiment.train_single(
+        _load_signals(args),  # a temporary, so train_single can free the loaded data
+        args.window,
+        cfg,
+        args.seed,
+        kernels=kernels,
+        progress=_progress,
+    )
     if args.model_out:
         save_model(model, args.model_out)
         _progress(f"saved model to {args.model_out}")
@@ -163,9 +168,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable one fails before any data is read
-    signals = _load_signals(args)
     rep = experiment.run_sweep(
-        signals,
+        _load_signals(args),  # a temporary, so run_sweep can free the loaded data
         windows,
         cfg,
         args.seed,

@@ -220,12 +220,18 @@ def run_sweep(
     A ``GeometryError`` or ``CoverageError`` from a cell fails its
     duration's row with the reason, and that duration's later cells are
     skipped; anything else, divergence included, propagates.
+
+    The cells read only the kept signal and its re-pointed segments
+    (``kept_signal``), so ``signals`` is dropped before the first cell: a
+    caller that passes it as a temporary, as the CLI does, lets the loaded
+    data be freed there (the callee holds the only reference on CPython
+    3.11 and later).
     """
     check_windows(windows_sec)
     fingerprint = dataset_fingerprint(signals)
     stats = None if per_fold_stats else compute_stats(signals)
-    segments = collect_segments(signals)
-    sig = kept_signal(segments)
+    sig, segments = kept_signal(collect_segments(signals))
+    del signals  # the last reference, when the caller passed a temporary
     outcomes: dict[tuple[float, int], FoldResult | str] = {}
     failed = set()
     for w_sec, fold in [(w, f) for w in sorted(windows_sec) for f in range(folds)]:
@@ -252,10 +258,15 @@ def train_single(
     seed: int,
     *,
     kernels: tuple[int, int] | None = None,
+    progress=None,
 ) -> tuple[ModelParams, FoldResult]:
     """One cell with global statistics: train on four fifths, stop on and
     evaluate the held-out fifth (fold 0 of a 5-fold plan). Used by the
-    CLI's single-model path."""
+    CLI's single-model path. Like ``run_sweep``, it drops ``signals`` once
+    the kept signal is built."""
     stats = compute_stats(signals)
-    segments = collect_segments(signals)
-    return run_cell(kept_signal(segments), segments, window_sec, 0, 5, cfg, seed, stats=stats, kernels=kernels)
+    sig, segments = kept_signal(collect_segments(signals))
+    del signals  # as in run_sweep
+    if progress is not None:
+        progress(f"training at window {window_sec:g} s (seed {seed})")
+    return run_cell(sig, segments, window_sec, 0, 5, cfg, seed, stats=stats, kernels=kernels)

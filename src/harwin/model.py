@@ -177,22 +177,19 @@ def build_model(spec: ModelSpec, window_len: int, seed: int) -> ModelParams:
 @dataclass
 class ForwardCache:
     """What a training forward pass keeps for backprop: the channel-major
-    input, each conv layer's pre-ReLU output (a1, a2) and pooled map (p1,
-    p2, with the pool's winner masks), the flattened map and each dense
-    layer's pre-ReLU output and dropped-out activation (with its mask).
-    The ReLU outputs of the conv layers are not kept: relu_backward reads
-    a1 and a2, and each is dropped once pooled. When a pool is skipped, its
-    map is that ReLU output and its mask is None. Evaluation keeps none of
-    this (``forward(..., keep_cache=False)``)."""
+    input ``x``, each conv layer's pooled ReLU map (p1, p2) with its pool's
+    winner mask, and each dense layer's pre-ReLU output and dropped-out
+    activation (with its mask). A conv layer's output is not kept: its ReLU
+    runs in place and the pool reads it, and ``backward`` takes the ReLU's
+    gradient from the pooled map. When a pool is skipped, its map is that
+    ReLU output and its mask is None. ``backward`` empties the cache as it
+    runs. Evaluation keeps none of this (``forward(..., keep_cache=False)``)."""
 
     x: np.ndarray
-    a1: np.ndarray
     p1: np.ndarray
     first1: np.ndarray | None
-    a2: np.ndarray
     p2: np.ndarray
     first2: np.ndarray | None
-    flat: np.ndarray
     z1: np.ndarray
     h1d: np.ndarray
     mask1: np.ndarray | None
@@ -200,13 +197,21 @@ class ForwardCache:
     h2d: np.ndarray
     mask2: np.ndarray | None
 
+    def take(self) -> list:
+        """Every field's array, in declaration order, leaving the cache
+        empty (each field None), so whoever takes them holds the only
+        reference and each array is freed after its last reader."""
+        values = [getattr(self, f.name) for f in fields(self)]
+        for f in fields(self):
+            setattr(self, f.name, None)
+        return values
 
-def _relu_pool(a: np.ndarray, pool: bool, in_place: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """ReLU of the conv output ``a`` (over ``a`` itself when ``in_place``),
-    then, when ``pool``, its width-2 max pool and winner mask. The ReLU
-    output is dropped here once pooled."""
-    r = relu(a, out=a if in_place else None)
-    return maxpool_forward(r) if pool else (r, None)
+
+def _relu_pool(a: np.ndarray, pool: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """ReLU of the conv output ``a``, in place, then, when ``pool``, its
+    width-2 max pool and winner mask; unpooled, the map is ``a`` itself."""
+    relu(a, out=a)
+    return maxpool_forward(a) if pool else (a, None)
 
 
 def forward(
@@ -221,11 +226,13 @@ def forward(
     the windowing stage and transposed to channel-major here, which copies
     nothing for a batch from ``gather``; they are only read.
 
-    With ``keep_cache=False`` (evaluation) the cache is None: each conv
-    layer's ReLU runs in place on its output, and every activation is
-    dropped once the next layer has read it, so beside the input only a
-    layer's output and the map it reads are alive. Either way every logit gets the same operations in
-    the same order, so the logits are bit-identical."""
+    Each conv layer's ReLU runs in place on its output, and the output is
+    dropped once pooled. With ``keep_cache=False`` (evaluation) the cache is
+    None and every activation is dropped once the next layer has read it,
+    the input (``windows`` and ``x``) right after conv1, so beside a layer's
+    output only the map it reads is alive; a caller that passes the windows
+    as a temporary frees them there. Either way every logit gets the same
+    operations in the same order, so the logits are bit-identical."""
     plan = model.plan
     if windows.ndim != 3 or windows.shape[1] != plan.window_len or windows.shape[2] != model.spec.in_channels:
         raise ValueError(
@@ -235,20 +242,20 @@ def forward(
     x = np.ascontiguousarray(windows.transpose(0, 2, 1))
 
     a1 = conv1d_forward(x, model.conv1_w, model.conv1_b)
-    p1, first1 = _relu_pool(a1, plan.pool1_applied, in_place=not keep_cache)
     if not keep_cache:
-        del x, a1, first1
+        del windows, x
+    p1, first1 = _relu_pool(a1, plan.pool1_applied)
+    del a1
 
     a2 = conv1d_forward(p1, model.conv2_w, model.conv2_b)
-    p2, first2 = _relu_pool(a2, plan.pool2_applied, in_place=not keep_cache)
     if not keep_cache:
-        del p1, a2, first2
+        del p1, first1
+    p2, first2 = _relu_pool(a2, plan.pool2_applied)
+    del a2
 
-    flat = p2.reshape(p2.shape[0], plan.flatten)
-
-    z1 = dense_forward(flat, model.dense1_w, model.dense1_b)
+    z1 = dense_forward(p2.reshape(p2.shape[0], plan.flatten), model.dense1_w, model.dense1_b)
     if not keep_cache:
-        del p2, flat
+        del p2, first2
     h1 = relu(z1)
     h1d, mask1 = dropout(h1, model.spec.dropout_rate, training, rng)
 
@@ -259,35 +266,44 @@ def forward(
     logits = dense_forward(h2d, model.out_w, model.out_b)
     if not keep_cache:
         return logits, None
-    return logits, ForwardCache(x, a1, p1, first1, a2, p2, first2, flat, z1, h1d, mask1, z2, h2d, mask2)
+    return logits, ForwardCache(x, p1, first1, p2, first2, z1, h1d, mask1, z2, h2d, mask2)
 
 
 def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> list[np.ndarray]:
     """Backprop grad_logits through the cached pass; gradients come back in
-    tensors() order. Each conv-sized gradient is dropped once the layer
-    below has read it."""
+    tensors() order. The cache is emptied on entry (``ForwardCache.take``),
+    and each of its arrays, like each conv-sized gradient, is dropped once
+    its last reader has run.
+
+    A conv layer's ReLU gradient is taken from its pooled map, before the
+    pool routes it back: the pool picks from the ReLU output, so a pooled
+    value is positive exactly where its winner's pre-activation is, and the
+    gradients are bit-identical to masking the routed gradient by the
+    pre-activation (a loser slot gets +0.0 either way)."""
     plan = model.plan
+    x, p1, first1, p2, first2, z1, h1d, mask1, z2, h2d, mask2 = cache.take()
 
-    g_h2d, g_out_w, g_out_b = dense_backward(cache.h2d, model.out_w, grad_logits)
-    g_h2 = dropout_backward(cache.mask2, g_h2d)
-    g_z2 = relu_backward(cache.z2, g_h2)
+    g_h2d, g_out_w, g_out_b = dense_backward(h2d, model.out_w, grad_logits)
+    g_z2 = relu_backward(z2, dropout_backward(mask2, g_h2d))
+    del h2d, mask2, z2, g_h2d
 
-    g_h1d, g_dense2_w, g_dense2_b = dense_backward(cache.h1d, model.dense2_w, g_z2)
-    g_h1 = dropout_backward(cache.mask1, g_h1d)
-    g_z1 = relu_backward(cache.z1, g_h1)
+    g_h1d, g_dense2_w, g_dense2_b = dense_backward(h1d, model.dense2_w, g_z2)
+    g_z1 = relu_backward(z1, dropout_backward(mask1, g_h1d))
+    del h1d, mask1, z1, g_h1d, g_z2
 
-    g_flat, g_dense1_w, g_dense1_b = dense_backward(cache.flat, model.dense1_w, g_z1)
-    g_p2 = g_flat.reshape(cache.p2.shape)
-    g_r2 = maxpool_backward(cache.first2, g_p2, plan.conv2_out) if plan.pool2_applied else g_p2
-    g_a2 = relu_backward(cache.a2, g_r2)
-    del g_flat, g_p2, g_r2
-    g_p1, g_conv2_w, g_conv2_b = conv1d_backward(cache.p1, model.conv2_w, g_a2)
+    g_flat, g_dense1_w, g_dense1_b = dense_backward(p2.reshape(p2.shape[0], plan.flatten), model.dense1_w, g_z1)
+    g_p2 = relu_backward(p2, g_flat.reshape(p2.shape))
+    del p2, g_flat, g_z1
+    g_a2 = maxpool_backward(first2, g_p2, plan.conv2_out) if plan.pool2_applied else g_p2
+    del first2, g_p2
+    g_p1, g_conv2_w, g_conv2_b = conv1d_backward(p1, model.conv2_w, g_a2)
     del g_a2
 
-    g_r1 = maxpool_backward(cache.first1, g_p1, plan.conv1_out) if plan.pool1_applied else g_p1
-    g_a1 = relu_backward(cache.a1, g_r1)
-    del g_p1, g_r1
-    _, g_conv1_w, g_conv1_b = conv1d_backward(cache.x, model.conv1_w, g_a1, input_grad=False)
+    g_p1 = relu_backward(p1, g_p1)
+    del p1
+    g_a1 = maxpool_backward(first1, g_p1, plan.conv1_out) if plan.pool1_applied else g_p1
+    del first1, g_p1
+    _, g_conv1_w, g_conv1_b = conv1d_backward(x, model.conv1_w, g_a1, input_grad=False)
 
     return [
         g_conv1_w,
@@ -310,7 +326,9 @@ def loss_and_grads(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean cross-entropy over the batch and its parameter gradients."""
+    """Mean cross-entropy over the batch and its parameter gradients.
+    ``backward`` empties the cache, so this frame holds none of its arrays
+    while the gradients are computed."""
     logits, cache = forward(model, windows, training=training, rng=rng)
     _, losses, grad_logits = softmax_xent(logits, classes)
     grad_logits = grad_logits / windows.shape[0]
@@ -380,8 +398,9 @@ def evaluate(
     ``y[idx]``), standardized with ``stats``, in eval mode. Each chunk of
     EVAL_CHUNK windows is gathered from ``x`` on its own, so memory stays
     bounded and no fold is copied, and its forward pass keeps no backward
-    cache (``keep_cache=False``): a chunk's peak is about 2.5x its gathered
-    windows' bytes, against about 5x for a cached pass.
+    cache (``keep_cache=False``) and frees the chunk right after conv1, as
+    it is passed as a temporary: a chunk's peak is about 2x its gathered
+    windows' bytes (1.95-2.35x at 0.5-4 s with kernels 7,11).
 
     Argmax ties resolve to the lowest class index (np.argmax behaviour).
     """

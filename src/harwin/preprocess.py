@@ -1,10 +1,14 @@
 """Per-channel statistics, sliding-window extraction and fold assignment.
 
-``kept_signal`` concatenates the kept segments once per sweep. For each
-window duration, ``window_arrays`` cuts a read-only ``sliding_window_view``
-of that one array, one row per start position, with a label array that marks
-where ``segment`` has a window (its class) and where it has none (-1); no
-window and no signal is copied. Folds are dealt from that label array
+``kept_signal`` concatenates the kept segments once per sweep and
+re-points each segment into that copy. Nothing downstream then reads the
+loaded signals, so a sweep holds one copy of its data: ``run_sweep`` and
+``train_single`` drop the loaded signals once the kept copy is made, and
+from then on only kept timesteps are in memory. For each window duration,
+``window_arrays`` cuts a read-only ``sliding_window_view`` of that one
+array, one row per start position, with a label array that marks where
+``segment`` has a window (its class) and where it has none (-1); no window
+and no signal is copied. Folds are dealt from that label array
 (``FoldPlan.stratified``), and rows labelled -1 fall in no fold. A fold is
 an array of window indices: training and evaluation gather their batches
 from the view through it and standardize each gathered copy with a
@@ -18,7 +22,7 @@ public API over the same geometry; the pipeline itself no longer calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -134,11 +138,20 @@ def segment(segments: list[ActivitySegment], spec: WindowSpec) -> list[Sample]:
     return samples
 
 
-def kept_signal(segments: list[ActivitySegment]) -> np.ndarray:
+def kept_signal(segments: list[ActivitySegment]) -> tuple[np.ndarray, list[ActivitySegment]]:
     """The kept segments' channels, concatenated in order into one
-    (C, T_kept) array: the one copy every duration's windows view."""
+    (C, T_kept) array, the one copy every duration's windows view, and the
+    segments re-pointed into it: each one's channels become its slice of
+    that array, so the segments no longer hold the signals they were cut
+    from."""
     n_ch = segments[0].channels.shape[0] if segments else N_CHANNELS
-    return np.concatenate([np.empty((n_ch, 0))] + [seg.channels for seg in segments], axis=1)
+    sig = np.concatenate([np.empty((n_ch, 0))] + [seg.channels for seg in segments], axis=1)
+    kept, start = [], 0
+    for seg in segments:
+        end = start + seg.channels.shape[1]
+        kept.append(replace(seg, channels=sig[:, start:end]))
+        start = end
+    return sig, kept
 
 
 def window_arrays(sig: np.ndarray, segments: list[ActivitySegment], spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:

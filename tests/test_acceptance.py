@@ -65,15 +65,19 @@ def _kink_margin(net, windows):
     """Distance of the closest activation to a ReLU sign change or a pooling
     argmax flip. Central differences are only meaningful when every probe
     stays on one smooth branch, so data is drawn until this margin dwarfs
-    the perturbation any single-parameter step can cause."""
+    the perturbation any single-parameter step can cause. The cache keeps
+    no conv output, so both are recomputed from the layer inputs it keeps:
+    the same calls on the same arrays as the forward pass, the same values."""
     _, cache = forward(net, windows)
+    a1 = conv1d_forward(cache.x, net.conv1_w, net.conv1_b)
+    a2 = conv1d_forward(cache.p1, net.conv2_w, net.conv2_b)
     margins = [
-        np.abs(cache.a1).min(),
-        np.abs(cache.a2).min(),
+        np.abs(a1).min(),
+        np.abs(a2).min(),
         np.abs(cache.z1).min(),
         np.abs(cache.z2).min(),
     ]
-    for pre, applied in ((cache.a1, net.plan.pool1_applied), (cache.a2, net.plan.pool2_applied)):
+    for pre, applied in ((a1, net.plan.pool1_applied), (a2, net.plan.pool2_applied)):
         if not applied:
             continue
         act = relu(pre)

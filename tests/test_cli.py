@@ -2,11 +2,14 @@
 
 import json
 import struct
+import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from harwin import dataset, experiment
 from harwin.cli import cli
 from harwin.dataset import generate_synthetic, load_signals, save_signals
 from harwin.model import load_model
@@ -336,3 +339,34 @@ def test_malformed_input_exits_1_naming_the_file(tmp_cwd, capsys, command, messa
     assert out.out == ""
     assert f"error: {message}\n" in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's stack keeps a call's arguments alive")
+@pytest.mark.parametrize("command", [["sweep", "--windows", "0.5", "--folds", "2"], ["train", "--window", "0.5"]])
+@pytest.mark.parametrize("subjects", [[], ["--subjects", "102"]])
+def test_loaded_signals_are_freed_before_the_first_cell(monkeypatch, command, subjects):
+    """sweep and train hand the loaded signals to the library as a
+    temporary, and it drops them once the kept signal is built: every
+    loaded channels array is gone before the first cell runs, so a sweep
+    holds one copy of its data."""
+    save_signals(
+        [replace(generate_synthetic(seed, 2, 120), subject_id=subject) for seed, subject in ((1, 101), (2, 102))],
+        "cache.bin",
+    )
+    loaded, alive = [], []
+
+    def load_and_watch(path):
+        signals = load_signals(path)
+        loaded.extend(weakref.ref(sig.channels) for sig in signals)
+        return signals
+
+    run_cell = experiment.run_cell
+
+    def watched_cell(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in loaded))
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "load_signals", load_and_watch)
+    monkeypatch.setattr(experiment, "run_cell", watched_cell)
+    assert cli([*command, "--cache", "cache.bin", *subjects, "--max-epochs", "1"]) == 0
+    assert len(loaded) == 2 and alive and alive[0] == 0, alive

@@ -50,7 +50,7 @@ def _blob_segments(n_per_class, sep=3.0, seed=0, n_classes=3, scale=1.0, offset=
 
 def _blob_cell(segments, fold, folds, cfg=None, seed=0, **kwargs):
     kwargs.setdefault("stats", IDENTITY)
-    return run_cell(kept_signal(segments), segments, BLOB_SEC, fold, folds, cfg or FAST_CFG, seed, **kwargs)
+    return run_cell(*kept_signal(segments), BLOB_SEC, fold, folds, cfg or FAST_CFG, seed, **kwargs)
 
 
 def _arrays(samples):
@@ -151,7 +151,7 @@ def test_run_cv_per_fold_stats_handles_unscaled_input():
 def test_per_fold_stats_match_per_window_concatenation_bitwise():
     # raw (unstandardized) synthetic windows at a short, a middle and a long duration
     segments = collect_segments([generate_synthetic(5, samples_per_class=2, segment_len=420)])
-    sig = kept_signal(segments)
+    sig, segments = kept_signal(segments)
     for sec in (0.1, 0.5, 2.0):
         samples = segment(segments, WindowSpec(sec))
         x, y = _arrays(samples)
@@ -195,7 +195,7 @@ def test_fit_fold_standardizing_gathered_batches_matches_a_standardized_signal_b
     for sec in (0.1, 0.5):
         old = segment(collect_segments(apply_zscore([sig], stats)), WindowSpec(sec))
         spec = ModelSpec(kernels=select_kernels(sec))
-        got_model, got = run_cell(kept_signal(segments), segments, sec, 2, 4, FAST_CFG, seed=3, stats=stats)
+        got_model, got = run_cell(*kept_signal(segments), sec, 2, 4, FAST_CFG, seed=3, stats=stats)
         want_model, want = _reference_cell(*_arrays(old), 2, 4, spec, FAST_CFG, seed=3, stats=IDENTITY)
         assert _bits(got) == _bits(want), sec
         _assert_same_model(got_model, want_model, sec)
@@ -204,9 +204,10 @@ def test_fit_fold_standardizing_gathered_batches_matches_a_standardized_signal_b
 def test_run_cv_only_reads_a_read_only_window_array():
     signal = generate_synthetic(2, samples_per_class=2, segment_len=120)
     segments = collect_segments([signal])
-    sig = kept_signal(segments)
+    sig, segments = kept_signal(segments)
     before = sig.copy()
-    sig.flags.writeable = False  # a write anywhere in the cell would raise
+    for view in [sig] + [seg.channels for seg in segments]:
+        view.flags.writeable = False  # a write anywhere in the cell would raise
     for stats in (compute_stats([signal]), None):
         for honest_split in (False, True):
             for fold in range(2):
@@ -260,7 +261,7 @@ def test_fit_fold_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypat
     calls = []
     _stub_train_and_evaluate(monkeypatch, calls)
     segments = _blob_segments(16)  # the honest split's inner ten folds need 10 per class
-    sig = kept_signal(segments)
+    sig, segments = kept_signal(segments)
     _, y = window_arrays(sig, segments, WindowSpec(BLOB_SEC))
     train_idx, held_out = FoldPlan.stratified(y, 4, seed=0).train_test(2)
     for honest_split in (False, True):
@@ -283,7 +284,7 @@ def test_fit_fold_copies_no_fold(monkeypatch):
 
     _stub_train_and_evaluate(monkeypatch, [])
     segments = collect_segments([generate_synthetic(3, samples_per_class=4, segment_len=500)])
-    sig = kept_signal(segments)
+    sig, segments = kept_signal(segments)
     nbytes = stack_windows(segment(segments, WindowSpec(0.5))).nbytes
     tracemalloc.start()
     try:
@@ -308,7 +309,7 @@ def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
     monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx, stats: (1.0, 0.0))
     monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", 1)  # one window per chunk, next to nothing
     segments = collect_segments([generate_synthetic(3, samples_per_class=4, segment_len=500)])
-    sig = kept_signal(segments)
+    sig, segments = kept_signal(segments)
     nbytes = stack_windows(segment(segments, WindowSpec(0.5))).nbytes
     tracemalloc.start()
     try:
@@ -471,7 +472,7 @@ def test_a_cell_run_alone_equals_the_same_cell_in_run_sweep(honest_split, per_fo
         assert [f.fold for f in row.folds] == [0, 1]
         for want in row.folds:
             _, got = run_cell(
-                kept_signal(segments), segments, row.window_sec, want.fold, 2, cfg, 4,
+                *kept_signal(segments), row.window_sec, want.fold, 2, cfg, 4,
                 stats=stats, honest_split=honest_split,
             )
             assert got.history and _bits(got) == _bits(want), (row.window_sec, want.fold)

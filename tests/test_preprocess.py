@@ -1,5 +1,7 @@
 """Normalization, window geometry and stratified fold assignment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,7 +229,7 @@ def test_window_arrays_equal_stacked_segment_windows():
     order, bit for bit and in np.stack's layout, with their classes."""
     segments = collect_segments([generate_synthetic(4, samples_per_class=2, segment_len=420)])
     segments.insert(3, _segment_of(7, segment_id=99, class_index=4))  # shorter than any window here
-    sig = kept_signal(segments)
+    sig, segments = kept_signal(segments)
     for sec in (0.1, 0.5, 4.0):
         samples = segment(segments, WindowSpec(sec))
         x, y = window_arrays(sig, segments, WindowSpec(sec))
@@ -246,9 +248,14 @@ def test_window_arrays_equal_stacked_segment_windows():
 
 def test_window_arrays_are_views_of_one_signal():
     segments = [_segment_of(60, 0, 0), _segment_of(75, 1, 1)]
-    sig = kept_signal(segments)
+    sig, kept = kept_signal(segments)
     assert sig.shape == (18, 60 + 75)
     assert not any(np.shares_memory(sig, seg.channels) for seg in segments)  # one copy of the kept signal
+    # the kept segments are the same segments, their channels now slices of sig
+    assert [replace(k, channels=None) for k in kept] == [replace(s, channels=None) for s in segments]
+    assert [k.channels.base is sig for k in kept] == [True, True]
+    assert (np.concatenate([k.channels for k in kept], axis=1) == sig).all()
+    assert all((k.channels == s.channels).all() for k, s in zip(kept, segments))
     x, y = window_arrays(sig, segments, WindowSpec(0.25))  # W=25, stride 6
     assert x.shape == (60 + 75 - 25 + 1, 25, 18) and y.shape == (len(x),)
     assert np.shares_memory(x[0], x[1])
@@ -263,7 +270,7 @@ def test_window_arrays_are_views_of_one_signal():
 def test_window_arrays_first_segment_shorter_than_a_window():
     """A first segment without windows labels nothing, not the tail of y."""
     segments = [_segment_of(30, 0, 3), _segment_of(62, 1, 1)]
-    x, y = window_arrays(kept_signal(segments), segments, WindowSpec(0.5))  # W=50, stride 12
+    x, y = window_arrays(*kept_signal(segments), WindowSpec(0.5))  # W=50, stride 12
     assert y.shape == (30 + 62 - 50 + 1,)
     assert np.flatnonzero(y >= 0).tolist() == [30, 42]
     assert (y[y >= 0] == 1).all()
@@ -281,7 +288,7 @@ def test_window_arrays_no_window_straddles_a_boundary_of_one_class():
     )
     spec = WindowSpec(0.1)  # W=10, stride 2
     assert [a.class_index for a in acts] == [2, 2]  # activity 4 is class 2
-    _, y = window_arrays(kept_signal(acts), acts, spec)
+    _, y = window_arrays(*kept_signal(acts), spec)
     starts = np.flatnonzero(y >= 0)
     assert (y[starts] == 2).all()
     assert starts.tolist() == list(range(0, 31, 2)) + list(range(40, 71, 2))
@@ -291,7 +298,7 @@ def test_window_arrays_no_window_straddles_a_boundary_of_one_class():
 
 def test_window_arrays_without_windows_fail_folding():
     for segments in ([_segment_of(30), _segment_of(49, 1, 1)], [_segment_of(49)], []):
-        x, y = window_arrays(kept_signal(segments), segments, WindowSpec(0.5))
+        x, y = window_arrays(*kept_signal(segments), WindowSpec(0.5))
         assert x.shape[1:] == (50, 18) and y.shape == (len(x),)
         assert (y < 0).all()
         with pytest.raises(CoverageError, match="no samples"):
