@@ -12,18 +12,19 @@ a time, in channel-major order, starting from the bias. That summation order
 is pinned: the output is bit-for-bit equal to a plain quadruple loop, which
 the tests rely on. The work is cut into blocks of (filter group x position
 tile), the cache blocking of Goto & van de Geijn (2008), "Anatomy of
-High-Performance Matrix Multiplication". Each tile's input is copied into a
-(C, positions * B) scratch, position-major with the batch innermost, so one
-(channel, tap) term of one group is a single (group, n) product plus an
-in-place add over contiguous rows of n = positions * B elements. A group's
-accumulator and product stay within GROUP elements each, so the pair fits
-in a 2 MiB L2 cache; a group is written back into the output as soon as its
-terms are summed. ``conv_tiling`` picks the blocks: the fewest blocks whose
-rows hold at most ROW elements and whose accumulators fit GROUP, with tiles
-and groups balanced so that none is short, and among those the fewest
-groups. It also keeps every row long enough to avoid numpy's buffered
-iterator where the call has such rows at all (below). Copying per tile
-rather than the whole input keeps a call's scratch near 2 MiB.
+High-Performance Matrix Multiplication". A block copies its tile's input
+one channel at a time into a (positions * B) scratch, position-major with
+the batch innermost, so one (channel, tap) term of the block is a single
+(group, n) product plus an in-place add over contiguous rows of
+n = positions * B elements. A block's accumulator and product stay within
+GROUP elements each, so the pair fits in a 2 MiB L2 cache; a block is
+written back into the output as soon as its terms are summed.
+``conv_tiling`` picks the blocks: the fewest blocks whose rows hold at most
+ROW elements and whose accumulators fit GROUP, with tiles and groups
+balanced so that none is short, and among those the fewest groups. It also
+keeps every row long enough to avoid numpy's buffered iterator where the
+call has such rows at all (below). Copying one channel of one block at a
+time rather than the whole input keeps a thread's scratch near 1 MiB.
 
 The product takes one of two paths, chosen per tile from n. numpy runs a
 broadcast multiply whose rows are shorter than a third of its ufunc buffer
@@ -41,10 +42,30 @@ formed, never the order of one output element's terms. The backward
 convolution is one GEMM pair per tap. Its sums run in BLAS order, so it is
 checked against finite differences and a per-(channel, tap) reference loop
 by tolerance, not bit for bit.
+
+Threads. A forward call of several blocks shares them among up to
+``usable_cpus()`` threads, the CPUs in the process's affinity mask (so
+``taskset`` limits them): the calling thread runs one share and a helper
+thread each of the others, and every share takes the next block from one
+list until none is left. A call of a single block, and every call where
+one CPU is usable, is one share on the calling thread. numpy releases the
+GIL inside a broadcast multiply or an add over long rows, so the shares'
+terms run at once; einsum holds it, so ``conv_sharing`` splits a call only
+into tiles whose rows, the shortest included, are long enough for the
+multiply. Each share has scratch of its own, and the tiles are cut so that
+all shares together hold no more than a tile of every channel plus an
+accumulator and a product of conv_tiling's blocks. One thread sums each
+output element, bias first and then the (channel, tap) terms in
+channel-major order, so the bits depend neither on the number of threads
+nor on which thread takes which block. The helpers run under the caller's
+numpy error state, which is per thread, and an exception in any share is
+re-raised in the caller once every share has finished.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +104,13 @@ def conv_out_len(length: int, kernel: int) -> int:
 
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation: x (B, C, L), weights (F, C, K), bias (F,)
-    -> (B, F, L-K+1)."""
+    -> (B, F, L-K+1). The blocks of one call may be summed on several
+    threads (``conv_sharing``); the bits do not depend on how many."""
+    if x.ndim != 3 or weights.ndim != 3:
+        raise ValueError(f"input and weights must be 3-D, got {x.ndim}-D and {weights.ndim}-D")
     n_filters, n_in, kernel = weights.shape
+    if bias.shape != (n_filters,):
+        raise ValueError(f"bias has shape {bias.shape}, weights expect ({n_filters},)")
     if x.shape[1] != n_in:
         raise ValueError(f"input has {x.shape[1]} channels, weights expect {n_in}")
     length = x.shape[2]
@@ -95,40 +121,132 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     out = np.empty((batch, n_filters, out_len))
     if batch == 0:
         return out
-    n_tiles, n_groups = conv_tiling(out_len, batch, n_filters)
-    tile_edges = [i * out_len // n_tiles for i in range(n_tiles + 1)]
-    group_edges = [i * n_filters // n_groups for i in range(n_groups + 1)]
-    tile = -(-out_len // n_tiles)  # the largest tile and group size the scratch must hold
-    group = -(-n_filters // n_groups)
+    n_shares, tile_edges, group_edges = conv_sharing(out_len, batch, n_in, kernel, n_filters, usable_cpus())
+    # the largest tile and group size the scratch must hold
+    tile = max(q - p for p, q in zip(tile_edges, tile_edges[1:]))
+    group = max(f1 - f0 for f0, f1 in zip(group_edges, group_edges[1:]))
     wt = weights.transpose(1, 2, 0).copy()  # (C, K, F): each wt[c, k] is contiguous
     # einsum turns a -0.0 product into +0.0, which shows only in a sum still at a -0.0 bias
     einsum_ok = not (np.signbit(bias) & (bias == 0.0)).any()
     bufsize = np.getbufsize()
-    xt_buf = np.empty((n_in, tile + kernel - 1, batch))
-    acc_buf = np.empty(group * tile * batch)
-    term_buf = np.empty_like(acc_buf)
-    for p, q in zip(tile_edges, tile_edges[1:]):
-        n = (q - p) * batch
-        xt = xt_buf[:, : q - p + kernel - 1]
-        xt[...] = x[:, :, p : q + kernel - 1].transpose(1, 2, 0)
-        rows = xt.reshape(n_in, -1)  # rows[c, j * B + b] = x[b, c, p + j]
-        # numpy's buffered iterator would run a broadcast multiply over rows this short
-        use_einsum = einsum_ok and 3 * n < bufsize
-        for f0, f1 in zip(group_edges, group_edges[1:]):
+    groups = list(zip(group_edges, group_edges[1:]))
+    blocks = iter([(p, q, f0, f1) for p, q in zip(tile_edges, tile_edges[1:]) for f0, f1 in groups])
+    take = threading.Lock()
+    # allocated here, not in the helpers, so that no helper's malloc arena keeps them
+    scratch = [
+        (np.empty((tile + kernel - 1) * batch), np.empty(group * tile * batch), np.empty(group * tile * batch))
+        for _ in range(n_shares)
+    ]
+
+    def share(s: int) -> None:
+        """Sum blocks into out until none is left: positions [p, q) of
+        filters [f0, f1), one input channel of the block copied at a time
+        into xc, xc[j * B + b] = x[b, c, p + j]."""
+        xc_buf, acc_buf, term_buf = scratch[s]
+        while True:
+            with take:
+                block = next(blocks, None)
+            if block is None:
+                return
+            p, q, f0, f1 = block
+            n = (q - p) * batch
+            # numpy's buffered iterator would run a broadcast multiply over rows this short
+            use_einsum = einsum_ok and 3 * n < bufsize
+            xc = xc_buf[: (q - p + kernel - 1) * batch]
             acc = acc_buf[: (f1 - f0) * n].reshape(f1 - f0, n)
             term = term_buf[: acc.size].reshape(acc.shape)
             w = wt[:, :, f0:f1] if use_einsum else wt[:, :, f0:f1, None]
             acc[...] = bias[f0:f1, None]
             for c in range(n_in):
+                xc.reshape(-1, batch)[...] = x[:, c, p : q + kernel - 1].T
                 for k in range(kernel):
-                    row = rows[c, k * batch : k * batch + n]
+                    row = xc[k * batch : k * batch + n]
                     if use_einsum:
                         np.einsum("f,n->fn", w[c, k], row, out=term)
                     else:
                         np.multiply(w[c, k], row, out=term)
                     acc += term
             out[:, f0:f1, p:q] = acc.reshape(f1 - f0, q - p, batch).transpose(2, 0, 1)
+
+    run_shares(share, n_shares)
     return out
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS reports
+    one (Linux), else os.cpu_count(), else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_shares(share, n_shares: int) -> None:
+    """Run ``share(s)`` for every s in range(n_shares): the calling thread
+    runs share 0 and one helper thread each of the others, all under the
+    caller's numpy error state (which is per thread). A share whose thread
+    cannot be started runs on the calling thread after share 0. Once every
+    share has finished, the exception of the first share that raised, if
+    any, is re-raised in the caller."""
+    if n_shares == 1:
+        share(0)
+        return
+    errors: list[BaseException | None] = [None] * n_shares
+    errstate, errcall = np.geterr(), np.geterrcall()
+
+    def run(s: int) -> None:
+        try:
+            with np.errstate(call=errcall, **errstate):
+                share(s)
+        except BaseException as exc:
+            errors[s] = exc
+
+    helpers, inline = [], [0]
+    for s in range(1, n_shares):
+        helper = threading.Thread(target=run, args=(s,), daemon=True)
+        try:
+            helper.start()
+            helpers.append(helper)
+        except RuntimeError:  # the OS gives no more threads: the caller runs this share too
+            inline.append(s)
+    for s in inline:
+        run(s)
+    for helper in helpers:
+        helper.join()
+    raised = next((e for e in errors if e is not None), None)
+    if raised is not None:
+        raise raised
+
+
+def conv_sharing(
+    out_len: int, batch: int, n_in: int, kernel: int, n_filters: int, cpus: int
+) -> tuple[int, list[int], list[int]]:
+    """(n_shares, tile_edges, group_edges) of one forward call on up to
+    ``cpus`` threads: the number of shares, the first position of every tile
+    followed by out_len, and the first filter of every group followed by
+    n_filters.
+
+    One share sums conv_tiling's blocks. Several shares cut the positions
+    into the fewest tiles of at most P positions, balanced so that none is
+    short, and keep conv_tiling's groups. P is the most for which all shares'
+    scratch (one channel's tile, an accumulator and a product each) fits in
+    the budget of conv_tiling's blocks: a tile of every channel, an
+    accumulator and a product. It takes the most shares, up to ``cpus``,
+    whose shortest tile has rows of at least a third of np.getbufsize()
+    (shorter rows would take einsum, which holds the GIL) and that have at
+    least a block each; one share if there are none, or if the call is a
+    single block."""
+    n_tiles, n_groups = conv_tiling(out_len, batch, n_filters)
+    group_edges = [i * n_filters // n_groups for i in range(n_groups + 1)]
+    if n_tiles * n_groups > 1:
+        tile = -(-out_len // n_tiles)
+        group = -(-n_filters // n_groups)
+        budget = n_in * (tile + kernel - 1) + 2 * group * tile  # per window
+        for n_shares in range(min(cpus, budget // (2 * group + kernel)), 1, -1):
+            most = min(tile, (budget - n_shares * (kernel - 1)) // (n_shares * (2 * group + 1)))
+            n = -(-out_len // most)
+            if 3 * (out_len // n) * batch >= np.getbufsize() and n * n_groups >= n_shares:
+                return n_shares, [i * out_len // n for i in range(n + 1)], group_edges
+    return 1, [i * out_len // n_tiles for i in range(n_tiles + 1)], group_edges
 
 
 def conv_tiling(out_len: int, batch: int, n_filters: int) -> tuple[int, int]:

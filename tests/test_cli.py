@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from harwin import dataset, experiment
+from harwin import dataset, experiment, layers
 from harwin.cli import cli
 from harwin.dataset import generate_synthetic, load_signals, save_signals
 from harwin.model import load_model
@@ -124,6 +124,25 @@ def test_sweep_writes_all_outputs(tmp_cwd, capsys):
     for name in ("report.json", "report.csv", "accuracy_boxplot.svg", "loss_boxplot.svg", "epochs_boxplot.svg"):
         assert (tmp_cwd / "out" / name).is_file(), name
     assert (tmp_cwd / "out" / "report.csv").read_text() == captured.out
+
+
+def test_reports_and_checkpoints_do_not_depend_on_the_thread_count(tmp_cwd, monkeypatch, share_counts):
+    """Criterion 6 across thread counts: with the forward forced onto one CPU
+    or two, a sweep writes the same report.csv and report.json bytes, and
+    train the same checkpoint and metrics bytes. At batch 60 some forward
+    calls of both commands split into two shares."""
+    _synth(extra=("--segment-len", "600"))
+    flags = ["--cache", "cache.bin", "--max-epochs", "2", "--patience", "2", "--batch-size", "60"]
+    for cpus in (1, 2):
+        monkeypatch.setattr(layers, "usable_cpus", lambda cpus=cpus: cpus)
+        outputs = ["--model-out", f"m{cpus}.bin", "--metrics-json", f"m{cpus}.json"]
+        sweep = ["sweep", "--windows", "1,2", "--folds", "2", "--out-dir", f"sweep{cpus}"]
+        for args in (sweep, ["train", "--window", "2", *outputs]):
+            share_counts.clear()
+            assert cli([*args, *flags]) == 0
+            assert max(share_counts) == cpus, args
+    for name in ("sweep{}/report.csv", "sweep{}/report.json", "m{}.bin", "m{}.json"):
+        assert (tmp_cwd / name.format(1)).read_bytes() == (tmp_cwd / name.format(2)).read_bytes(), name
 
 
 def test_sweep_folds_below_two_exit_2(capsys):

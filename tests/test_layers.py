@@ -1,17 +1,26 @@
 """Layer-level oracles: naive-loop convolution, the pre-GEMM convolution
 loops, finite differences, mpmath references for softmax and Adam."""
 
+import os
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harwin import layers
 from harwin.layers import (
     adam_step,
     conv1d_backward,
     conv1d_forward,
     conv_out_len,
+    conv_sharing,
     conv_tiling,
     dense_backward,
     dense_forward,
@@ -22,7 +31,9 @@ from harwin.layers import (
     maxpool_forward,
     relu,
     relu_backward,
+    run_shares,
     softmax_xent,
+    usable_cpus,
 )
 from harwin.model import EVAL_CHUNK, ModelSpec, plan_shapes
 
@@ -77,12 +88,12 @@ def conv_backward_einsum(x, w, grad_out):
     return grad_x, grad_w, grad_out.sum(axis=(0, 2))
 
 
-def sweep_geometries():
-    """(c_in, c_out, kernel, length) of conv1 and conv2 at 2 s and 4 s windows
-    (200 and 400 samples) with the default architecture."""
+def sweep_geometries(windows=(200, 400)):
+    """(c_in, c_out, kernel, length) of conv1 and conv2 with the default
+    architecture at windows of the given samples, by default 2 s and 4 s."""
     spec = ModelSpec()
     out = []
-    for window in (200, 400):
+    for window in windows:
         plan = plan_shapes(spec, window)
         out.append((spec.in_channels, spec.conv_filters[0], spec.kernels[0], window))
         out.append((spec.conv_filters[0], spec.conv_filters[1], spec.kernels[1], plan.pool1_out))
@@ -308,6 +319,171 @@ def test_conv_forward_scratch_stays_small():
         finally:
             tracemalloc.stop()
         assert extra < out.nbytes + 4 * 2**20, (c_in, extra - out.nbytes)
+
+
+def test_conv_rejects_wrong_ranks_and_bias_shapes():
+    x = np.zeros((2, 3, 8))
+    w = np.zeros((4, 3, 2))
+    for bias in (np.zeros(1), np.zeros(5), np.zeros((4, 1)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="bias"):
+            conv1d_forward(x, w, bias)  # broadcast or truncated before
+    with pytest.raises(ValueError, match="3-D"):
+        conv1d_forward(x[0], w, np.zeros(4))
+    with pytest.raises(ValueError, match="3-D"):
+        conv1d_forward(x, w[0], np.zeros(4))
+
+
+def test_usable_cpus_falls_back_where_there_is_no_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
+
+
+# (c_in, c_out, kernel, length) of wide layers whose calls split into 3 and 4 shares
+WIDE_GEOMETRIES = [(64, 16, 3, 130), (64, 16, 3, 200)]
+
+
+def test_conv_forward_bits_do_not_depend_on_the_thread_count(monkeypatch, share_counts):
+    """With the CPU count forced to 1, 2, 3 and 4, every call keeps the bits
+    of the unblocked loop: conv1 and conv2 from 0.5 s to 4 s at batch 128 and
+    EVAL_CHUNK, and a wide layer that splits into 3 and 4 shares. Every
+    filter group holds -0.0 biases over -0.0 products, so the blocks of
+    every share hold one, whichever share takes them."""
+    rng = np.random.default_rng(59)
+    for c_in, c_out, kernel, length in sweep_geometries((50, 100, 200, 400)) + WIDE_GEOMETRIES:
+        w = rng.normal(size=(c_out, c_in, kernel))
+        w[::2] = -np.abs(w[::2])
+        b = np.where(np.arange(c_out) % 2 == 0, -0.0, rng.normal(size=c_out))
+        for batch in (128, EVAL_CHUNK):
+            # batch 128 through a (B, L, C) array seen through swapaxes, as conv1 reads its windows
+            x = relu(rng.normal(size=(batch, length, c_in)))
+            x = x.swapaxes(1, 2) if batch == 128 else np.ascontiguousarray(x.swapaxes(1, 2))
+            x[::3] = 0.0  # whole windows of zeros: -0.0 products under the negative filters
+            ref = conv_unblocked(x, w, b)
+            plans = []
+            for cpus in (1, 2, 3, 4):
+                plan = conv_sharing(length - kernel + 1, batch, c_in, kernel, c_out, cpus)
+                if plan not in plans:  # a CPU count that changes nothing runs the same code
+                    plans.append(plan)
+                    monkeypatch.setattr(layers, "usable_cpus", lambda cpus=cpus: cpus)
+                    assert same_bits(conv1d_forward(x, w, b), ref), (c_in, c_out, length, batch, cpus)
+    assert share_counts == {1, 2, 3, 4}
+
+
+def test_many_shares_under_fast_thread_switching_take_every_block_once(monkeypatch):
+    """Eight shares, more than the cores of most machines that run this, with
+    Python switching threads every microsecond: fresh inputs each round, so
+    a block taken twice or never (left with an earlier round's sums) would
+    change the bits."""
+    c_in, c_out, kernel, length = 48, 8, 3, 258
+    assert conv_sharing(length - kernel + 1, 128, c_in, kernel, c_out, 8)[0] == 8
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 8)
+    rng = np.random.default_rng(67)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            x = rng.normal(size=(128, c_in, length))
+            w = rng.normal(size=(c_out, c_in, kernel))
+            b = rng.normal(size=c_out)
+            assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_shares_without_a_thread_run_on_the_calling_thread(monkeypatch):
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    ran = []
+    run_shares(lambda s: ran.append((s, threading.get_ident())), 3)
+    assert ran == [(s, threading.get_ident()) for s in range(3)]
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
+    c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
+    rng = np.random.default_rng(71)
+    x = rng.normal(size=(128, c_in, length))
+    w = rng.normal(size=(c_out, c_in, kernel))
+    b = rng.normal(size=c_out)
+    assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
+
+
+def test_shares_together_keep_within_one_calls_scratch_budget(monkeypatch):
+    """All shares together allocate no more scratch than the budget of
+    conv_tiling's blocks, a tile of every input channel plus an accumulator
+    and a product of the largest group: each share holds one channel of its
+    tile, an accumulator and a product, and the tiles are cut to fit. Every
+    tile of a shared call keeps rows long enough for the broadcast multiply,
+    the shortest included."""
+    rng = np.random.default_rng(61)
+    for c_in, c_out, kernel, length in sweep_geometries((50, 100, 200, 400)) + WIDE_GEOMETRIES:
+        out_len = length - kernel + 1
+        for batch in (128, EVAL_CHUNK):
+            n_shares, tile_edges, group_edges = conv_sharing(out_len, batch, c_in, kernel, c_out, 4)
+            n_tiles, n_groups = conv_tiling(out_len, batch, c_out)
+            assert group_edges == [i * c_out // n_groups for i in range(n_groups + 1)]
+            tile, group = -(-out_len // n_tiles), -(-c_out // n_groups)
+            if n_shares == 1:
+                assert tile_edges == [i * out_len // n_tiles for i in range(n_tiles + 1)]
+                continue
+            tiles = [q - p for p, q in zip(tile_edges, tile_edges[1:])]
+            assert 3 * min(tiles) * batch >= np.getbufsize()
+            budget = c_in * (tile + kernel - 1) + 2 * group * tile
+            assert n_shares * (max(tiles) + kernel - 1 + 2 * group * max(tiles)) <= budget
+    c_in, c_out, kernel, length = sweep_geometries()[-1]  # conv2 at 4 s
+    x = rng.normal(size=(EVAL_CHUNK, c_in, length))
+    w = rng.normal(size=(c_out, c_in, kernel))
+    b = rng.normal(size=c_out)
+    n_tiles, n_groups = conv_tiling(length - kernel + 1, EVAL_CHUNK, c_out)
+    tile, group = -(-(length - kernel + 1) // n_tiles), -(-c_out // n_groups)
+    budget = 8 * EVAL_CHUNK * (c_in * (tile + kernel - 1) + 2 * group * tile)
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = conv1d_forward(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= budget + 2**16, (peak - out.nbytes, budget)
+
+
+def test_threaded_forward_runs_under_the_callers_error_state(monkeypatch, share_counts):
+    """numpy's error state is per thread: the helpers take the caller's, so
+    an overflow that the caller ignores warns nowhere, and one that it
+    raises on raises in the caller."""
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
+    c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
+    x = np.full((128, c_in, length), 1e200)
+    w = np.full((c_out, c_in, kernel), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            out = conv1d_forward(x, w, np.zeros(c_out))
+        assert np.isposinf(out).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            conv1d_forward(x, w, np.zeros(c_out))
+    assert share_counts == {2}
+
+
+def test_run_shares_reraises_a_helpers_exception_once_every_share_has_finished():
+    finished = []
+
+    def share(s):
+        if s == 1:
+            raise KeyError("helper")
+        time.sleep(0.2)
+        finished.append(s)
+
+    threads = threading.active_count()
+    with pytest.raises(KeyError, match="helper"):
+        run_shares(share, 3)
+    assert sorted(finished) == [0, 2]
+    assert threading.active_count() == threads
 
 
 def _conv_backward_cases(rng):
