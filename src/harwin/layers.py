@@ -396,32 +396,31 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """First/second moment vectors, shaped like the parameter vector."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 1e-3
 
 
-def init_adam(params: list[np.ndarray], lr: float = 1e-3) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params], lr=lr)
+def init_adam(params: np.ndarray, lr: float = 1e-3) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """One bias-corrected Adam update, in place. The epsilon sits outside the
-    square root: p -= lr * m_hat / (sqrt(v_hat) + eps)."""
-    if len(params) != len(state.m) or len(grads) != len(state.m):
-        raise ValueError("params/grads count does not match the Adam state")
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise DivergenceError("non-finite gradient")
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One bias-corrected Adam update of the parameter vector, in place, all
+    elements at once. The epsilon sits outside the square root:
+    p -= lr * m_hat / (sqrt(v_hat) + eps)."""
+    if params.shape != state.m.shape or grads.shape != state.m.shape:
+        raise ValueError("params/grads shape does not match the Adam state")
+    if not np.isfinite(grads).all():
+        raise DivergenceError("non-finite gradient")
     state.t += 1
     b1t = 1.0 - ADAM_BETA1**state.t
     b2t = 1.0 - ADAM_BETA2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= state.lr * (state.m / b1t) / (np.sqrt(state.v / b2t) + ADAM_EPS)

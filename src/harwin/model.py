@@ -116,44 +116,47 @@ def plan_shapes(spec: ModelSpec, window_len: int) -> ShapePlan:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors plus the spec/plan they were built for."""
+    """Every trainable parameter in one contiguous float64 vector, ``flat``,
+    plus the spec/plan it was built for. Each tensor in ``param_shapes`` is
+    the attribute of its name (``conv1_w`` ... ``out_b``), a view of ``flat``."""
 
     spec: ModelSpec
     plan: ShapePlan
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    dense1_w: np.ndarray
-    dense1_b: np.ndarray
-    dense2_w: np.ndarray
-    dense2_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
+    flat: np.ndarray
+
+    def __post_init__(self) -> None:
+        shapes = param_shapes(self.spec, self.plan)
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        f = self.flat  # a strided vector would reshape into copies, not views
+        if not (isinstance(f, np.ndarray) and f.dtype == np.float64 and f.shape == (ends[-1],) and f.flags.c_contiguous):
+            raise ValueError(f"flat must be a contiguous float64 vector of {ends[-1]} elements")
+        for (name, shape), part in zip(shapes.items(), np.split(f, ends[:-1])):
+            setattr(self, name, part.reshape(shape))
 
     def tensors(self) -> list[np.ndarray]:
-        """Parameter tensors, the fields after ``spec`` and ``plan`` in
-        declaration order, shared by Adam, gradient stacking and the
-        checkpoint format."""
-        return [getattr(self, f.name) for f in fields(self)[2:]]
-
-    def with_tensors(self, tensors: list[np.ndarray]) -> "ModelParams":
-        return ModelParams(self.spec, self.plan, *tensors)
+        """The parameter tensors in param_shapes() order, the order of Adam's
+        vector, of the gradients and of the checkpoint format."""
+        return [getattr(self, name) for name in param_shapes(self.spec, self.plan)]
 
 
-def param_shapes(spec: ModelSpec, plan: ShapePlan) -> list[tuple[int, ...]]:
-    """Shape of every parameter tensor, in tensors() order: each layer's
-    weights (out, in, ...) followed by its bias (out,)."""
+def param_shapes(spec: ModelSpec, plan: ShapePlan) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in flat-vector order: each
+    layer's weights (out, in, ...) followed by its bias (out,)."""
     f1, f2 = spec.conv_filters
     d1, d2 = spec.dense_sizes
-    layers = [
-        (f1, spec.in_channels, spec.kernels[0]),
-        (f2, f1, spec.kernels[1]),
-        (d1, plan.flatten),
-        (d2, d1),
-        (spec.n_classes, d2),
-    ]
-    return [shape for w in layers for shape in (w, w[:1])]
+    layers = {
+        "conv1": (f1, spec.in_channels, spec.kernels[0]),
+        "conv2": (f2, f1, spec.kernels[1]),
+        "dense1": (d1, plan.flatten),
+        "dense2": (d2, d1),
+        "out": (spec.n_classes, d2),
+    }
+    return {f"{layer}_{part}": shape for layer, w in layers.items() for part, shape in (("w", w), ("b", w[:1]))}
+
+
+def param_count(spec: ModelSpec, plan: ShapePlan) -> int:
+    """Length of the flat parameter vector."""
+    return sum(math.prod(shape) for shape in param_shapes(spec, plan).values())
 
 
 def build_model(spec: ModelSpec, window_len: int, seed: int) -> ModelParams:
@@ -164,14 +167,11 @@ def build_model(spec: ModelSpec, window_len: int, seed: int) -> ModelParams:
     """
     plan = plan_shapes(spec, window_len)
     rng = np.random.default_rng(seed)
-    tensors = []
-    for shape in param_shapes(spec, plan):
-        if len(shape) == 1:
-            tensors.append(np.zeros(shape))
-        else:
-            bound = np.sqrt(6.0 / math.prod(shape[1:]))
-            tensors.append(rng.uniform(-bound, bound, size=shape))
-    return ModelParams(spec, plan, *tensors)
+    model = ModelParams(spec, plan, np.zeros(param_count(spec, plan)))
+    for w in model.tensors()[::2]:  # the weights; biases stay zero
+        bound = np.sqrt(6.0 / math.prod(w.shape[1:]))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 @dataclass
@@ -438,8 +438,10 @@ def train(
 
     One shuffled pass per epoch, one Adam step per minibatch. Training stops
     when the stop loss has not improved for ``patience`` epochs or the epoch
-    budget runs out, and the parameters from the best epoch are returned
-    along with that epoch's 1-based index and the per-epoch history.
+    budget runs out. The best epoch's parameters come back as a new model,
+    sharing no memory with ``model``, with that epoch's 1-based index and
+    the per-epoch history; Adam updates ``model`` itself in place, so it is
+    left holding the last epoch's weights.
     A non-finite loss, logit or gradient, in a training step or in the
     stop-set evaluation, aborts with a RuntimeError naming the epoch.
     """
@@ -450,12 +452,11 @@ def train(
     if len(stop_idx) == 0:
         raise ValueError("no early-stopping samples")
     rng = np.random.default_rng(cfg.seed)  # drives both shuffling and dropout
-    params = model.tensors()
-    adam = init_adam(params, lr=cfg.learning_rate)
+    adam = init_adam(model.flat, lr=cfg.learning_rate)
 
     best_loss = np.inf
     best_epoch = 0
-    best_tensors = [p.copy() for p in params]
+    best_flat = model.flat.copy()
     history: list[EpochStats] = []
 
     n = len(fit_idx)
@@ -471,7 +472,7 @@ def train(
                     loss, grads = loss_and_grads(model, gather(x, batch, stats), y[batch], training=True, rng=rng)
                     if not np.isfinite(loss):
                         raise DivergenceError("non-finite loss")
-                    adam_step(adam, params, grads)
+                    adam_step(adam, model.flat, np.concatenate([g.ravel() for g in grads]))
                     batch_losses.append(loss)
                 _, stop_loss = evaluate(model, x, y, stop_idx, stats)
         except DivergenceError as err:
@@ -480,11 +481,11 @@ def train(
         if stop_loss < best_loss:
             best_loss = stop_loss
             best_epoch = epoch
-            best_tensors = [p.copy() for p in params]
+            best_flat = model.flat.copy()
         if epoch - best_epoch >= cfg.patience:
             break
 
-    return model.with_tensors(best_tensors), best_epoch, history
+    return ModelParams(model.spec, model.plan, best_flat), best_epoch, history
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +496,7 @@ def train(
 #         conv_filters[2], kernels[2], pool_width, dense_sizes[2], n_classes, f64 dropout_rate
 #   <6I2B ShapePlan's fields: u32 window_len, conv1_out, pool1_out, conv2_out,
 #         pool2_out, flatten, u8 pool1_applied, pool2_applied
-#   f64 tensors in tensors() order, each C-order in its param_shapes() shape: conv1_w,
-#         conv1_b, conv2_w, conv2_b, dense1_w, dense1_b, dense2_w, dense2_b, out_w, out_b
+#   f64   ModelParams.flat: every tensor, C-order, in its param_shapes() order and shape
 # ---------------------------------------------------------------------------
 
 CKPT_MAGIC = b"HARM1"
@@ -508,7 +508,7 @@ def save_model(model: ModelParams, path: str | Path) -> None:
     spec = [v for value in astuple(model.spec) for v in (value if isinstance(value, tuple) else (value,))]
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC + struct.pack(_SPEC_HEADER, *spec) + struct.pack(_PLAN_HEADER, *astuple(model.plan)))
-        f.writelines(np.ascontiguousarray(t, dtype="<f8").data for t in model.tensors())
+        f.write(model.flat.astype("<f8", copy=False).data)
 
 
 def _unflat_spec(values: tuple) -> ModelSpec:
@@ -528,5 +528,5 @@ def load_model(path: str | Path) -> ModelParams:
         plan = plan_shapes(spec, stored[0])  # the plan is derived; the stored copy must agree
         if astuple(plan) != stored:
             raise ValueError("stored shape plan does not match its architecture")
-        tensors = [array(shape, "<f8") for shape in param_shapes(spec, plan)]
-    return ModelParams(spec, plan, *tensors)
+        flat = array((param_count(spec, plan),), "<f8")
+    return ModelParams(spec, plan, flat.astype(np.float64, copy=False))

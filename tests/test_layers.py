@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from harwin import layers
 from harwin.layers import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     adam_step,
     conv1d_backward,
     conv1d_forward,
@@ -35,7 +38,7 @@ from harwin.layers import (
     softmax_xent,
     usable_cpus,
 )
-from harwin.model import EVAL_CHUNK, ModelSpec, plan_shapes
+from harwin.model import EVAL_CHUNK, ModelSpec, param_shapes, plan_shapes
 
 
 def conv_naive(x, w, b):
@@ -733,11 +736,11 @@ def test_dropout_rejects_bad_rate():
 
 def test_adam_first_step_direction_and_size():
     # After bias correction the very first step is lr * g / (|g| + eps).
-    p = [np.array([1.0])]
+    p = np.array([1.0])
     state = init_adam(p, lr=0.1)
-    adam_step(state, p, [np.array([4.0])])
+    adam_step(state, p, np.array([4.0]))
     expected = 1.0 - 0.1 * 4.0 / (4.0 + 1e-8)
-    assert p[0][0] == pytest.approx(expected, rel=1e-14)
+    assert p[0] == pytest.approx(expected, rel=1e-14)
     assert state.t == 1
 
 
@@ -745,10 +748,10 @@ def test_adam_matches_mpmath_reference():
     """Five scalar steps on a fixed gradient sequence, checked against a
     40-digit re-derivation of the update rule (epsilon outside the root)."""
     grads = [0.3, -1.2, 0.7, 0.05, -0.4]
-    p = [np.array([0.5])]
+    p = np.array([0.5])
     state = init_adam(p, lr=1e-3)
     for g in grads:
-        adam_step(state, p, [np.array([g])])
+        adam_step(state, p, np.array([g]))
 
     with mpmath.workdps(40):
         lr, b1, b2, eps = mpmath.mpf("1e-3"), mpmath.mpf("0.9"), mpmath.mpf("0.999"), mpmath.mpf("1e-8")
@@ -762,40 +765,82 @@ def test_adam_matches_mpmath_reference():
             theta -= lr * mhat / (mpmath.sqrt(vhat) + eps)
         expected = float(theta)
 
-    assert p[0][0] == pytest.approx(expected, rel=1e-13)
+    assert p[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_adam_moment_recursion_known_values():
-    p = [np.zeros(1)]
+    p = np.zeros(1)
     state = init_adam(p)
-    adam_step(state, p, [np.array([2.0])])
-    assert state.m[0][0] == pytest.approx(0.2, rel=1e-15)  # (1-0.9)*2
-    assert state.v[0][0] == pytest.approx(0.004, rel=1e-15)  # (1-0.999)*4
-    adam_step(state, p, [np.array([-1.0])])
-    assert state.m[0][0] == pytest.approx(0.9 * 0.2 + 0.1 * -1.0, rel=1e-14)
-    assert state.v[0][0] == pytest.approx(0.999 * 0.004 + 0.001 * 1.0, rel=1e-14)
+    adam_step(state, p, np.array([2.0]))
+    assert state.m[0] == pytest.approx(0.2, rel=1e-15)  # (1-0.9)*2
+    assert state.v[0] == pytest.approx(0.004, rel=1e-15)  # (1-0.999)*4
+    adam_step(state, p, np.array([-1.0]))
+    assert state.m[0] == pytest.approx(0.9 * 0.2 + 0.1 * -1.0, rel=1e-14)
+    assert state.v[0] == pytest.approx(0.999 * 0.004 + 0.001 * 1.0, rel=1e-14)
 
 
 def test_adam_updates_in_place_across_tensors():
-    a, b = np.ones((2, 2)), np.zeros(3)
-    params = [a, b]
+    """The step writes into the vector itself, so tensors viewing it see
+    the update."""
+    params = np.concatenate([np.ones(4), np.zeros(3)])
+    a, b = params[:4].reshape(2, 2), params[4:]
     state = init_adam(params, lr=0.01)
-    adam_step(state, params, [np.ones((2, 2)), np.full(3, -1.0)])
-    assert a is params[0] and b is params[1]
+    adam_step(state, params, np.concatenate([np.ones(4), np.full(3, -1.0)]))
     assert (a < 1.0).all()
     assert (b > 0.0).all()
 
 
 def test_adam_rejects_non_finite_gradient():
-    p = [np.ones(2)]
+    p = np.ones(2)
     state = init_adam(p)
     with pytest.raises(ValueError, match="non-finite"):
-        adam_step(state, p, [np.array([1.0, np.nan])])
+        adam_step(state, p, np.array([1.0, np.nan]))
     assert state.t == 0  # nothing applied
+    assert (p == 1.0).all() and not state.m.any()
 
 
-def test_adam_rejects_mismatched_lists():
-    p = [np.ones(2)]
+def test_adam_rejects_mismatched_shapes():
+    p = np.ones(2)
     state = init_adam(p)
-    with pytest.raises(ValueError):
-        adam_step(state, p, [np.ones(2), np.ones(2)])
+    for params, grads in ((p, np.ones(3)), (np.ones(3), np.ones(3)), (p, np.ones((2, 1)))):
+        with pytest.raises(ValueError, match="shape"):
+            adam_step(state, params, grads)
+    assert state.t == 0
+    assert (p == 1.0).all() and not state.m.any()
+
+
+def _per_tensor_adam_step(ms, vs, t, lr, params, grads):
+    """The per-tensor Adam loop, one tensor at a time: the oracle for the
+    step over one flat vector."""
+    b1t = 1.0 - ADAM_BETA1**t
+    b2t = 1.0 - ADAM_BETA2**t
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+
+
+def test_flat_adam_matches_the_per_tensor_loop_bit_for_bit():
+    """Seven steps over the default model's ten tensors at 2 s, gradients
+    spanning eight orders of magnitude with exact and negative zeros: the
+    flat step leaves the parameters and both moments bit-equal to the
+    per-tensor loop."""
+    spec = ModelSpec()
+    shapes = list(param_shapes(spec, plan_shapes(spec, 200)).values())
+    assert len(shapes) == 10
+    rng = np.random.default_rng(3)
+    tensors = [rng.normal(size=shape) for shape in shapes]
+    ms, vs = [np.zeros(shape) for shape in shapes], [np.zeros(shape) for shape in shapes]
+    flat = np.concatenate([t.ravel() for t in tensors])
+    state = init_adam(flat, lr=1e-3)
+    for t in range(1, 8):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape) for shape in shapes]
+        grads[1][:] = 0.0
+        grads[3][::2] = -0.0
+        adam_step(state, flat, np.concatenate([g.ravel() for g in grads]))
+        _per_tensor_adam_step(ms, vs, t, 1e-3, tensors, grads)
+    for got, want in ((flat, tensors), (state.m, ms), (state.v, vs)):
+        want = np.concatenate([w.ravel() for w in want])
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()

@@ -1,6 +1,7 @@
 """Shape planning, initialization, the assembled forward/backward pass and
 checkpoint round-trips."""
 
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -26,6 +27,7 @@ from harwin.layers import (
 )
 from harwin.model import (
     EVAL_CHUNK,
+    ModelParams,
     ModelSpec,
     TrainConfig,
     backward,
@@ -35,6 +37,8 @@ from harwin.model import (
     gather,
     load_model,
     loss_and_grads,
+    param_count,
+    param_shapes,
     plan_shapes,
     save_model,
 )
@@ -119,6 +123,45 @@ def test_build_model_shapes_and_init():
     assert np.abs(net.dense1_w).max() <= np.sqrt(6 / 192)
     # and the draws actually come close to the bound
     assert np.abs(net.conv1_w).max() > 0.9 * np.sqrt(6 / (18 * 7))
+
+
+def test_build_model_draws_each_weight_in_declaration_order():
+    """The flat vector holds, bit for bit, the draws of a per-tensor init:
+    each weight from the one seeded rng in param_shapes order, each bias
+    zero. Every tensor is a view of the vector in its param_shapes shape."""
+    spec = ModelSpec()
+    net = build_model(spec, 50, seed=7)
+    rng = np.random.default_rng(7)
+    want = []
+    for shape in param_shapes(spec, net.plan).values():
+        bound = np.sqrt(6.0 / math.prod(shape[1:]))
+        want.append(np.zeros(shape) if len(shape) == 1 else rng.uniform(-bound, bound, size=shape))
+    assert [t.shape for t in net.tensors()] == [w.shape for w in want]
+    assert all(np.shares_memory(t, net.flat) for t in net.tensors())
+    want_flat = np.concatenate([w.ravel() for w in want])
+    assert (net.flat.view(np.uint64) == want_flat.view(np.uint64)).all()
+
+
+def test_model_params_rejects_a_malformed_vector():
+    """The vector must be 1-D, float64, contiguous and exactly as long as
+    the tensors' elements; a strided one would make the tensors copies."""
+    net = build_model(ModelSpec(kernels=(3, 5)), 25, seed=11)
+    n = net.flat.size
+    assert n == param_count(net.spec, net.plan)
+    bad = (
+        np.zeros(n - 1),
+        np.zeros(n + 1),
+        np.zeros((1, n)),
+        np.zeros(n, dtype=np.float32),
+        np.zeros(2 * n)[::2],
+        list(net.flat),
+    )
+    for flat in bad:
+        with pytest.raises(ValueError, match=f"contiguous float64 vector of {n} elements"):
+            ModelParams(net.spec, net.plan, flat)
+    again = ModelParams(net.spec, net.plan, net.flat)
+    again.out_b[0] = 2.5  # the views write through to the shared vector
+    assert net.flat[-len(net.out_b)] == 2.5
 
 
 def test_build_model_seed_determinism():
@@ -301,8 +344,8 @@ def test_backward_masks_the_pooled_map_bit_for_bit(window, kernels):
     assert ((a1 == 0.0) & np.signbit(a1)).any() and ((a1 == 0.0) & ~np.signbit(a1)).any()
     assert (a2 == 0.0).any() and (a1 < 0).any() and (a2 < 0).any()
     _, got = loss_and_grads(net, windows, classes, training=True, rng=np.random.default_rng(0))
-    for f, g, w in zip(fields(net)[2:], got, want):
-        assert (g.view(np.uint64) == w.view(np.uint64)).all(), f.name
+    for name, g, w in zip(param_shapes(net.spec, net.plan), got, want, strict=True):
+        assert (g.view(np.uint64) == w.view(np.uint64)).all(), name
 
 
 def test_backward_empties_the_cache():
@@ -362,6 +405,8 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert back.plan == net.plan
     for a, b in zip(net.tensors(), back.tensors()):
         assert np.array_equal(a, b)  # bit-exact, not approx
+    assert all(np.shares_memory(t, back.flat) for t in back.tensors())
+    assert (back.flat.view(np.uint64) == net.flat.view(np.uint64)).all()
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):

@@ -4,7 +4,7 @@ determinism, evaluation."""
 import numpy as np
 import pytest
 
-from harwin.model import EVAL_CHUNK, ModelSpec, TrainConfig, build_model, evaluate, train
+from harwin.model import EVAL_CHUNK, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, train
 from harwin.preprocess import ChannelStats
 
 # (w - 0) / 1 is w bit for bit: the blobs are trained on as they are
@@ -60,6 +60,22 @@ def test_early_stopping_patience_bound():
     assert len(history) <= best_epoch + 5
     if len(history) < 400:  # stopped by patience, not the cap
         assert len(history) == best_epoch + 5
+
+
+def test_train_returns_a_snapshot_and_leaves_the_last_epoch_in_its_input():
+    """The best model shares no memory with the one passed in, which Adam
+    updated in place and so holds the last epoch's weights: evaluating
+    each on the stop set gives that epoch's recorded stop loss exactly."""
+    x, y = _blobs(8, seed=5)
+    every = np.arange(len(y))
+    net = build_model(_small_spec(), 12, seed=2)
+    cfg = TrainConfig(batch_size=8, max_epochs=400, patience=5, seed=2)
+    best, best_epoch, history = train(net, x, y, every, every, cfg, IDENTITY)
+    assert best_epoch < len(history)
+    assert not np.shares_memory(best.flat, net.flat)
+    assert not np.array_equal(best.flat, net.flat)
+    assert evaluate(net, x, y, every, IDENTITY)[1] == history[-1].stop_loss
+    assert evaluate(best, x, y, every, IDENTITY)[1] == history[best_epoch - 1].stop_loss
 
 
 def test_patience_zero_stops_after_first_epoch():
@@ -136,7 +152,7 @@ def test_train_and_evaluate_reject_mismatched_classes():
 
 def test_evaluate_breaks_argmax_ties_toward_lowest_class():
     net = build_model(_small_spec(), 12, seed=0)
-    zeroed = net.with_tensors([np.zeros_like(t) for t in net.tensors()])
+    zeroed = ModelParams(net.spec, net.plan, np.zeros_like(net.flat))
     # all logits identical => every prediction is class 0
     x, y = _blobs(5, seed=1)
     every = np.arange(len(y))
