@@ -142,7 +142,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         _load_signals(args),  # a temporary, so train_single can free the loaded data
         args.window,
         cfg,
-        args.seed,
         kernels=kernels,
         progress=_progress,
     )
@@ -172,7 +171,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _load_signals(args),  # a temporary, so run_sweep can free the loaded data
         windows,
         cfg,
-        args.seed,
         folds=args.folds,
         honest_split=args.honest_split,
         per_fold_stats=args.per_fold_stats,

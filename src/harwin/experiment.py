@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .dataset import ActivitySegment, LabeledSignal, collect_segments, dataset_fingerprint
-from .layers import CoverageError, GeometryError
+from .layers import CoverageError, DivergenceError, GeometryError
 from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, train
 from .preprocess import ChannelStats, FoldPlan, WindowSpec, compute_stats, kept_signal, window_arrays
 
@@ -145,31 +145,31 @@ def run_cell(
     fold: int,
     folds: int,
     cfg: TrainConfig,
-    seed: int,
     *,
     stats: ChannelStats | None,
     honest_split: bool = False,
     kernels: tuple[int, int] | None = None,
 ) -> tuple[ModelParams, FoldResult]:
     """Train on every fold of a stratified ``folds``-fold plan, dealt with
-    ``seed``, but ``fold``, and test on ``fold``; return the best model and
-    the fold's result. ``kernels`` overrides ``select_kernels``.
+    ``cfg.seed``, but ``fold``, and test on ``fold``; return the best epoch's
+    model and the fold's result. ``kernels`` overrides ``select_kernels``.
 
     The windows are read-only views of ``sig``, the ``kept_signal`` of
     ``segments``, and folds are index arrays into them: ``train`` and
     ``evaluate`` standardize each batch they gather with ``stats``, or, when
     it is None (``--per-fold-stats``), with the training folds' statistics.
-    The model, rng and inner split are seeded with ``seed + fold``. The test
-    fold doubles as the early-stopping set, the optimistic protocol this
-    reproduces, unless ``honest_split`` carves a stratified tenth of the
-    training folds for stopping.
+    The model, rng and inner split are seeded with ``cfg.seed + fold``. The
+    test fold doubles as the early-stopping set, the optimistic protocol
+    this reproduces, unless ``honest_split``: then fold 0 of a stratified
+    10-fold plan of the training folds, seeded ``cfg.seed + fold``, is the
+    stopping set, and the other nine are fit.
     """
     spec = ModelSpec(kernels=kernels or select_kernels(window_sec))
     wspec = WindowSpec(window_sec)
     plan_shapes(spec, wspec.window_len)
     x, y = window_arrays(sig, segments, wspec)
-    train_idx, test_idx = FoldPlan.stratified(y, folds, seed).train_test(fold)
-    fold_seed = seed + fold
+    train_idx, test_idx = FoldPlan.stratified(y, folds, cfg.seed).train_test(fold)
+    fold_seed = cfg.seed + fold
     if stats is None:
         stats = ChannelStats(*_window_level_stats(x, train_idx))
     fit_idx, stop_idx = train_idx, test_idx
@@ -206,7 +206,6 @@ def run_sweep(
     signals: list[LabeledSignal],
     windows_sec: list[float],
     cfg: TrainConfig,
-    seed: int,
     *,
     folds: int = 8,
     honest_split: bool = False,
@@ -219,7 +218,8 @@ def run_sweep(
 
     A ``GeometryError`` or ``CoverageError`` from a cell fails its
     duration's row with the reason, and that duration's later cells are
-    skipped; anything else, divergence included, propagates.
+    skipped; anything else propagates, a ``DivergenceError`` with its
+    ``cell`` set. The report archives ``cfg.seed`` once, as its ``seed``.
 
     The cells read only the kept signal and its re-pointed segments
     (``kept_signal``), so ``signals`` is dropped before the first cell: a
@@ -241,21 +241,23 @@ def run_sweep(
             progress(f"window {w_sec:g} s: kernels {select_kernels(w_sec)}, fold {fold + 1}/{folds}")
         try:
             _, outcomes[w_sec, fold] = run_cell(
-                sig, segments, w_sec, fold, folds, cfg, seed, stats=stats, honest_split=honest_split
+                sig, segments, w_sec, fold, folds, cfg, stats=stats, honest_split=honest_split
             )
         except (GeometryError, CoverageError) as err:
             outcomes[w_sec, fold] = str(err)
             failed.add(w_sec)
+        except DivergenceError as err:
+            err.cell = (w_sec, fold)
+            raise
     config = asdict(cfg) | {"folds": folds, "honest_split": honest_split, "per_fold_stats": per_fold_stats}
-    del config["seed"]  # unused: each cell is seeded from the report's own seed
-    return assemble(outcomes, seed=seed, fingerprint=fingerprint, config=config)
+    del config["seed"]  # archived once, as the report's own seed
+    return assemble(outcomes, seed=cfg.seed, fingerprint=fingerprint, config=config)
 
 
 def train_single(
     signals: list[LabeledSignal],
     window_sec: float,
     cfg: TrainConfig,
-    seed: int,
     *,
     kernels: tuple[int, int] | None = None,
     progress=None,
@@ -268,5 +270,5 @@ def train_single(
     sig, segments = kept_signal(collect_segments(signals))
     del signals  # as in run_sweep
     if progress is not None:
-        progress(f"training at window {window_sec:g} s (seed {seed})")
-    return run_cell(sig, segments, window_sec, 0, 5, cfg, seed, stats=stats, kernels=kernels)
+        progress(f"training at window {window_sec:g} s (seed {cfg.seed})")
+    return run_cell(sig, segments, window_sec, 0, 5, cfg, stats=stats, kernels=kernels)

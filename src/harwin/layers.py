@@ -82,8 +82,16 @@ ROW = 8192
 GROUP = 65536
 
 
-class DivergenceError(ValueError):
-    """A non-finite loss, logit or gradient: training has diverged."""
+class DivergenceError(RuntimeError):
+    """A non-finite loss, logit or gradient: training has diverged. ``train``
+    sets the 1-based ``epoch`` it diverged in, which the message then names,
+    and ``run_sweep`` the ``(window_sec, fold)`` ``cell``."""
+
+    epoch: int | None = None
+    cell: tuple[float, int] | None = None
+
+    def __str__(self) -> str:
+        return super().__str__() if self.epoch is None else f"training diverged at epoch {self.epoch}"
 
 
 class GeometryError(ValueError):

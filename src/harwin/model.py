@@ -134,8 +134,8 @@ class ModelParams:
             setattr(self, name, part.reshape(shape))
 
     def tensors(self) -> list[np.ndarray]:
-        """The parameter tensors in param_shapes() order, the order of Adam's
-        vector, of the gradients and of the checkpoint format."""
+        """The parameter tensors in param_shapes() order, the order of
+        ``flat`` and so of Adam's vector and of the checkpoint format."""
         return [getattr(self, name) for name in param_shapes(self.spec, self.plan)]
 
 
@@ -269,11 +269,11 @@ def forward(
     return logits, ForwardCache(x, p1, first1, p2, first2, z1, h1d, mask1, z2, h2d, mask2)
 
 
-def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> list[np.ndarray]:
-    """Backprop grad_logits through the cached pass; gradients come back in
-    tensors() order. The cache is emptied on entry (``ForwardCache.take``),
-    and each of its arrays, like each conv-sized gradient, is dropped once
-    its last reader has run.
+def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> ModelParams:
+    """Backprop grad_logits through the cached pass into a fresh ModelParams
+    of the model's spec and plan, each gradient in its parameter's view. The
+    cache is emptied on entry (``ForwardCache.take``), and each of its arrays,
+    like each conv-sized gradient, is dropped once its last reader has run.
 
     A conv layer's ReLU gradient is taken from its pooled map, before the
     pool routes it back: the pool picks from the ReLU output, so a pooled
@@ -282,41 +282,30 @@ def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -
     pre-activation (a loser slot gets +0.0 either way)."""
     plan = model.plan
     x, p1, first1, p2, first2, z1, h1d, mask1, z2, h2d, mask2 = cache.take()
+    g = ModelParams(model.spec, plan, np.empty_like(model.flat))
 
-    g_h2d, g_out_w, g_out_b = dense_backward(h2d, model.out_w, grad_logits)
+    g_h2d, g.out_w[...], g.out_b[...] = dense_backward(h2d, model.out_w, grad_logits)
     g_z2 = relu_backward(z2, dropout_backward(mask2, g_h2d))
     del h2d, mask2, z2, g_h2d
 
-    g_h1d, g_dense2_w, g_dense2_b = dense_backward(h1d, model.dense2_w, g_z2)
+    g_h1d, g.dense2_w[...], g.dense2_b[...] = dense_backward(h1d, model.dense2_w, g_z2)
     g_z1 = relu_backward(z1, dropout_backward(mask1, g_h1d))
     del h1d, mask1, z1, g_h1d, g_z2
 
-    g_flat, g_dense1_w, g_dense1_b = dense_backward(p2.reshape(p2.shape[0], plan.flatten), model.dense1_w, g_z1)
+    g_flat, g.dense1_w[...], g.dense1_b[...] = dense_backward(p2.reshape(len(p2), plan.flatten), model.dense1_w, g_z1)
     g_p2 = relu_backward(p2, g_flat.reshape(p2.shape))
     del p2, g_flat, g_z1
     g_a2 = maxpool_backward(first2, g_p2, plan.conv2_out) if plan.pool2_applied else g_p2
     del first2, g_p2
-    g_p1, g_conv2_w, g_conv2_b = conv1d_backward(p1, model.conv2_w, g_a2)
+    g_p1, g.conv2_w[...], g.conv2_b[...] = conv1d_backward(p1, model.conv2_w, g_a2)
     del g_a2
 
     g_p1 = relu_backward(p1, g_p1)
     del p1
     g_a1 = maxpool_backward(first1, g_p1, plan.conv1_out) if plan.pool1_applied else g_p1
     del first1, g_p1
-    _, g_conv1_w, g_conv1_b = conv1d_backward(x, model.conv1_w, g_a1, input_grad=False)
-
-    return [
-        g_conv1_w,
-        g_conv1_b,
-        g_conv2_w,
-        g_conv2_b,
-        g_dense1_w,
-        g_dense1_b,
-        g_dense2_w,
-        g_dense2_b,
-        g_out_w,
-        g_out_b,
-    ]
+    _, g.conv1_w[...], g.conv1_b[...] = conv1d_backward(x, model.conv1_w, g_a1, input_grad=False)
+    return g
 
 
 def loss_and_grads(
@@ -325,10 +314,10 @@ def loss_and_grads(
     classes: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[float, list[np.ndarray]]:
-    """Mean cross-entropy over the batch and its parameter gradients.
-    ``backward`` empties the cache, so this frame holds none of its arrays
-    while the gradients are computed."""
+) -> tuple[float, ModelParams]:
+    """Mean cross-entropy over the batch and its gradients, a ModelParams
+    (``backward``). ``backward`` empties the cache, so this frame holds none
+    of its arrays while the gradients are computed."""
     logits, cache = forward(model, windows, training=training, rng=rng)
     _, losses, grad_logits = softmax_xent(logits, classes)
     grad_logits = grad_logits / windows.shape[0]
@@ -443,7 +432,7 @@ def train(
     the per-epoch history; Adam updates ``model`` itself in place, so it is
     left holding the last epoch's weights.
     A non-finite loss, logit or gradient, in a training step or in the
-    stop-set evaluation, aborts with a RuntimeError naming the epoch.
+    stop-set evaluation, aborts with a DivergenceError naming the epoch.
     """
     if len(y) != len(x):
         raise ValueError("need one class per window")
@@ -472,11 +461,12 @@ def train(
                     loss, grads = loss_and_grads(model, gather(x, batch, stats), y[batch], training=True, rng=rng)
                     if not np.isfinite(loss):
                         raise DivergenceError("non-finite loss")
-                    adam_step(adam, model.flat, np.concatenate([g.ravel() for g in grads]))
+                    adam_step(adam, model.flat, grads.flat)
                     batch_losses.append(loss)
                 _, stop_loss = evaluate(model, x, y, stop_idx, stats)
         except DivergenceError as err:
-            raise RuntimeError(f"training diverged at epoch {epoch}") from err
+            err.epoch = epoch
+            raise
         history.append(EpochStats(train_loss=float(np.mean(batch_losses)), stop_loss=stop_loss))
         if stop_loss < best_loss:
             best_loss = stop_loss

@@ -108,7 +108,7 @@ def test_criterion_1_gradient_oracle(capsys):
             else:
                 pytest.fail(f"seed {seed}: no kink-free draw found")
             _, grads = loss_and_grads(net, windows, classes)
-            for tensor, grad in zip(net.tensors(), grads):
+            for tensor, grad in zip(net.tensors(), grads.tensors()):
                 flat = tensor.ravel()
                 gflat = grad.ravel()
                 for i in range(flat.size):
@@ -324,7 +324,7 @@ def test_criterion_7_trend_on_real_data(capsys):
         started = time.monotonic()
         signals = ingest_directory(DATA_DIR, [101, 102])
         cfg = TrainConfig(max_epochs=300, patience=100, seed=42)
-        report = run_sweep(signals, [0.1, 0.5], cfg, seed=42, folds=8)
+        report = run_sweep(signals, [0.1, 0.5], cfg, folds=8)
         by_window = {row.window_sec: row for row in report.rows}
         assert not by_window[0.1].failed and not by_window[0.5].failed
         gap = (by_window[0.5].acc_mean - by_window[0.1].acc_mean) * 100.0
@@ -347,7 +347,7 @@ def test_criterion_8_full_scale_interior_optimum(capsys):
             )
         signals = ingest_directory(DATA_DIR)
         cfg = TrainConfig()  # full defaults: 3000 epoch cap, patience 100
-        report = run_sweep(signals, list(DEFAULT_WINDOWS_SEC), cfg, seed=42, folds=8)
+        report = run_sweep(signals, list(DEFAULT_WINDOWS_SEC), cfg, folds=8)
         ok = [r for r in report.rows if not r.failed]
         assert len(ok) == len(report.rows), "every duration must complete"
         best = max(ok, key=lambda r: r.acc_mean)

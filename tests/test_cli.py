@@ -213,7 +213,7 @@ def test_unwritable_output_exits_1_before_loading(tmp_cwd, capsys, command):
     assert not (tmp_cwd / "nodir").exists()
 
 
-def test_sweep_divergence_exits_1(capsys):
+def test_sweep_divergence_exits_1(tmp_cwd, capsys):
     _synth()
     capsys.readouterr()
     rc = cli(
@@ -226,6 +226,7 @@ def test_sweep_divergence_exits_1(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "diverged at epoch 1" in out.err
+    assert not (tmp_cwd / "out" / "report.json").exists()
 
 
 def test_report_regenerates_byte_identical_outputs(tmp_cwd):

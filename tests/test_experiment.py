@@ -48,9 +48,9 @@ def _blob_segments(n_per_class, sep=3.0, seed=0, n_classes=3, scale=1.0, offset=
     return segments
 
 
-def _blob_cell(segments, fold, folds, cfg=None, seed=0, **kwargs):
+def _blob_cell(segments, fold, folds, cfg=None, **kwargs):
     kwargs.setdefault("stats", IDENTITY)
-    return run_cell(*kept_signal(segments), BLOB_SEC, fold, folds, cfg or FAST_CFG, seed, **kwargs)
+    return run_cell(*kept_signal(segments), BLOB_SEC, fold, folds, cfg or FAST_CFG, **kwargs)
 
 
 def _arrays(samples):
@@ -62,12 +62,12 @@ def _identity(n_ch):
     return ChannelStats(np.zeros(n_ch), np.ones(n_ch))
 
 
-def _reference_cell(x, y, fold, folds, spec, cfg, seed, stats):
+def _reference_cell(x, y, fold, folds, spec, cfg, stats):
     """One cell of the default protocol by hand, over a stacked window
     array, seeded as ``run_cell`` seeds it."""
-    train_idx, test_idx = FoldPlan.stratified(y, folds, seed).train_test(fold)
-    net = build_model(spec, x.shape[1], seed + fold)
-    best, best_epoch, history = train(net, x, y, train_idx, test_idx, replace(cfg, seed=seed + fold), stats)
+    train_idx, test_idx = FoldPlan.stratified(y, folds, cfg.seed).train_test(fold)
+    net = build_model(spec, x.shape[1], cfg.seed + fold)
+    best, best_epoch, history = train(net, x, y, train_idx, test_idx, replace(cfg, seed=cfg.seed + fold), stats)
     accuracy, loss = evaluate(best, x, y, test_idx, stats)
     return best, FoldResult(fold, accuracy, loss, best_epoch, history)
 
@@ -122,12 +122,12 @@ def test_run_cv_learns_separable_data():
 
 def test_run_cv_is_deterministic():
     segments = _blob_segments(8)
-    a = [_blob_cell(segments, fold, 3, seed=5) for fold in range(3)]
-    b = [_blob_cell(segments, fold, 3, seed=5) for fold in range(3)]
+    a = [_blob_cell(segments, fold, 3, replace(FAST_CFG, seed=5)) for fold in range(3)]
+    b = [_blob_cell(segments, fold, 3, replace(FAST_CFG, seed=5)) for fold in range(3)]
     assert [_bits(r) for _, r in a] == [_bits(r) for _, r in b]
     for (ma, _), (mb, _) in zip(a, b):
         _assert_same_model(ma, mb)
-    c = [_blob_cell(segments, fold, 3, seed=6)[1] for fold in range(3)]
+    c = [_blob_cell(segments, fold, 3, replace(FAST_CFG, seed=6))[1] for fold in range(3)]
     assert [(r.accuracy, r.loss) for _, r in a] != [(r.accuracy, r.loss) for r in c]
 
 
@@ -144,7 +144,7 @@ def test_run_cv_per_fold_stats_handles_unscaled_input():
     # grossly offset/scaled windows still train once per-fold stats kick in
     segments = _blob_segments(8, scale=40.0, offset=300.0)
     for fold in range(2):
-        _, r = _blob_cell(segments, fold, 2, seed=1, stats=None)
+        _, r = _blob_cell(segments, fold, 2, replace(FAST_CFG, seed=1), stats=None)
         assert np.isfinite(r.loss)
 
 
@@ -163,8 +163,9 @@ def test_per_fold_stats_match_per_window_concatenation_bitwise():
         assert (mean == data.mean(axis=0)).all() and (std == data.std(axis=0)).all(), sec
         oracle = np.stack([(w - data.mean(axis=0)) / data.std(axis=0) for w in copies])
         spec = ModelSpec(kernels=select_kernels(sec))
-        got_model, got = run_cell(sig, segments, sec, 1, 4, FAST_CFG, seed=3, stats=None)
-        want_model, want = _reference_cell(oracle, y, 1, 4, spec, FAST_CFG, seed=3, stats=IDENTITY)
+        cfg = replace(FAST_CFG, seed=3)
+        got_model, got = run_cell(sig, segments, sec, 1, 4, cfg, stats=None)
+        want_model, want = _reference_cell(oracle, y, 1, 4, spec, cfg, stats=IDENTITY)
         assert _bits(got) == _bits(want), sec
         _assert_same_model(got_model, want_model, sec)
 
@@ -186,7 +187,7 @@ def test_window_level_stats_match_gathered_copy_bitwise(monkeypatch):
             assert (std == data.std(axis=0)).all(), (sec, windows_per_chunk)
 
 
-def test_fit_fold_standardizing_gathered_batches_matches_a_standardized_signal_bitwise():
+def test_run_cell_standardizes_gathered_batches_as_a_standardized_signal_bitwise():
     """Raw windows standardized batch by batch with the global stats train
     the same model as windows cut from apply_zscore's standardized copy."""
     sig = generate_synthetic(6, samples_per_class=2, segment_len=300)
@@ -195,8 +196,9 @@ def test_fit_fold_standardizing_gathered_batches_matches_a_standardized_signal_b
     for sec in (0.1, 0.5):
         old = segment(collect_segments(apply_zscore([sig], stats)), WindowSpec(sec))
         spec = ModelSpec(kernels=select_kernels(sec))
-        got_model, got = run_cell(*kept_signal(segments), sec, 2, 4, FAST_CFG, seed=3, stats=stats)
-        want_model, want = _reference_cell(*_arrays(old), 2, 4, spec, FAST_CFG, seed=3, stats=IDENTITY)
+        cfg = replace(FAST_CFG, seed=3)
+        got_model, got = run_cell(*kept_signal(segments), sec, 2, 4, cfg, stats=stats)
+        want_model, want = _reference_cell(*_arrays(old), 2, 4, spec, cfg, stats=IDENTITY)
         assert _bits(got) == _bits(want), sec
         _assert_same_model(got_model, want_model, sec)
 
@@ -211,7 +213,7 @@ def test_run_cv_only_reads_a_read_only_window_array():
     for stats in (compute_stats([signal]), None):
         for honest_split in (False, True):
             for fold in range(2):
-                run_cell(sig, segments, 0.25, fold, 2, FAST_CFG, 0, stats=stats, honest_split=honest_split)
+                run_cell(sig, segments, 0.25, fold, 2, FAST_CFG, stats=stats, honest_split=honest_split)
     assert (sig == before).all()
 
 
@@ -232,7 +234,7 @@ def test_run_sweep_holds_one_window_array(monkeypatch):
         try:
             base = tracemalloc.get_traced_memory()[0]
             report = run_sweep(
-                [sig], list(experiment.DEFAULT_WINDOWS_SEC), FAST_CFG, seed=0, folds=2, per_fold_stats=per_fold_stats
+                [sig], list(experiment.DEFAULT_WINDOWS_SEC), FAST_CFG, folds=2, per_fold_stats=per_fold_stats
             )
             extra = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -257,7 +259,7 @@ def _stub_train_and_evaluate(monkeypatch, calls):
     monkeypatch.setattr(experiment, "evaluate", evaluate)
 
 
-def test_fit_fold_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypatch):
+def test_run_cell_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypatch):
     calls = []
     _stub_train_and_evaluate(monkeypatch, calls)
     segments = _blob_segments(16)  # the honest split's inner ten folds need 10 per class
@@ -266,7 +268,7 @@ def test_fit_fold_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypat
     train_idx, held_out = FoldPlan.stratified(y, 4, seed=0).train_test(2)
     for honest_split in (False, True):
         calls.clear()
-        run_cell(sig, segments, BLOB_SEC, 2, 4, FAST_CFG, seed=0, stats=IDENTITY, honest_split=honest_split)
+        run_cell(sig, segments, BLOB_SEC, 2, 4, FAST_CFG, stats=IDENTITY, honest_split=honest_split)
         (_, fit_x, fit_idx, stop_idx), (_, test_x, test_idx) = calls
         assert fit_x is test_x and np.shares_memory(fit_x, sig) and not fit_x.flags.writeable
         assert np.array_equal(test_idx, held_out)
@@ -276,7 +278,34 @@ def test_fit_fold_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypat
             assert np.array_equal(fit_idx, train_idx) and np.array_equal(stop_idx, held_out)
 
 
-def test_fit_fold_copies_no_fold(monkeypatch):
+def test_run_cell_tests_and_returns_the_model_that_train_returns(monkeypatch):
+    """``train`` leaves the last epoch's weights in the model it is given and
+    returns the best epoch's as a new one; the cell tests and returns that."""
+    best, tested = object(), []
+    monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg, stats: (best, 1, []))
+    monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx, stats: tested.append(net) or (1.0, 0.0))
+    model, _ = _blob_cell(_blob_segments(4), 0, 2)
+    assert tested == [best] and model is best
+
+
+def test_run_cell_honest_split_stops_on_fold_0_of_ten_seeded_per_cell(monkeypatch):
+    """``honest_split`` stops on fold 0 of a stratified 10-fold plan of the
+    training folds, dealt with ``cfg.seed + fold``, and fits the other nine."""
+    calls = []
+    _stub_train_and_evaluate(monkeypatch, calls)
+    sig, segments = kept_signal(_blob_segments(16))
+    _, y = window_arrays(sig, segments, WindowSpec(BLOB_SEC))
+    cfg = replace(FAST_CFG, seed=7)
+    for fold in range(4):
+        calls.clear()
+        run_cell(sig, segments, BLOB_SEC, fold, 4, cfg, stats=IDENTITY, honest_split=True)
+        (_, _, fit_idx, stop_idx), _ = calls
+        train_idx, _ = FoldPlan.stratified(y, 4, cfg.seed).train_test(fold)
+        fit, stop = FoldPlan.stratified(y[train_idx], 10, cfg.seed + fold).train_test(0)
+        assert np.array_equal(stop_idx, train_idx[stop]) and np.array_equal(fit_idx, train_idx[fit]), fold
+
+
+def test_run_cell_copies_no_fold(monkeypatch):
     """Beyond the model itself, a cell allocates a small fraction of its
     duration's stacked windows: the windows are views and the folds are
     index arrays, never copies."""
@@ -291,7 +320,7 @@ def test_fit_fold_copies_no_fold(monkeypatch):
         for fold in range(8):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run_cell(sig, segments, 0.5, fold, 8, FAST_CFG, seed=0, stats=IDENTITY)
+            run_cell(sig, segments, 0.5, fold, 8, FAST_CFG, stats=IDENTITY)
             extra = tracemalloc.get_traced_memory()[1] - base
             assert extra < 0.1 * nbytes, (fold, extra, nbytes)
     finally:
@@ -315,7 +344,7 @@ def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
     try:
         base = tracemalloc.get_traced_memory()[0]
         for fold in range(4):
-            run_cell(sig, segments, 0.5, fold, 4, FAST_CFG, seed=0, stats=None)
+            run_cell(sig, segments, 0.5, fold, 4, FAST_CFG, stats=None)
         extra = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -376,7 +405,7 @@ def _tiny_signal(seed=0):
 
 
 def test_run_sweep_end_to_end():
-    report = run_sweep([_tiny_signal()], [0.25, 0.1], FAST_CFG, seed=0, folds=2)
+    report = run_sweep([_tiny_signal()], [0.25, 0.1], FAST_CFG, folds=2)
     assert [r.window_sec for r in report.rows] == [0.1, 0.25]  # sorted
     assert report.seed == 0
     assert report.dataset_fingerprint.startswith("sha256:")
@@ -392,14 +421,14 @@ def test_run_sweep_fingerprint_covers_input_not_normalized_copy():
     from harwin.dataset import dataset_fingerprint
 
     before = dataset_fingerprint([sig])
-    report = run_sweep([sig], [0.1], FAST_CFG, seed=0, folds=2)
+    report = run_sweep([sig], [0.1], FAST_CFG, folds=2)
     assert report.dataset_fingerprint == before
     # the caller's signal was not mutated by normalization
     assert dataset_fingerprint([sig]) == before
 
 
 def test_run_sweep_marks_impossible_geometry_failed():
-    report = run_sweep([_tiny_signal()], [0.03, 0.1], FAST_CFG, seed=0, folds=2)
+    report = run_sweep([_tiny_signal()], [0.03, 0.1], FAST_CFG, folds=2)
     bad = report.rows[0]
     assert bad.window_sec == 0.03
     assert bad.failed
@@ -408,29 +437,31 @@ def test_run_sweep_marks_impossible_geometry_failed():
 
 
 def test_run_sweep_marks_window_longer_than_segments_failed():
-    report = run_sweep([_tiny_signal()], [4.0], FAST_CFG, seed=0, folds=2)
+    report = run_sweep([_tiny_signal()], [4.0], FAST_CFG, folds=2)
     assert report.rows[0].failed
     assert report.rows[0].reason
 
 
 def test_run_sweep_rejects_bad_window_lists():
     with pytest.raises(ValueError, match="no window"):
-        run_sweep([_tiny_signal()], [], FAST_CFG, seed=0)
+        run_sweep([_tiny_signal()], [], FAST_CFG)
     with pytest.raises(ValueError, match="duplicate"):
-        run_sweep([_tiny_signal()], [0.1, 0.1], FAST_CFG, seed=0)
+        run_sweep([_tiny_signal()], [0.1, 0.1], FAST_CFG)
     for windows in ([float("inf")], [float("nan"), float("nan")], [-1.0], [0.1, 0.0]):
         with pytest.raises(ValueError, match="positive and finite"):
-            run_sweep([_tiny_signal()], windows, FAST_CFG, seed=0)
+            run_sweep([_tiny_signal()], windows, FAST_CFG)
 
 
 def test_run_sweep_raises_on_divergence_instead_of_a_failed_row():
     # one minibatch per epoch: the first Adam step blows the weights up and
     # the first non-finite logits appear in the stop-set evaluation
     sig = generate_synthetic(42, samples_per_class=2, segment_len=120)
-    cfg = TrainConfig(max_epochs=3, learning_rate=1e200, seed=0)
-    with pytest.raises(RuntimeError, match="diverged at epoch 1") as info:
-        run_sweep([sig], [0.5], cfg, seed=42, folds=2)
-    assert isinstance(info.value.__cause__, DivergenceError)
+    cfg = TrainConfig(max_epochs=3, learning_rate=1e200, seed=42)
+    with pytest.raises(DivergenceError) as info:
+        run_sweep([sig], [0.5], cfg, folds=2)
+    assert isinstance(info.value, RuntimeError)
+    assert (info.value.epoch, info.value.cell) == (1, (0.5, 0))
+    assert str(info.value) == "training diverged at epoch 1"
 
 
 def test_run_sweep_propagates_untyped_value_errors(monkeypatch):
@@ -440,19 +471,19 @@ def test_run_sweep_propagates_untyped_value_errors(monkeypatch):
 
     monkeypatch.setattr(experiment, "train", broken_train)
     with pytest.raises(ValueError, match="class index out of range"):
-        run_sweep([_tiny_signal()], [0.1], FAST_CFG, seed=0, folds=2)
+        run_sweep([_tiny_signal()], [0.1], FAST_CFG, folds=2)
 
 
 def test_run_sweep_kernel_switch_across_durations():
     sig = generate_synthetic(0, samples_per_class=2, segment_len=120)
-    report = run_sweep([sig], [0.25, 0.5], FAST_CFG, seed=0, folds=2)
+    report = run_sweep([sig], [0.25, 0.5], FAST_CFG, folds=2)
     assert (report.rows[0].k1, report.rows[0].k2) == (3, 5)
     assert (report.rows[1].k1, report.rows[1].k2) == (7, 11)
 
 
 def test_run_sweep_progress_callback():
     lines = []
-    run_sweep([_tiny_signal()], [0.1], FAST_CFG, seed=0, folds=2, progress=lines.append)
+    run_sweep([_tiny_signal()], [0.1], FAST_CFG, folds=2, progress=lines.append)
     assert lines and "0.1" in lines[0]
     assert lines == ["window 0.1 s: kernels (3, 5), fold 1/2", "window 0.1 s: kernels (3, 5), fold 2/2"]
 
@@ -461,10 +492,8 @@ def test_run_sweep_progress_callback():
 @pytest.mark.parametrize("per_fold_stats", [False, True])
 def test_a_cell_run_alone_equals_the_same_cell_in_run_sweep(honest_split, per_fold_stats):
     sig = generate_synthetic(7, samples_per_class=2, segment_len=240)
-    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=0)
-    report = run_sweep(
-        [sig], [0.5, 0.1], cfg, seed=4, folds=2, honest_split=honest_split, per_fold_stats=per_fold_stats
-    )
+    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=4)
+    report = run_sweep([sig], [0.5, 0.1], cfg, folds=2, honest_split=honest_split, per_fold_stats=per_fold_stats)
     segments = collect_segments([sig])
     stats = None if per_fold_stats else compute_stats([sig])
     assert [(row.window_sec, row.failed) for row in report.rows] == [(0.1, False), (0.5, False)]
@@ -472,7 +501,7 @@ def test_a_cell_run_alone_equals_the_same_cell_in_run_sweep(honest_split, per_fo
         assert [f.fold for f in row.folds] == [0, 1]
         for want in row.folds:
             _, got = run_cell(
-                *kept_signal(segments), row.window_sec, want.fold, 2, cfg, 4,
+                *kept_signal(segments), row.window_sec, want.fold, 2, cfg,
                 stats=stats, honest_split=honest_split,
             )
             assert got.history and _bits(got) == _bits(want), (row.window_sec, want.fold)
@@ -481,14 +510,14 @@ def test_a_cell_run_alone_equals_the_same_cell_in_run_sweep(honest_split, per_fo
 def test_run_sweep_skips_the_later_cells_of_a_failed_duration(monkeypatch):
     ran = []
 
-    def cell(sig, segments, window_sec, fold, folds, cfg, seed, **kwargs):
+    def cell(sig, segments, window_sec, fold, folds, cfg, **kwargs):
         ran.append((window_sec, fold))
         if (window_sec, fold) == (0.1, 1):
             raise CoverageError("channel 3 is constant in the training folds")
         return None, FoldResult(fold, 1.0, 0.0, 1)
 
     monkeypatch.setattr(experiment, "run_cell", cell)
-    report = run_sweep([_tiny_signal()], [0.25, 0.1], FAST_CFG, seed=0, folds=3)
+    report = run_sweep([_tiny_signal()], [0.25, 0.1], FAST_CFG, folds=3)
     assert ran == [(0.1, 0), (0.1, 1), (0.25, 0), (0.25, 1), (0.25, 2)]
     assert [(row.window_sec, row.failed, row.reason) for row in report.rows] == [
         (0.1, True, "channel 3 is constant in the training folds"),
@@ -537,24 +566,24 @@ def test_assemble_gives_the_same_report_for_outcomes_in_any_order(tmp_path):
 def test_train_single_reports_holdout_metrics():
     sig = generate_synthetic(3, samples_per_class=2, segment_len=60)
     cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=1)
-    model, res = train_single([sig], 0.25, cfg, seed=1)
+    model, res = train_single([sig], 0.25, cfg)
     assert res.fold == 0
     assert 0.0 <= res.accuracy <= 1.0
     assert np.isfinite(res.loss)
     assert len(res.history) <= 3
     assert model.plan.window_len == 25
     # kernel override is honored
-    model2, _ = train_single([sig], 0.25, cfg, seed=1, kernels=(3, 3))
+    model2, _ = train_single([sig], 0.25, cfg, kernels=(3, 3))
     assert model2.spec.kernels == (3, 3)
 
 
 def test_train_single_is_fold_zero_of_five_fold_cv():
     sig = generate_synthetic(3, samples_per_class=2, segment_len=60)
     cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=1)
-    model, res = train_single([sig], 0.25, cfg, seed=1)
+    model, res = train_single([sig], 0.25, cfg)
     samples = segment(collect_segments(apply_zscore([sig], compute_stats([sig]))), WindowSpec(0.25))
     spec = ModelSpec(kernels=select_kernels(0.25))
-    fold0_model, fold0 = _reference_cell(*_arrays(samples), 0, 5, spec, cfg, seed=1, stats=IDENTITY)
+    fold0_model, fold0 = _reference_cell(*_arrays(samples), 0, 5, spec, cfg, stats=IDENTITY)
     assert (res.accuracy, res.loss, res.epochs_to_best) == (fold0.accuracy, fold0.loss, fold0.epochs_to_best)
     assert _bits(res) == _bits(fold0)
     _assert_same_model(model, fold0_model)

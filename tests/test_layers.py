@@ -19,6 +19,7 @@ from harwin.layers import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    DivergenceError,
     adam_step,
     conv1d_backward,
     conv1d_forward,
@@ -669,7 +670,7 @@ def test_softmax_extreme_logits_stay_finite():
 
 
 def test_softmax_rejects_bad_input():
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(DivergenceError, match="non-finite"):
         softmax_xent(np.array([[np.inf, 0.0]]), np.array([0]))
     with pytest.raises(ValueError, match="range"):
         softmax_xent(np.zeros((1, 3)), np.array([3]))
@@ -793,7 +794,7 @@ def test_adam_updates_in_place_across_tensors():
 def test_adam_rejects_non_finite_gradient():
     p = np.ones(2)
     state = init_adam(p)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(DivergenceError, match="non-finite"):
         adam_step(state, p, np.array([1.0, np.nan]))
     assert state.t == 0  # nothing applied
     assert (p == 1.0).all() and not state.m.any()

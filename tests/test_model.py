@@ -344,18 +344,21 @@ def test_backward_masks_the_pooled_map_bit_for_bit(window, kernels):
     assert ((a1 == 0.0) & np.signbit(a1)).any() and ((a1 == 0.0) & ~np.signbit(a1)).any()
     assert (a2 == 0.0).any() and (a1 < 0).any() and (a2 < 0).any()
     _, got = loss_and_grads(net, windows, classes, training=True, rng=np.random.default_rng(0))
-    for name, g, w in zip(param_shapes(net.spec, net.plan), got, want, strict=True):
+    for name, g, w in zip(param_shapes(net.spec, net.plan), got.tensors(), want, strict=True):
         assert (g.view(np.uint64) == w.view(np.uint64)).all(), name
 
 
 def test_backward_empties_the_cache():
     """backward takes every array out of the cache, so no caller's
-    reference keeps one alive past its last reader."""
+    reference keeps one alive past its last reader, and returns the
+    gradients as a model of their own: the spec and plan of ``net``, in a
+    flat vector that shares no memory with its parameters."""
     net = build_model(ModelSpec(), 50, seed=1)
     rng = np.random.default_rng(5)
     logits, cache = forward(net, rng.normal(size=(4, 50, 18)), training=True, rng=rng)
-    backward(net, cache, softmax_xent(logits, rng.integers(0, 5, size=4))[2])
+    grads = backward(net, cache, softmax_xent(logits, rng.integers(0, 5, size=4))[2])
     assert all(getattr(cache, f.name) is None for f in fields(cache))
+    assert (grads.spec, grads.plan) == (net.spec, net.plan) and not np.shares_memory(grads.flat, net.flat)
 
 
 def test_gradients_match_finite_differences_small_net():
@@ -368,7 +371,7 @@ def test_gradients_match_finite_differences_small_net():
     classes = rng.integers(0, 5, size=3)
     _, grads = loss_and_grads(net, windows, classes)
     h = 1e-5
-    for tensor, grad in zip(net.tensors(), grads):
+    for tensor, grad in zip(net.tensors(), grads.tensors()):
         flat = tensor.ravel()
         gflat = grad.ravel()
         for i in range(0, flat.size, max(1, flat.size // 5)):
@@ -392,7 +395,7 @@ def test_loss_grads_scale_with_batch_mean():
     # duplicating the sample leaves the mean loss and gradients unchanged
     loss2, grads2 = loss_and_grads(net, np.repeat(w, 4, axis=0), np.repeat(y, 4))
     assert loss2 == pytest.approx(loss1, rel=1e-12)
-    for g1, g2 in zip(grads1, grads2):
+    for g1, g2 in zip(grads1.tensors(), grads2.tensors()):
         assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
 

@@ -340,6 +340,19 @@ def test_make_folds_per_class_imbalance_at_most_one():
         assert counts.max() - counts.min() <= 1
 
 
+def test_stratified_deals_each_class_from_fold_0():
+    """Each class is dealt round-robin from fold 0, so its per-fold counts
+    never increase with the fold index: the first ``n % k`` folds hold one
+    window more than the rest."""
+    sizes = (21, 9, 17)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    for k, seed in ((8, 3), (4, 0), (5, 11)):
+        plan = FoldPlan.stratified(labels, k, seed)
+        for cls in range(len(sizes)):
+            counts = np.bincount(plan.assignment[labels == cls], minlength=k)
+            assert (np.diff(counts) <= 0).all(), (k, cls, counts)
+
+
 def test_make_folds_train_test_complement():
     samples = _labeled_samples([10, 10])
     plan = make_folds(samples, 5, seed=1)

@@ -4,6 +4,7 @@ determinism, evaluation."""
 import numpy as np
 import pytest
 
+from harwin.layers import DivergenceError
 from harwin.model import EVAL_CHUNK, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, train
 from harwin.preprocess import ChannelStats
 
@@ -123,8 +124,11 @@ def test_divergence_raises_with_epoch_number():
     net = build_model(_small_spec(), 12, seed=3)
     # an absurd learning rate drives the activations past float64 range
     cfg = TrainConfig(batch_size=8, max_epochs=50, patience=50, seed=3, learning_rate=1e150)
-    with pytest.raises(RuntimeError, match=r"diverged at epoch \d+"):
+    with pytest.raises(DivergenceError) as info:
         train(net, x, y, every, every, cfg, IDENTITY)
+    assert isinstance(info.value, RuntimeError) and info.value.cell is None
+    assert 1 <= info.value.epoch <= cfg.max_epochs
+    assert str(info.value) == f"training diverged at epoch {info.value.epoch}"
 
 
 def test_train_rejects_empty_inputs():
