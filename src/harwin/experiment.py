@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import ActivitySegment, LabeledSignal, collect_segments, dataset_fingerprint
 from .layers import CoverageError, DivergenceError, GeometryError
-from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, plan_shapes, train
+from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, train
 from .preprocess import ChannelStats, FoldPlan, WindowSpec, compute_stats, kept_signal, window_arrays
 
 SHORT_WINDOW_SEC = 0.25
@@ -68,35 +68,16 @@ class SweepRow:
     failed: bool = False
     reason: str | None = None
 
-    def _agg(self, attr: str) -> tuple[float, float]:
-        vals = np.array([getattr(f, attr) for f in self.folds], dtype=np.float64)
-        # sample std (ddof=1) across folds, matching how spread over repeated
-        # trials is usually quoted
+    def mean_std(self, name: str) -> tuple[float, float]:
+        """Mean and sample std (ddof=1, as spread over repeated trials is
+        usually quoted; 0.0 for one fold) of the FoldResult field ``name``
+        over the folds."""
+        vals = np.array([getattr(f, name) for f in self.folds], dtype=np.float64)
         return float(vals.mean()), float(vals.std(ddof=1)) if vals.size > 1 else 0.0
 
     @property
     def acc_mean(self) -> float:
-        return self._agg("accuracy")[0]
-
-    @property
-    def acc_std(self) -> float:
-        return self._agg("accuracy")[1]
-
-    @property
-    def loss_mean(self) -> float:
-        return self._agg("loss")[0]
-
-    @property
-    def loss_std(self) -> float:
-        return self._agg("loss")[1]
-
-    @property
-    def epochs_mean(self) -> float:
-        return self._agg("epochs_to_best")[0]
-
-    @property
-    def epochs_std(self) -> float:
-        return self._agg("epochs_to_best")[1]
+        return self.mean_std("accuracy")[0]
 
 
 @dataclass
@@ -164,19 +145,18 @@ def run_cell(
     10-fold plan of the training folds, seeded ``cfg.seed + fold``, is the
     stopping set, and the other nine are fit.
     """
-    spec = ModelSpec(kernels=kernels or select_kernels(window_sec))
     wspec = WindowSpec(window_sec)
-    plan_shapes(spec, wspec.window_len)
+    fold_seed = cfg.seed + fold
+    # built first: its shape plan fails a bad geometry before the windows can fail coverage
+    net = build_model(ModelSpec(kernels=kernels or select_kernels(window_sec)), wspec.window_len, fold_seed)
     x, y = window_arrays(sig, segments, wspec)
     train_idx, test_idx = FoldPlan.stratified(y, folds, cfg.seed).train_test(fold)
-    fold_seed = cfg.seed + fold
     if stats is None:
         stats = ChannelStats(*_window_level_stats(x, train_idx))
     fit_idx, stop_idx = train_idx, test_idx
     if honest_split:
         fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)
         fit_idx, stop_idx = train_idx[fit], train_idx[stop]
-    net = build_model(spec, wspec.window_len, fold_seed)
     best, best_epoch, history = train(net, x, y, fit_idx, stop_idx, replace(cfg, seed=fold_seed), stats)
     accuracy, loss = evaluate(best, x, y, test_idx, stats)
     return best, FoldResult(fold, accuracy, loss, best_epoch, history)

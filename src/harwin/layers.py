@@ -102,14 +102,6 @@ class CoverageError(ValueError):
     """Too few windows to fold, or a channel constant over the training folds."""
 
 
-def conv_out_len(length: int, kernel: int) -> int:
-    """Output length of a valid, stride-1 1-D convolution; may be <= 0 for a
-    kernel longer than the input."""
-    if length < 1 or kernel < 1:
-        raise ValueError("length and kernel must be positive")
-    return length - kernel + 1
-
-
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation: x (B, C, L), weights (F, C, K), bias (F,)
     -> (B, F, L-K+1). The blocks of one call may be summed on several
@@ -352,11 +344,12 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-def softmax_xent(logits: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def softmax_xent(logits: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax + cross-entropy of (B, n_classes) logits.
 
-    Returns (probs, losses, grad_logits) where grad_logits is the gradient
-    of the *per-row* loss (probs minus one-hot), not yet averaged.
+    Returns (losses, grad_logits): the (B,) per-row losses, and the (B,
+    n_classes) gradient of each row's loss with respect to its logits (the
+    softmax probabilities minus the one-hot), not yet averaged.
     """
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits")
@@ -367,14 +360,13 @@ def softmax_xent(logits: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, n
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     sum_exp = exp.sum(axis=1, keepdims=True)
-    probs = exp / sum_exp
+    grads = exp / sum_exp
     rows = np.arange(logits.shape[0])
     # log-space loss: stays finite even when the true class's probability
     # underflows to zero
     losses = np.log(sum_exp[:, 0]) - shifted[rows, classes]
-    grads = probs.copy()
     grads[rows, classes] -= 1.0
-    return probs, losses, grads
+    return losses, grads
 
 
 def dropout(

@@ -21,7 +21,6 @@ from .layers import (
     adam_step,
     conv1d_backward,
     conv1d_forward,
-    conv_out_len,
     dense_backward,
     dense_forward,
     dropout,
@@ -91,10 +90,10 @@ def plan_shapes(spec: ModelSpec, window_len: int) -> ShapePlan:
             f"architecture invalid for window of {window_len} samples: "
             f"first kernel {k1} does not fit"
         )
-    conv1 = conv_out_len(window_len, k1)
+    conv1 = window_len - k1 + 1
     pool1_applied = conv1 // 2 >= k2
     pool1 = conv1 // 2 if pool1_applied else conv1
-    conv2 = conv_out_len(pool1, k2) if pool1 >= k2 else 0
+    conv2 = pool1 - k2 + 1
     if conv2 < 1:
         raise GeometryError(
             f"architecture invalid for window of {window_len} samples: "
@@ -126,12 +125,15 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         shapes = param_shapes(self.spec, self.plan)
-        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        size = sum(math.prod(shape) for shape in shapes.values())
         f = self.flat  # a strided vector would reshape into copies, not views
-        if not (isinstance(f, np.ndarray) and f.dtype == np.float64 and f.shape == (ends[-1],) and f.flags.c_contiguous):
-            raise ValueError(f"flat must be a contiguous float64 vector of {ends[-1]} elements")
-        for (name, shape), part in zip(shapes.items(), np.split(f, ends[:-1])):
-            setattr(self, name, part.reshape(shape))
+        if not (isinstance(f, np.ndarray) and f.dtype == np.float64 and f.shape == (size,) and f.flags.c_contiguous):
+            raise ValueError(f"flat must be a contiguous float64 vector of {size} elements")
+        start = 0
+        for name, shape in shapes.items():
+            end = start + math.prod(shape)
+            setattr(self, name, f[start:end].reshape(shape))
+            start = end
 
     def tensors(self) -> list[np.ndarray]:
         """The parameter tensors in param_shapes() order, the order of
@@ -319,7 +321,7 @@ def loss_and_grads(
     (``backward``). ``backward`` empties the cache, so this frame holds none
     of its arrays while the gradients are computed."""
     logits, cache = forward(model, windows, training=training, rng=rng)
-    _, losses, grad_logits = softmax_xent(logits, classes)
+    losses, grad_logits = softmax_xent(logits, classes)
     grad_logits = grad_logits / windows.shape[0]
     return float(losses.mean()), backward(model, cache, grad_logits)
 
@@ -404,7 +406,7 @@ def evaluate(
         chunk = idx[lo : lo + EVAL_CHUNK]
         cb = y[chunk]
         logits, _ = forward(model, gather(x, chunk, stats), keep_cache=False)
-        _, losses, _ = softmax_xent(logits, cb)
+        losses, _ = softmax_xent(logits, cb)
         correct += int((logits.argmax(axis=1) == cb).sum())
         loss_sum += float(losses.sum())
     return correct / n, loss_sum / n

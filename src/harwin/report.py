@@ -25,10 +25,13 @@ def _format_row(row: SweepRow) -> str:
     head = f"{row.window_sec:g},{row.k1},{row.k2}"
     if row.failed:
         return head + ",NA,NA,NA,NA,NA,NA"
+    acc, acc_std = row.mean_std("accuracy")
+    loss, loss_std = row.mean_std("loss")
+    epochs, epochs_std = row.mean_std("epochs_to_best")
     return head + (
-        f",{row.acc_mean * 100:.2f},{row.acc_std * 100:.2f}"
-        f",{row.loss_mean:.3f},{row.loss_std:.3f}"
-        f",{row.epochs_mean:.1f},{row.epochs_std:.1f}"
+        f",{acc * 100:.2f},{acc_std * 100:.2f}"
+        f",{loss:.3f},{loss_std:.3f}"
+        f",{epochs:.1f},{epochs_std:.1f}"
     )
 
 
@@ -38,10 +41,6 @@ def format_report_csv(report: SweepReport) -> str:
     lines = [CSV_HEADER]
     lines.extend(_format_row(row) for row in report.rows)
     return "\n".join(lines) + "\n"
-
-
-def write_report_csv(report: SweepReport, path: str | Path) -> None:
-    Path(path).write_text(format_report_csv(report))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +148,6 @@ def render_boxplot_svg(groups: list[tuple[float, list[float]]], metric: str) -> 
     return "\n".join(out) + "\n"
 
 
-def _plottable(report: SweepReport) -> list[SweepRow]:
-    return [r for r in report.rows if not r.failed]
-
-
 def render_all(report: SweepReport, out_dir: str | Path) -> list[Path]:
     """Write report.csv plus accuracy/loss/epoch box plots; returns the paths.
 
@@ -161,8 +156,8 @@ def render_all(report: SweepReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [out / "report.csv"]
-    write_report_csv(report, written[0])
-    rows = _plottable(report)
+    written[0].write_text(format_report_csv(report))
+    rows = [r for r in report.rows if not r.failed]
     if rows:
         panels = [
             ("accuracy_boxplot.svg", "accuracy (%)", lambda f: f.accuracy * 100.0),

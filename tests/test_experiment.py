@@ -100,7 +100,7 @@ def test_select_kernels_boundary():
     assert select_kernels(4.0) == (7, 11)
 
 
-def test_run_cv_returns_one_result_per_fold():
+def test_run_cell_returns_one_result_per_fold():
     segments = _blob_segments(8)
     for fold in range(4):
         model, r = _blob_cell(segments, fold, 4)
@@ -112,7 +112,7 @@ def test_run_cv_returns_one_result_per_fold():
         assert model.plan.window_len == 10 and model.spec.kernels == select_kernels(BLOB_SEC)
 
 
-def test_run_cv_learns_separable_data():
+def test_run_cell_learns_separable_data():
     segments = _blob_segments(16)
     cfg = TrainConfig(batch_size=16, max_epochs=120, patience=120, seed=0)
     for fold in range(2):
@@ -120,7 +120,7 @@ def test_run_cv_learns_separable_data():
         assert r.accuracy == 1.0
 
 
-def test_run_cv_is_deterministic():
+def test_run_cell_is_deterministic():
     segments = _blob_segments(8)
     a = [_blob_cell(segments, fold, 3, replace(FAST_CFG, seed=5)) for fold in range(3)]
     b = [_blob_cell(segments, fold, 3, replace(FAST_CFG, seed=5)) for fold in range(3)]
@@ -383,16 +383,17 @@ def test_sweep_row_aggregates():
         ],
     )
     assert row.acc_mean == pytest.approx(0.9995)
-    assert row.acc_std == pytest.approx(7.0710678118654764e-4, rel=1e-9)  # ddof=1
-    assert row.loss_mean == pytest.approx(0.015)
-    assert row.epochs_mean == pytest.approx(350.0)
-    assert row.epochs_std == pytest.approx(70.71067811865476, rel=1e-12)
+    acc_mean, acc_std = row.mean_std("accuracy")
+    assert acc_mean == row.acc_mean
+    assert acc_std == pytest.approx(7.0710678118654764e-4, rel=1e-9)  # ddof=1
+    assert row.mean_std("loss")[0] == pytest.approx(0.015)
+    assert row.mean_std("epochs_to_best") == pytest.approx((350.0, 70.71067811865476), rel=1e-12)
 
 
 def test_sweep_row_single_fold_has_zero_spread():
     row = SweepRow(0.5, 7, 11, [FoldResult(0, 0.9, 0.3, 12)])
-    assert row.acc_std == 0.0
-    assert row.epochs_std == 0.0
+    assert row.mean_std("accuracy") == (0.9, 0.0)
+    assert row.mean_std("epochs_to_best") == (12.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

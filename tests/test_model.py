@@ -303,7 +303,7 @@ def _grads_in_the_cached_pre_activation_order(net, windows, classes, rng):
     h1d, mask1 = dropout(relu(z1), net.spec.dropout_rate, True, rng)
     z2 = dense_forward(h1d, net.dense2_w, net.dense2_b)
     h2d, mask2 = dropout(relu(z2), net.spec.dropout_rate, True, rng)
-    _, _, g = softmax_xent(dense_forward(h2d, net.out_w, net.out_b), classes)
+    _, g = softmax_xent(dense_forward(h2d, net.out_w, net.out_b), classes)
     g_h2d, g_out_w, g_out_b = dense_backward(h2d, net.out_w, g / len(windows))
     g_h1d, g_d2_w, g_d2_b = dense_backward(h1d, net.dense2_w, relu_backward(z2, dropout_backward(mask2, g_h2d)))
     g_flat, g_d1_w, g_d1_b = dense_backward(flat, net.dense1_w, relu_backward(z1, dropout_backward(mask1, g_h1d)))
@@ -356,7 +356,7 @@ def test_backward_empties_the_cache():
     net = build_model(ModelSpec(), 50, seed=1)
     rng = np.random.default_rng(5)
     logits, cache = forward(net, rng.normal(size=(4, 50, 18)), training=True, rng=rng)
-    grads = backward(net, cache, softmax_xent(logits, rng.integers(0, 5, size=4))[2])
+    grads = backward(net, cache, softmax_xent(logits, rng.integers(0, 5, size=4))[1])
     assert all(getattr(cache, f.name) is None for f in fields(cache))
     assert (grads.spec, grads.plan) == (net.spec, net.plan) and not np.shares_memory(grads.flat, net.flat)
 
