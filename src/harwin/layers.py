@@ -21,27 +21,22 @@ GROUP elements each, so the pair fits in a 2 MiB L2 cache; a block is
 written back into the output as soon as its terms are summed.
 ``conv_tiling`` picks the blocks: the fewest blocks whose rows hold at most
 ROW elements and whose accumulators fit GROUP, with tiles and groups
-balanced so that none is short, and among those the fewest groups. It also
-keeps every row long enough to avoid numpy's buffered iterator where the
-call has such rows at all (below). Copying one channel of one block at a
-time rather than the whole input keeps a thread's scratch near 1 MiB.
+balanced so that none is short, and among those the fewest groups. Copying
+one channel of one block at a time rather than the whole input keeps a
+thread's scratch near 1 MiB.
 
-The product takes one of two paths, chosen per tile from n. numpy runs a
-broadcast multiply whose rows are shorter than a third of its ufunc buffer
-(3 * n < np.getbufsize(), so n <= 2,730 at the default 8192) through its
-buffered iterator, which made a call about 2x slower; short windows' tiles
-are that short (n = L_out * B = 1,024 for conv1 at 0.1 s and batch 128).
-Those rows take the product from np.einsum("f,n->fn"), longer rows from the
-broadcast multiply. Both give the same bits with one exception: einsum
-writes 0.0 + w*x, so a -0.0 product comes out +0.0. That changes an output
-only while its running sum is still -0.0, which needs a -0.0 bias entry, so
-a call whose bias holds a -0.0 takes the broadcast path throughout. The
-choice reads numpy's buffer size and changes no numpy state. The blocks and
-the path decide only where an element sits in memory and how a product is
-formed, never the order of one output element's terms. The backward
-convolution is one GEMM pair per tap. Its sums run in BLAS order, so it is
-checked against finite differences and a per-(channel, tap) reference loop
-by tolerance, not bit for bit.
+Every product is one broadcast multiply, run under a ufunc buffer of
+PRODUCT_BUFSIZE elements. numpy's buffered iterator made that multiply 2-4x
+slower whenever a row was shorter than about a third of its buffer, 8192
+elements by default, as short windows' rows are (n = L_out * B = 1,024 for
+conv1 at 0.1 s and batch 128); under the smaller buffer every row of a full
+batch of 128 is long enough. The buffer size is a measured speed choice
+that never changes an elementwise result, so the bits do not depend on it,
+and each share restores the size its thread had. The
+blocks decide only where an element sits in memory, never the order of one
+output element's terms. The backward convolution is one GEMM pair per tap.
+Its sums run in BLAS order, so it is checked against finite differences and
+a per-(channel, tap) reference loop by tolerance, not bit for bit.
 
 Threads. A forward call of several blocks shares them among up to
 ``usable_cpus()`` threads, the CPUs in the process's affinity mask (so
@@ -49,12 +44,10 @@ Threads. A forward call of several blocks shares them among up to
 thread each of the others, and every share takes the next block from one
 list until none is left. A call of a single block, and every call where
 one CPU is usable, is one share on the calling thread. numpy releases the
-GIL inside a broadcast multiply or an add over long rows, so the shares'
-terms run at once; einsum holds it, so ``conv_sharing`` splits a call only
-into tiles whose rows, the shortest included, are long enough for the
-multiply. Each share has scratch of its own, and the tiles are cut so that
-all shares together hold no more than a tile of every channel plus an
-accumulator and a product of conv_tiling's blocks. One thread sums each
+GIL inside the multiply and the add, so the shares' terms run at once. Each
+share has scratch of its own, and the tiles are cut so that all shares
+together hold no more than a tile of every channel plus an accumulator and
+a product of conv_tiling's blocks. One thread sums each
 output element, bias first and then the (channel, tap) terms in
 channel-major order, so the bits depend neither on the number of threads
 nor on which thread takes which block. The helpers run under the caller's
@@ -73,13 +66,15 @@ import numpy as np
 
 # Most elements in one row of a forward tile (positions x batch): one
 # (channel, tap) term is a (group, n) product plus add over rows of n <= ROW
-# elements, unless a single position holds more. Rows under a third of
-# np.getbufsize() take their products from einsum, unless the bias holds a
-# -0.0 (see the module docstring); longer rows take a broadcast multiply.
+# elements, unless a single position holds more.
 ROW = 8192
 # Most elements in one filter group's (group, n) accumulator, and in its
 # product: the pair takes 1 MiB, half of a 2 MiB L2 cache.
 GROUP = 65536
+# numpy's ufunc buffer size while a share forms its products: a multiple of
+# 16, as numpy requires, and under three times the shortest row of a full
+# batch (see the module docstring).
+PRODUCT_BUFSIZE = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -125,10 +120,7 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     # the largest tile and group size the scratch must hold
     tile = max(q - p for p, q in zip(tile_edges, tile_edges[1:]))
     group = max(f1 - f0 for f0, f1 in zip(group_edges, group_edges[1:]))
-    wt = weights.transpose(1, 2, 0).copy()  # (C, K, F): each wt[c, k] is contiguous
-    # einsum turns a -0.0 product into +0.0, which shows only in a sum still at a -0.0 bias
-    einsum_ok = not (np.signbit(bias) & (bias == 0.0)).any()
-    bufsize = np.getbufsize()
+    wt = weights.transpose(1, 2, 0)[..., None].copy()  # (C, K, F, 1): each wt[c, k] is contiguous
     groups = list(zip(group_edges, group_edges[1:]))
     blocks = iter([(p, q, f0, f1) for p, q in zip(tile_edges, tile_edges[1:]) for f0, f1 in groups])
     take = threading.Lock()
@@ -143,30 +135,28 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
         filters [f0, f1), one input channel of the block copied at a time
         into xc, xc[j * B + b] = x[b, c, p + j]."""
         xc_buf, acc_buf, term_buf = scratch[s]
-        while True:
-            with take:
-                block = next(blocks, None)
-            if block is None:
-                return
-            p, q, f0, f1 = block
-            n = (q - p) * batch
-            # numpy's buffered iterator would run a broadcast multiply over rows this short
-            use_einsum = einsum_ok and 3 * n < bufsize
-            xc = xc_buf[: (q - p + kernel - 1) * batch]
-            acc = acc_buf[: (f1 - f0) * n].reshape(f1 - f0, n)
-            term = term_buf[: acc.size].reshape(acc.shape)
-            w = wt[:, :, f0:f1] if use_einsum else wt[:, :, f0:f1, None]
-            acc[...] = bias[f0:f1, None]
-            for c in range(n_in):
-                xc.reshape(-1, batch)[...] = x[:, c, p : q + kernel - 1].T
-                for k in range(kernel):
-                    row = xc[k * batch : k * batch + n]
-                    if use_einsum:
-                        np.einsum("f,n->fn", w[c, k], row, out=term)
-                    else:
-                        np.multiply(w[c, k], row, out=term)
-                    acc += term
-            out[:, f0:f1, p:q] = acc.reshape(f1 - f0, q - p, batch).transpose(2, 0, 1)
+        saved = np.setbufsize(PRODUCT_BUFSIZE)  # per thread, like the error state
+        try:
+            while True:
+                with take:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                p, q, f0, f1 = block
+                n = (q - p) * batch
+                xc = xc_buf[: (q - p + kernel - 1) * batch]
+                acc = acc_buf[: (f1 - f0) * n].reshape(f1 - f0, n)
+                term = term_buf[: acc.size].reshape(acc.shape)
+                w = wt[:, :, f0:f1]
+                acc[...] = bias[f0:f1, None]
+                for c in range(n_in):
+                    xc.reshape(-1, batch)[...] = x[:, c, p : q + kernel - 1].T
+                    for k in range(kernel):
+                        np.multiply(w[c, k], xc[k * batch : k * batch + n], out=term)
+                        acc += term
+                out[:, f0:f1, p:q] = acc.reshape(f1 - f0, q - p, batch).transpose(2, 0, 1)
+        finally:
+            np.setbufsize(saved)
 
     run_shares(share, n_shares)
     return out
@@ -231,10 +221,8 @@ def conv_sharing(
     scratch (one channel's tile, an accumulator and a product each) fits in
     the budget of conv_tiling's blocks: a tile of every channel, an
     accumulator and a product. It takes the most shares, up to ``cpus``,
-    whose shortest tile has rows of at least a third of np.getbufsize()
-    (shorter rows would take einsum, which holds the GIL) and that have at
-    least a block each; one share if there are none, or if the call is a
-    single block."""
+    that have at least a block each; one share if there are none, or if the
+    call is a single block."""
     n_tiles, n_groups = conv_tiling(out_len, batch, n_filters)
     group_edges = [i * n_filters // n_groups for i in range(n_groups + 1)]
     if n_tiles * n_groups > 1:
@@ -244,7 +232,7 @@ def conv_sharing(
         for n_shares in range(min(cpus, budget // (2 * group + kernel)), 1, -1):
             most = min(tile, (budget - n_shares * (kernel - 1)) // (n_shares * (2 * group + 1)))
             n = -(-out_len // most)
-            if 3 * (out_len // n) * batch >= np.getbufsize() and n * n_groups >= n_shares:
+            if n * n_groups >= n_shares:
                 return n_shares, [i * out_len // n for i in range(n + 1)], group_edges
     return 1, [i * out_len // n_tiles for i in range(n_tiles + 1)], group_edges
 
@@ -257,14 +245,10 @@ def conv_tiling(out_len: int, batch: int, n_filters: int) -> tuple[int, int]:
     (positions x batch) holds at most ROW elements, or a single position, and
     whose largest (group, row) block at most GROUP elements, or a single
     filter, it takes the one with the fewest blocks, and among those the
-    fewest groups. A split whose shortest row would fall under a third of
-    np.getbufsize() is passed over when a split with fewer tiles exists."""
-    bufsize = np.getbufsize()
+    fewest groups."""
     n_tiles = -(-out_len // max(1, ROW // batch))
     best = (out_len * n_filters + 1, 0, 0)
     while n_tiles <= min(out_len, best[0]):
-        if best[1] and 3 * (out_len // n_tiles) * batch < bufsize:
-            break
         n_groups = -(-n_filters // max(1, GROUP // (-(-out_len // n_tiles) * batch)))
         if n_tiles * n_groups <= best[0]:
             best = (n_tiles * n_groups, n_tiles, n_groups)

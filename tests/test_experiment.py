@@ -131,7 +131,7 @@ def test_run_cell_is_deterministic():
     assert [(r.accuracy, r.loss) for _, r in a] != [(r.accuracy, r.loss) for r in c]
 
 
-def test_run_cv_honest_split_runs_and_differs():
+def test_run_cell_honest_split_runs_and_differs():
     # the stop set changes, so the trained models (and losses) change too;
     # the inner tenth-for-stopping split needs >= 10 per class in the pool
     segments = _blob_segments(24)
@@ -140,7 +140,7 @@ def test_run_cv_honest_split_runs_and_differs():
     assert [r.loss for r in default] != [r.loss for r in honest]
 
 
-def test_run_cv_per_fold_stats_handles_unscaled_input():
+def test_run_cell_per_fold_stats_handles_unscaled_input():
     # grossly offset/scaled windows still train once per-fold stats kick in
     segments = _blob_segments(8, scale=40.0, offset=300.0)
     for fold in range(2):
@@ -203,7 +203,7 @@ def test_run_cell_standardizes_gathered_batches_as_a_standardized_signal_bitwise
         _assert_same_model(got_model, want_model, sec)
 
 
-def test_run_cv_only_reads_a_read_only_window_array():
+def test_run_cell_only_reads_a_read_only_window_array():
     signal = generate_synthetic(2, samples_per_class=2, segment_len=120)
     segments = collect_segments([signal])
     sig, segments = kept_signal(segments)
@@ -327,7 +327,7 @@ def test_run_cell_copies_no_fold(monkeypatch):
         tracemalloc.stop()
 
 
-def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
+def test_run_cell_per_fold_stats_holds_one_window_array(monkeypatch):
     """Per-fold normalization standardizes each gathered batch, so the cells
     of a cross-validation hold less than one stacked window array beyond
     the kept signal, not a raw and a normalized one."""
@@ -351,7 +351,7 @@ def test_run_cv_per_fold_stats_holds_one_window_array(monkeypatch):
     assert extra < 1.5 * nbytes, (extra, nbytes)
 
 
-def test_run_cv_per_fold_stats_rejects_constant_channel():
+def test_run_cell_per_fold_stats_rejects_constant_channel():
     segments = _blob_segments(8)
     for seg in segments:
         seg.channels[1] = 0.0
@@ -359,7 +359,7 @@ def test_run_cv_per_fold_stats_rejects_constant_channel():
         _blob_cell(segments, 0, 2, stats=None)
 
 
-def test_run_cv_rejects_too_few_samples_per_class():
+def test_run_cell_rejects_too_few_samples_per_class():
     with pytest.raises(CoverageError, match="class"):
         _blob_cell(_blob_segments(3), 0, 4)
     # the honest split's inner ten-fold split needs 10 windows per class

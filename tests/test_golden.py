@@ -1,5 +1,5 @@
-"""Golden values: the trained numbers of a small synthetic sweep and of one
-single-model run, pinned in ``golden_values.json``.
+"""Golden values: the trained numbers of a small synthetic sweep and of two
+single-model runs, pinned in ``golden_values.json``.
 
 Accuracy and epochs compare exactly, losses at a relative tolerance of
 1e-9, so a BLAS that sums in another order still passes while a changed
@@ -35,8 +35,8 @@ SETTINGS = {
 }
 
 
-def _signals():
-    return [generate_synthetic(42, 3, 300)]
+def _signals(segment_len: int = 300):
+    return [generate_synthetic(42, 3, segment_len)]
 
 
 def _sweep(monkeypatch, setting: str) -> dict:
@@ -67,6 +67,13 @@ def _train_history() -> list[dict]:
     return [asdict(e) for e in result.history]
 
 
+def _train_4s() -> dict:
+    """A 4 s run, on segments long enough to hold several 4 s windows: its
+    batches make forward calls of several blocks, shared among threads."""
+    _, result = train_single(_signals(1200), 4.0, CFG)
+    return {"accuracy": result.accuracy, "loss": result.loss, "history": [asdict(e) for e in result.history]}
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -84,14 +91,24 @@ def test_sweep_matches_golden_values(monkeypatch, setting):
             assert loss == pytest.approx(want_loss, rel=1e-9)
 
 
-def test_train_history_matches_golden_values():
-    want = _golden()["train_history_0.5"]
-    got = _train_history()
+def _assert_same_history(got: list[dict], want: list[dict]) -> None:
     assert len(got) == len(want)
     for epoch, want_epoch in zip(got, want):
         assert epoch.keys() == want_epoch.keys()
         for key, value in want_epoch.items():
             assert epoch[key] == pytest.approx(value, rel=1e-9)
+
+
+def test_train_history_matches_golden_values():
+    _assert_same_history(_train_history(), _golden()["train_history_0.5"])
+
+
+def test_train_4s_matches_golden_values():
+    want = _golden()["train_4"]
+    got = _train_4s()
+    assert got["accuracy"] == want["accuracy"]
+    assert got["loss"] == pytest.approx(want["loss"], rel=1e-9)
+    _assert_same_history(got["history"], want["history"])
 
 
 def regenerate() -> None:
@@ -100,7 +117,7 @@ def regenerate() -> None:
     for setting in SETTINGS:
         with pytest.MonkeyPatch.context() as monkeypatch:
             sweeps[setting] = _sweep(monkeypatch, setting)
-    doc = {"sweeps": sweeps, "train_history_0.5": _train_history()}
+    doc = {"sweeps": sweeps, "train_history_0.5": _train_history(), "train_4": _train_4s()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 

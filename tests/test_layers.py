@@ -240,11 +240,12 @@ def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
 
 def test_conv_forward_keeps_a_negative_zero_bias_across_filter_groups():
     """A -0.0 bias entry, in every filter group or in the last one alone,
-    keeps the loop's -0.0 sums, on rows short enough for einsum and on long
-    ones, as a zero bias and a plain one keep their bits."""
+    keeps the loop's -0.0 sums, in one tile and in several, on long rows and
+    on rows of a single position, as a zero bias and a plain one keep their
+    bits."""
     rng = np.random.default_rng(43)
-    # one tile of long rows, two tiles of long rows, one tile of einsum-short rows
-    cases = [((16, 32, 11, 47), 128), ((16, 33, 11, 22), 512), ((18, 33, 3, 3), 2730)]
+    # one tile of five groups, two tiles of three groups, one position in two groups
+    cases = [((16, 33, 11, 26), 512), ((16, 33, 11, 32), 512), ((18, 33, 3, 3), 2730)]
     for (c_in, c_out, kernel, length), batch in cases:
         out_len = length - kernel + 1
         assert conv_tiling(out_len, batch, c_out)[1] > 1, (c_out, out_len, batch)
@@ -261,39 +262,47 @@ def test_conv_forward_keeps_a_negative_zero_bias_across_filter_groups():
         assert np.signbit(conv1d_forward(x, w, np.full(c_out, -0.0))[0, ::2]).all()
 
 
-def test_conv_forward_bits_hold_across_the_short_row_threshold():
-    """Rows of fewer than a third of numpy's buffer size take their products
-    from einsum, longer rows from a broadcast multiply; both keep every bit
-    of the unblocked loop, the sign of zero included. Inputs hold exact
-    zeros, as relu and pool outputs do, and filter 0 is all negative, so
-    its products over a zero input are -0.0: with a -0.0 bias the loop's
-    sum stays -0.0, which an einsum product (0.0 + w*x) would turn to +0.0.
-    The call leaves numpy's buffer size as it found it."""
+def test_conv_forward_bits_and_the_callers_buffer_size_hold_under_any_buffer_size(monkeypatch, share_counts):
+    """Each share forms its products under a ufunc buffer size of its own.
+    Under a caller's buffer of 16 elements and of 65536, every call from
+    0.1 s to 4 s at batch 128, on one thread and on two, keeps the bits of
+    the unblocked loop, the sign of zero included: inputs hold exact zeros,
+    as relu and pool outputs do, and filter 0 is all negative, so its sums
+    over a zero window stay at a -0.0 bias. The caller's buffer size is
+    unchanged after every call, also after a call that raises, on one
+    thread and on two."""
     rng = np.random.default_rng(37)
-    bufsize = np.getbufsize()
-    longest_short_row = (bufsize - 1) // 3
-    cases = [(geometry, 128) for geometry in sweep_geometries() + short_window_geometries()]
-    for out_len in (1, 2):  # one tile of out_len * batch row elements
-        for n in (longest_short_row - 1, longest_short_row, longest_short_row + 1):
-            batch = (n + out_len - 1) // out_len
-            cases += [((18, 16, 3, out_len + 2), batch), ((16, 32, 5, out_len + 4), batch)]
-    rows_seen = set()
-    for (c_in, c_out, kernel, length), batch in cases:
-        x = relu(rng.normal(size=(batch, c_in, length)))
-        x[::3] = 0.0  # whole windows of zeros
-        w = rng.normal(size=(c_out, c_in, kernel))
-        w[0] = -np.abs(w[0])
-        b = rng.normal(size=c_out)
-        for bias in (b, np.where(np.arange(c_out) % 2 == 0, -0.0, b), np.zeros(c_out)):
-            got = conv1d_forward(x, w, bias)
-            assert np.getbufsize() == bufsize
-            assert same_bits(got, conv_unblocked(x, w, bias)), (c_in, length, batch, bias[0])
-        assert np.signbit(conv_unblocked(x, w, np.full(c_out, -0.0))[0, 0]).all()
-        out_len = length - kernel + 1
-        n_tiles = conv_tiling(out_len, batch, c_out)[0]
-        edges = [i * out_len // n_tiles for i in range(n_tiles + 1)]
-        rows_seen.update((q - p) * batch for p, q in zip(edges, edges[1:]))
-    assert {longest_short_row, longest_short_row + 1} <= rows_seen
+    saved = np.getbufsize()
+    try:
+        for bufsize in (16, 65536):
+            np.setbufsize(bufsize)
+            monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
+            for c_in, c_out, kernel, length in short_window_geometries() + sweep_geometries():
+                x = relu(rng.normal(size=(128, c_in, length)))
+                x[::3] = 0.0  # whole windows of zeros
+                w = rng.normal(size=(c_out, c_in, kernel))
+                w[0] = -np.abs(w[0])
+                b = rng.normal(size=c_out)
+                for bias in (b, np.where(np.arange(c_out) % 2 == 0, -0.0, b), np.zeros(c_out), np.full(c_out, -0.0)):
+                    got = conv1d_forward(x, w, bias)
+                    assert np.getbufsize() == bufsize
+                    assert same_bits(got, conv_unblocked(x, w, bias)), (bufsize, c_in, length, bias[0])
+                assert np.signbit(got[0, 0]).all()
+            c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
+            x, w = np.full((128, c_in, length), 1e200), np.full((c_out, c_in, kernel), 1e200)
+            for cpus in (1, 2):
+                monkeypatch.setattr(layers, "usable_cpus", lambda cpus=cpus: cpus)
+                # np.seterr, not np.errstate, whose exit would restore the buffer size too
+                errstate = np.seterr(over="raise")
+                try:
+                    with pytest.raises(FloatingPointError):
+                        conv1d_forward(x, w, np.zeros(c_out))
+                finally:
+                    np.seterr(**errstate)
+                assert np.getbufsize() == bufsize
+    finally:
+        np.setbufsize(saved)
+    assert share_counts == {1, 2}
 
 
 def test_conv_forward_empty_batch():
@@ -419,9 +428,7 @@ def test_shares_together_keep_within_one_calls_scratch_budget(monkeypatch):
     """All shares together allocate no more scratch than the budget of
     conv_tiling's blocks, a tile of every input channel plus an accumulator
     and a product of the largest group: each share holds one channel of its
-    tile, an accumulator and a product, and the tiles are cut to fit. Every
-    tile of a shared call keeps rows long enough for the broadcast multiply,
-    the shortest included."""
+    tile, an accumulator and a product, and the tiles are cut to fit."""
     rng = np.random.default_rng(61)
     for c_in, c_out, kernel, length in sweep_geometries((50, 100, 200, 400)) + WIDE_GEOMETRIES:
         out_len = length - kernel + 1
@@ -434,7 +441,6 @@ def test_shares_together_keep_within_one_calls_scratch_budget(monkeypatch):
                 assert tile_edges == [i * out_len // n_tiles for i in range(n_tiles + 1)]
                 continue
             tiles = [q - p for p, q in zip(tile_edges, tile_edges[1:])]
-            assert 3 * min(tiles) * batch >= np.getbufsize()
             budget = c_in * (tile + kernel - 1) + 2 * group * tile
             assert n_shares * (max(tiles) + kernel - 1 + 2 * group * max(tiles)) <= budget
     c_in, c_out, kernel, length = sweep_geometries()[-1]  # conv2 at 4 s
