@@ -42,17 +42,22 @@ Threads. A forward call of several blocks shares them among up to
 ``usable_cpus()`` threads, the CPUs in the process's affinity mask (so
 ``taskset`` limits them): the calling thread runs one share and a helper
 thread each of the others, and every share takes the next block from one
-list until none is left. A call of a single block, and every call where
+list until none is left. The blocks are conv_tiling's, with the tile count
+rounded up to a multiple of the share count so that every share has as many,
+but never to more tiles than positions. With the default kernels on 2 CPUs,
+every call from 1 s on splits, as do conv1 of a batch of 128 at 0.5 s and
+both convolutions of a 512-window evaluation chunk at 0.25 s and 0.5 s. A
+call of a single block, such as every call at 0.1 s, and every call where
 one CPU is usable, is one share on the calling thread. numpy releases the
 GIL inside the multiply and the add, so the shares' terms run at once. Each
-share has scratch of its own, and the tiles are cut so that all shares
-together hold no more than a tile of every channel plus an accumulator and
-a product of conv_tiling's blocks. One thread sums each
-output element, bias first and then the (channel, tap) terms in
-channel-major order, so the bits depend neither on the number of threads
-nor on which thread takes which block. The helpers run under the caller's
-numpy error state, which is per thread, and an exception in any share is
-re-raised in the caller once every share has finished.
+share has scratch of its own for at most one of conv_tiling's blocks: one
+channel of a tile plus an accumulator and a product of at most GROUP
+elements each, about 1 MiB. One thread sums each output element, bias first
+and then the (channel, tap) terms in channel-major order, so the bits depend
+neither on the number of threads nor on which thread takes which block. The
+helpers run under the caller's numpy error state, which is per thread, and
+an exception in any share is re-raised in the caller once every share has
+finished.
 """
 
 from __future__ import annotations
@@ -100,7 +105,8 @@ class CoverageError(ValueError):
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation: x (B, C, L), weights (F, C, K), bias (F,)
     -> (B, F, L-K+1). The blocks of one call may be summed on several
-    threads (``conv_sharing``); the bits do not depend on how many."""
+    threads (see Threads in the module docstring); the bits do not depend
+    on how many."""
     if x.ndim != 3 or weights.ndim != 3:
         raise ValueError(f"input and weights must be 3-D, got {x.ndim}-D and {weights.ndim}-D")
     n_filters, n_in, kernel = weights.shape
@@ -116,13 +122,16 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     out = np.empty((batch, n_filters, out_len))
     if batch == 0:
         return out
-    n_shares, tile_edges, group_edges = conv_sharing(out_len, batch, n_in, kernel, n_filters, usable_cpus())
+    n_tiles, n_groups = conv_tiling(out_len, batch, n_filters)
+    n_shares = min(usable_cpus(), n_tiles * n_groups)
+    # as many blocks for every share, each no larger than conv_tiling's
+    n_tiles = min(out_len, -(-n_tiles // n_shares) * n_shares)
+    tiles = [(i * out_len // n_tiles, (i + 1) * out_len // n_tiles) for i in range(n_tiles)]
+    groups = [(j * n_filters // n_groups, (j + 1) * n_filters // n_groups) for j in range(n_groups)]
+    blocks = iter([(p, q, f0, f1) for p, q in tiles for f0, f1 in groups])
     # the largest tile and group size the scratch must hold
-    tile = max(q - p for p, q in zip(tile_edges, tile_edges[1:]))
-    group = max(f1 - f0 for f0, f1 in zip(group_edges, group_edges[1:]))
+    tile, group = -(-out_len // n_tiles), -(-n_filters // n_groups)
     wt = weights.transpose(1, 2, 0)[..., None].copy()  # (C, K, F, 1): each wt[c, k] is contiguous
-    groups = list(zip(group_edges, group_edges[1:]))
-    blocks = iter([(p, q, f0, f1) for p, q in zip(tile_edges, tile_edges[1:]) for f0, f1 in groups])
     take = threading.Lock()
     # allocated here, not in the helpers, so that no helper's malloc arena keeps them
     scratch = [
@@ -205,36 +214,6 @@ def run_shares(share, n_shares: int) -> None:
     raised = next((e for e in errors if e is not None), None)
     if raised is not None:
         raise raised
-
-
-def conv_sharing(
-    out_len: int, batch: int, n_in: int, kernel: int, n_filters: int, cpus: int
-) -> tuple[int, list[int], list[int]]:
-    """(n_shares, tile_edges, group_edges) of one forward call on up to
-    ``cpus`` threads: the number of shares, the first position of every tile
-    followed by out_len, and the first filter of every group followed by
-    n_filters.
-
-    One share sums conv_tiling's blocks. Several shares cut the positions
-    into the fewest tiles of at most P positions, balanced so that none is
-    short, and keep conv_tiling's groups. P is the most for which all shares'
-    scratch (one channel's tile, an accumulator and a product each) fits in
-    the budget of conv_tiling's blocks: a tile of every channel, an
-    accumulator and a product. It takes the most shares, up to ``cpus``,
-    that have at least a block each; one share if there are none, or if the
-    call is a single block."""
-    n_tiles, n_groups = conv_tiling(out_len, batch, n_filters)
-    group_edges = [i * n_filters // n_groups for i in range(n_groups + 1)]
-    if n_tiles * n_groups > 1:
-        tile = -(-out_len // n_tiles)
-        group = -(-n_filters // n_groups)
-        budget = n_in * (tile + kernel - 1) + 2 * group * tile  # per window
-        for n_shares in range(min(cpus, budget // (2 * group + kernel)), 1, -1):
-            most = min(tile, (budget - n_shares * (kernel - 1)) // (n_shares * (2 * group + 1)))
-            n = -(-out_len // most)
-            if n * n_groups >= n_shares:
-                return n_shares, [i * out_len // n for i in range(n + 1)], group_edges
-    return 1, [i * out_len // n_tiles for i in range(n_tiles + 1)], group_edges
 
 
 def conv_tiling(out_len: int, batch: int, n_filters: int) -> tuple[int, int]:

@@ -5,7 +5,8 @@ Accuracy and epochs compare exactly, losses at a relative tolerance of
 1e-9, so a BLAS that sums in another order still passes while a changed
 fold, split, initialization or training step fails. The window indices that
 each cell trains, stops and tests on involve no floating-point sum, so they
-are pinned exactly, by one sha256 per protocol setting.
+are pinned exactly, by one sha256 per protocol setting. So are the batch
+order and the dropout masks of the 0.5 s run, by one sha256 each.
 
 The file is regenerated only by hand, with ``PYTHONPATH=src python
 tests/test_golden.py``; a change that regenerates it says why in CHANGES.md.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from harwin import experiment
+from harwin import experiment, model
 from harwin.dataset import generate_synthetic
 from harwin.experiment import run_sweep, train_single
 from harwin.model import TrainConfig
@@ -67,6 +68,29 @@ def _train_history() -> list[dict]:
     return [asdict(e) for e in result.history]
 
 
+def _train_digests(monkeypatch) -> dict:
+    """One sha256 over the window indices of every batch that ``gather``
+    receives in the 0.5 s run, in call order, and one over every dropout
+    mask that ``dropout`` returns."""
+    batches, masks = hashlib.sha256(), hashlib.sha256()
+    real_gather, real_dropout = model.gather, model.dropout
+
+    def gather(x, idx, stats):
+        batches.update(idx.astype("<i8").tobytes() + b";")
+        return real_gather(x, idx, stats)
+
+    def dropout(x, rate, training, rng=None):
+        out, mask = real_dropout(x, rate, training, rng)
+        if mask is not None:
+            masks.update(repr(mask.shape).encode() + mask.astype("<f8").tobytes())
+        return out, mask
+
+    monkeypatch.setattr(model, "gather", gather)
+    monkeypatch.setattr(model, "dropout", dropout)
+    train_single(_signals(), 0.5, CFG)
+    return {"gather_sha256": batches.hexdigest(), "dropout_sha256": masks.hexdigest()}
+
+
 def _train_4s() -> dict:
     """A 4 s run, on segments long enough to hold several 4 s windows: its
     batches make forward calls of several blocks, shared among threads."""
@@ -103,6 +127,10 @@ def test_train_history_matches_golden_values():
     _assert_same_history(_train_history(), _golden()["train_history_0.5"])
 
 
+def test_train_batches_and_dropout_masks_match_golden_digests(monkeypatch):
+    assert _train_digests(monkeypatch) == _golden()["train_digests_0.5"]
+
+
 def test_train_4s_matches_golden_values():
     want = _golden()["train_4"]
     got = _train_4s()
@@ -117,7 +145,9 @@ def regenerate() -> None:
     for setting in SETTINGS:
         with pytest.MonkeyPatch.context() as monkeypatch:
             sweeps[setting] = _sweep(monkeypatch, setting)
-    doc = {"sweeps": sweeps, "train_history_0.5": _train_history(), "train_4": _train_4s()}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        digests = _train_digests(monkeypatch)
+    doc = {"sweeps": sweeps, "train_history_0.5": _train_history(), "train_digests_0.5": digests, "train_4": _train_4s()}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 

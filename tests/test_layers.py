@@ -1,6 +1,7 @@
 """Layer-level oracles: naive-loop convolution, the pre-GEMM convolution
 loops, finite differences, mpmath references for softmax and Adam."""
 
+import inspect
 import os
 import sys
 import threading
@@ -23,7 +24,6 @@ from harwin.layers import (
     adam_step,
     conv1d_backward,
     conv1d_forward,
-    conv_sharing,
     conv_tiling,
     dense_backward,
     dense_forward,
@@ -355,14 +355,68 @@ def test_usable_cpus_falls_back_where_there_is_no_affinity_mask(monkeypatch):
     assert usable_cpus() == 1
 
 
-# (c_in, c_out, kernel, length) of wide layers whose calls split into 3 and 4 shares
-WIDE_GEOMETRIES = [(64, 16, 3, 130), (64, 16, 3, 200)]
+# (c_in, c_out, kernel, length) of wide layers whose calls split into 3 and 4
+# shares, the last into several filter groups as well as tiles
+WIDE_GEOMETRIES = [(64, 16, 3, 130), (64, 16, 3, 200), (16, 48, 3, 66)]
+
+
+def forward_plan(geometry, batch, cpus):
+    """(n_shares, blocks) of a conv1d_forward call on ``geometry`` and
+    ``batch`` windows with the CPU count forced to ``cpus``. The blocks,
+    (p, q, f0, f1) for positions [p, q) of filters [f0, f1), are read from
+    the call's share before it runs, and no share runs: nothing is summed."""
+    c_in, c_out, kernel, length = geometry
+    plan = []
+
+    def record(share, n_shares):
+        plan.append((n_shares, list(inspect.getclosurevars(share).nonlocals["blocks"])))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers, "usable_cpus", lambda: cpus)
+        patch.setattr(layers, "run_shares", record)
+        conv1d_forward(np.broadcast_to(0.0, (batch, c_in, length)), np.zeros((c_out, c_in, kernel)), np.zeros(c_out))
+    return plan[0]
+
+
+def block_scratch(kernel, batch, tile, group):
+    """Elements of one share's scratch for blocks of at most ``tile``
+    positions and ``group`` filters: one channel of a tile, an accumulator
+    and a product."""
+    return (tile + kernel - 1) * batch + 2 * group * tile * batch
+
+
+def test_forward_shares_conv_tilings_blocks():
+    """A forward call cuts conv_tiling's blocks, with the tile count rounded
+    up to a multiple of the share count, but never to more tiles than
+    positions: from 0.1 s to 4 s at batch 128 and EVAL_CHUNK, every share
+    has as many blocks, and no tile or group is empty, also in a call of
+    one position and two filter groups. Shares take the blocks as
+    conv_tiling sizes them, not shorter ones: conv2 at 4 s and batch 128
+    runs 12 blocks on 2 CPUs."""
+    geometries = short_window_geometries() + one_second_geometries() + sweep_geometries()
+    cases = [(g, batch) for g in geometries for batch in (128, EVAL_CHUNK)] + [((18, 33, 3, 3), 2730)]
+    for (c_in, c_out, kernel, length), batch in cases:
+        out_len = length - kernel + 1
+        n_tiles, n_groups = conv_tiling(out_len, batch, c_out)
+        for cpus in (1, 2, 3, 4):
+            n_shares, blocks = forward_plan((c_in, c_out, kernel, length), batch, cpus)
+            assert n_shares == min(cpus, n_tiles * n_groups)
+            tiles = min(out_len, -(-n_tiles // n_shares) * n_shares)
+            assert blocks == [
+                (i * out_len // tiles, (i + 1) * out_len // tiles, j * c_out // n_groups, (j + 1) * c_out // n_groups)
+                for i in range(tiles)
+                for j in range(n_groups)
+            ], (c_in, length, batch, cpus)
+            assert all(q > p and f1 > f0 for p, q, f0, f1 in blocks)
+            assert len(blocks) % n_shares == 0, (c_in, length, batch, cpus)
+    n_shares, blocks = forward_plan(sweep_geometries()[-1], 128, 2)  # conv2 at 4 s
+    assert (n_shares, len(blocks)) == (2, 12)
 
 
 def test_conv_forward_bits_do_not_depend_on_the_thread_count(monkeypatch, share_counts):
     """With the CPU count forced to 1, 2, 3 and 4, every call keeps the bits
     of the unblocked loop: conv1 and conv2 from 0.5 s to 4 s at batch 128 and
-    EVAL_CHUNK, and a wide layer that splits into 3 and 4 shares. Every
+    EVAL_CHUNK, and wide layers that split into 3 and 4 shares. Every
     filter group holds -0.0 biases over -0.0 products, so the blocks of
     every share hold one, whichever share takes them."""
     rng = np.random.default_rng(59)
@@ -378,7 +432,7 @@ def test_conv_forward_bits_do_not_depend_on_the_thread_count(monkeypatch, share_
             ref = conv_unblocked(x, w, b)
             plans = []
             for cpus in (1, 2, 3, 4):
-                plan = conv_sharing(length - kernel + 1, batch, c_in, kernel, c_out, cpus)
+                plan = forward_plan((c_in, c_out, kernel, length), batch, cpus)
                 if plan not in plans:  # a CPU count that changes nothing runs the same code
                     plans.append(plan)
                     monkeypatch.setattr(layers, "usable_cpus", lambda cpus=cpus: cpus)
@@ -386,13 +440,14 @@ def test_conv_forward_bits_do_not_depend_on_the_thread_count(monkeypatch, share_
     assert share_counts == {1, 2, 3, 4}
 
 
-def test_many_shares_under_fast_thread_switching_take_every_block_once(monkeypatch):
+def test_many_shares_under_fast_thread_switching_take_every_block_once(monkeypatch, share_counts):
     """Eight shares, more than the cores of most machines that run this, with
     Python switching threads every microsecond: fresh inputs each round, so
     a block taken twice or never (left with an earlier round's sums) would
     change the bits."""
-    c_in, c_out, kernel, length = 48, 8, 3, 258
-    assert conv_sharing(length - kernel + 1, 128, c_in, kernel, c_out, 8)[0] == 8
+    c_in, c_out, kernel, length = 24, 8, 3, 514
+    n_tiles, n_groups = conv_tiling(length - kernel + 1, 128, c_out)
+    assert n_tiles * n_groups >= 8
     monkeypatch.setattr(layers, "usable_cpus", lambda: 8)
     rng = np.random.default_rng(67)
     interval = sys.getswitchinterval()
@@ -405,6 +460,7 @@ def test_many_shares_under_fast_thread_switching_take_every_block_once(monkeypat
             assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
     finally:
         sys.setswitchinterval(interval)
+    assert share_counts == {8}
 
 
 def test_shares_without_a_thread_run_on_the_calling_thread(monkeypatch):
@@ -424,32 +480,29 @@ def test_shares_without_a_thread_run_on_the_calling_thread(monkeypatch):
     assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
 
 
-def test_shares_together_keep_within_one_calls_scratch_budget(monkeypatch):
-    """All shares together allocate no more scratch than the budget of
-    conv_tiling's blocks, a tile of every input channel plus an accumulator
-    and a product of the largest group: each share holds one channel of its
-    tile, an accumulator and a product, and the tiles are cut to fit."""
-    rng = np.random.default_rng(61)
+def test_each_share_holds_at_most_one_conv_tiling_blocks_scratch(monkeypatch, share_counts):
+    """Every share allocates scratch for one block: one channel of a tile,
+    an accumulator and a product. The forward's blocks are never larger
+    than conv_tiling's, so a call's scratch is at most one conv_tiling
+    block's per share, as the plan's arithmetic shows for every CPU count
+    and tracemalloc for conv2 at 4 s on an eval chunk and 2 CPUs."""
     for c_in, c_out, kernel, length in sweep_geometries((50, 100, 200, 400)) + WIDE_GEOMETRIES:
         out_len = length - kernel + 1
         for batch in (128, EVAL_CHUNK):
-            n_shares, tile_edges, group_edges = conv_sharing(out_len, batch, c_in, kernel, c_out, 4)
             n_tiles, n_groups = conv_tiling(out_len, batch, c_out)
-            assert group_edges == [i * c_out // n_groups for i in range(n_groups + 1)]
-            tile, group = -(-out_len // n_tiles), -(-c_out // n_groups)
-            if n_shares == 1:
-                assert tile_edges == [i * out_len // n_tiles for i in range(n_tiles + 1)]
-                continue
-            tiles = [q - p for p, q in zip(tile_edges, tile_edges[1:])]
-            budget = c_in * (tile + kernel - 1) + 2 * group * tile
-            assert n_shares * (max(tiles) + kernel - 1 + 2 * group * max(tiles)) <= budget
+            limit = block_scratch(kernel, batch, -(-out_len // n_tiles), -(-c_out // n_groups))
+            for cpus in (1, 2, 3, 4):
+                _, blocks = forward_plan((c_in, c_out, kernel, length), batch, cpus)
+                tile = max(q - p for p, q, _, _ in blocks)
+                group = max(f1 - f0 for _, _, f0, f1 in blocks)
+                assert block_scratch(kernel, batch, tile, group) <= limit, (c_in, length, batch, cpus)
     c_in, c_out, kernel, length = sweep_geometries()[-1]  # conv2 at 4 s
+    rng = np.random.default_rng(61)
     x = rng.normal(size=(EVAL_CHUNK, c_in, length))
     w = rng.normal(size=(c_out, c_in, kernel))
     b = rng.normal(size=c_out)
     n_tiles, n_groups = conv_tiling(length - kernel + 1, EVAL_CHUNK, c_out)
     tile, group = -(-(length - kernel + 1) // n_tiles), -(-c_out // n_groups)
-    budget = 8 * EVAL_CHUNK * (c_in * (tile + kernel - 1) + 2 * group * tile)
     monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
     tracemalloc.start()
     try:
@@ -458,6 +511,8 @@ def test_shares_together_keep_within_one_calls_scratch_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert share_counts == {2}
+    budget = 2 * block_scratch(kernel, EVAL_CHUNK, tile, group) * 8  # bytes of two shares' float64 scratch
     assert peak - out.nbytes <= budget + 2**16, (peak - out.nbytes, budget)
 
 
@@ -708,6 +763,20 @@ def test_dropout_scales_survivors():
     # backward reuses the same mask
     g = dropout_backward(mask, np.ones_like(x))
     assert np.array_equal(g, mask)
+
+
+def test_dropout_keeps_a_draw_equal_to_the_rate():
+    """A unit survives when its uniform draw is at least the rate, so it is
+    kept with probability 1 - rate. No draw of numpy's generator equals 0.3
+    (its draws are multiples of 2**-53), so a stub generator shows the
+    boundary."""
+
+    class Draws:
+        def random(self, shape):
+            return np.array([0.25, 0.5, 0.75]).reshape(shape)
+
+    _, mask = dropout(np.ones((1, 3)), 0.5, training=True, rng=Draws())
+    assert mask.tolist() == [[0.0, 2.0, 2.0]]
 
 
 def test_dropout_rejects_bad_rate():
