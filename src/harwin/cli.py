@@ -78,6 +78,13 @@ def _load_signals(args: argparse.Namespace) -> list[dataset.LabeledSignal]:
     return dataset.ingest_directory(data_dir, subjects)
 
 
+def _check_out_dirs(*outs: str | None) -> None:
+    """Fail before any data is read when an output file's directory is missing."""
+    for out in outs:
+        if out and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {out}: {Path(out).parent} is not a directory")
+
+
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     """Built before any data is read, so a bad value fails fast as usage."""
     try:
@@ -99,6 +106,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     signals = _load_signals(args)
     dataset.save_signals(signals, args.out)
     total = sum(s.n_timesteps for s in signals)
@@ -135,9 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from None
     cfg = _train_config(args)
-    for out in (args.model_out, args.metrics_json):
-        if out and not Path(out).parent.is_dir():
-            raise FileNotFoundError(f"cannot write {out}: {Path(out).parent} is not a directory")
+    _check_out_dirs(args.model_out, args.metrics_json)
     model, result = experiment.train_single(
         _load_signals(args),  # a temporary, so train_single can free the loaded data
         args.window,

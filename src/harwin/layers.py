@@ -10,20 +10,18 @@ corresponding parameters/inputs.
 The forward convolution accumulates one (input-channel, tap) product term at
 a time, in channel-major order, starting from the bias. That summation order
 is pinned: the output is bit-for-bit equal to a plain quadruple loop, which
-the tests rely on. The work is cut into blocks of (filter group x position
-tile), the cache blocking of Goto & van de Geijn (2008), "Anatomy of
-High-Performance Matrix Multiplication". A block copies its tile's input
-one channel at a time into a (positions * B) scratch, position-major with
-the batch innermost, so one (channel, tap) term of the block is a single
-(group, n) product plus an in-place add over contiguous rows of
-n = positions * B elements. A block's accumulator and product stay within
-GROUP elements each, so the pair fits in a 2 MiB L2 cache; a block is
-written back into the output as soon as its terms are summed.
-``conv_tiling`` picks the blocks: the fewest blocks whose rows hold at most
-ROW elements and whose accumulators fit GROUP, with tiles and groups
-balanced so that none is short, and among those the fewest groups. Copying
-one channel of one block at a time rather than the whole input keeps a
-thread's scratch near 1 MiB.
+the tests rely on. The work is cut into tiles of output positions, each
+covering every filter, the cache blocking of Goto & van de Geijn (2008),
+"Anatomy of High-Performance Matrix Multiplication". A tile copies its
+input one channel at a time into a (positions * B) scratch, position-major
+with the batch innermost, so one (channel, tap) term of the tile is a
+single (F, n) product plus an in-place add over contiguous rows of
+n = positions * B elements. A call takes the fewest tiles, of sizes that
+differ by at most one position, whose accumulator and product hold at most
+BLOCK elements each, unless a single position holds more; the pair then
+fits in a 2 MiB L2 cache. A tile is written back into the output as soon as
+its terms are summed. Copying one channel of one tile at a time rather than
+the whole input keeps a thread's scratch near 1 MiB.
 
 Every product is one broadcast multiply, run under a ufunc buffer of
 PRODUCT_BUFSIZE elements. numpy's buffered iterator made that multiply 2-4x
@@ -33,31 +31,30 @@ conv1 at 0.1 s and batch 128); under the smaller buffer every row of a full
 batch of 128 is long enough. The buffer size is a measured speed choice
 that never changes an elementwise result, so the bits do not depend on it,
 and each share restores the size its thread had. The
-blocks decide only where an element sits in memory, never the order of one
+tiles decide only where an element sits in memory, never the order of one
 output element's terms. The backward convolution is one GEMM pair per tap.
 Its sums run in BLAS order, so it is checked against finite differences and
 a per-(channel, tap) reference loop by tolerance, not bit for bit.
 
-Threads. A forward call of several blocks shares them among up to
+Threads. A forward call of several tiles shares them among up to
 ``usable_cpus()`` threads, the CPUs in the process's affinity mask (so
 ``taskset`` limits them): the calling thread runs one share and a helper
-thread each of the others, and every share takes the next block from one
-list until none is left. The blocks are conv_tiling's, with the tile count
-rounded up to a multiple of the share count so that every share has as many,
-but never to more tiles than positions. With the default kernels on 2 CPUs,
-every call from 1 s on splits, as do conv1 of a batch of 128 at 0.5 s and
-both convolutions of a 512-window evaluation chunk at 0.25 s and 0.5 s. A
-call of a single block, such as every call at 0.1 s, and every call where
-one CPU is usable, is one share on the calling thread. numpy releases the
-GIL inside the multiply and the add, so the shares' terms run at once. Each
-share has scratch of its own for at most one of conv_tiling's blocks: one
-channel of a tile plus an accumulator and a product of at most GROUP
-elements each, about 1 MiB. One thread sums each output element, bias first
-and then the (channel, tap) terms in channel-major order, so the bits depend
-neither on the number of threads nor on which thread takes which block. The
-helpers run under the caller's numpy error state, which is per thread, and
-an exception in any share is re-raised in the caller once every share has
-finished.
+thread each of the others, and every share takes the next tile from one
+list until none is left. The tile count is rounded up to a multiple of the
+share count so that every share has as many, but never to more tiles than
+positions. With the default kernels on 2 CPUs, every call from 1 s on
+splits, as do conv1 of a batch of 128 at 0.5 s and both convolutions of a
+512-window evaluation chunk at 0.25 s and 0.5 s. A call of a single tile,
+such as every call at 0.1 s, and every call where one CPU is usable, is one
+share on the calling thread. numpy releases the GIL inside the multiply and
+the add, so the shares' terms run at once. Each share has scratch of its
+own for one tile: one channel of the tile plus an accumulator and a product
+of at most BLOCK elements each, about 1 MiB. One thread sums each output
+element, bias first and then the (channel, tap) terms in channel-major
+order, so the bits depend neither on the number of threads nor on which
+thread takes which tile. The helpers run under the caller's numpy error
+state, which is per thread, and an exception in any share is re-raised in
+the caller once every share has finished.
 """
 
 from __future__ import annotations
@@ -69,13 +66,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Most elements in one row of a forward tile (positions x batch): one
-# (channel, tap) term is a (group, n) product plus add over rows of n <= ROW
-# elements, unless a single position holds more.
-ROW = 8192
-# Most elements in one filter group's (group, n) accumulator, and in its
-# product: the pair takes 1 MiB, half of a 2 MiB L2 cache.
-GROUP = 65536
+# Most elements in one forward tile's (filters, positions x batch)
+# accumulator, and in its product, unless a single position holds more: the
+# pair takes 1 MiB, half of a 2 MiB L2 cache.
+BLOCK = 65536
 # numpy's ufunc buffer size while a share forms its products: a multiple of
 # 16, as numpy requires, and under three times the shortest row of a full
 # batch (see the module docstring).
@@ -104,7 +98,7 @@ class CoverageError(ValueError):
 
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation: x (B, C, L), weights (F, C, K), bias (F,)
-    -> (B, F, L-K+1). The blocks of one call may be summed on several
+    -> (B, F, L-K+1). The tiles of one call may be summed on several
     threads (see Threads in the module docstring); the bits do not depend
     on how many."""
     if x.ndim != 3 or weights.ndim != 3:
@@ -122,48 +116,44 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     out = np.empty((batch, n_filters, out_len))
     if batch == 0:
         return out
-    n_tiles, n_groups = conv_tiling(out_len, batch, n_filters)
-    n_shares = min(usable_cpus(), n_tiles * n_groups)
-    # as many blocks for every share, each no larger than conv_tiling's
+    n_tiles = -(-out_len // max(1, BLOCK // (n_filters * batch)))
+    n_shares = min(usable_cpus(), n_tiles)
+    # as many tiles for every share, each no longer than BLOCK allows
     n_tiles = min(out_len, -(-n_tiles // n_shares) * n_shares)
-    tiles = [(i * out_len // n_tiles, (i + 1) * out_len // n_tiles) for i in range(n_tiles)]
-    groups = [(j * n_filters // n_groups, (j + 1) * n_filters // n_groups) for j in range(n_groups)]
-    blocks = iter([(p, q, f0, f1) for p, q in tiles for f0, f1 in groups])
-    # the largest tile and group size the scratch must hold
-    tile, group = -(-out_len // n_tiles), -(-n_filters // n_groups)
+    tiles = iter([(i * out_len // n_tiles, (i + 1) * out_len // n_tiles) for i in range(n_tiles)])
+    tile = -(-out_len // n_tiles)  # the most positions the scratch must hold
     wt = weights.transpose(1, 2, 0)[..., None].copy()  # (C, K, F, 1): each wt[c, k] is contiguous
     take = threading.Lock()
     # allocated here, not in the helpers, so that no helper's malloc arena keeps them
     scratch = [
-        (np.empty((tile + kernel - 1) * batch), np.empty(group * tile * batch), np.empty(group * tile * batch))
+        (np.empty((tile + kernel - 1) * batch), np.empty(n_filters * tile * batch), np.empty(n_filters * tile * batch))
         for _ in range(n_shares)
     ]
 
     def share(s: int) -> None:
-        """Sum blocks into out until none is left: positions [p, q) of
-        filters [f0, f1), one input channel of the block copied at a time
-        into xc, xc[j * B + b] = x[b, c, p + j]."""
+        """Sum tiles into out until none is left: positions [p, q) of every
+        filter, one input channel of the tile copied at a time into xc,
+        xc[j * B + b] = x[b, c, p + j]."""
         xc_buf, acc_buf, term_buf = scratch[s]
         saved = np.setbufsize(PRODUCT_BUFSIZE)  # per thread, like the error state
         try:
             while True:
                 with take:
-                    block = next(blocks, None)
-                if block is None:
+                    span = next(tiles, None)
+                if span is None:
                     return
-                p, q, f0, f1 = block
+                p, q = span
                 n = (q - p) * batch
                 xc = xc_buf[: (q - p + kernel - 1) * batch]
-                acc = acc_buf[: (f1 - f0) * n].reshape(f1 - f0, n)
+                acc = acc_buf[: n_filters * n].reshape(n_filters, n)
                 term = term_buf[: acc.size].reshape(acc.shape)
-                w = wt[:, :, f0:f1]
-                acc[...] = bias[f0:f1, None]
+                acc[...] = bias[:, None]
                 for c in range(n_in):
                     xc.reshape(-1, batch)[...] = x[:, c, p : q + kernel - 1].T
                     for k in range(kernel):
-                        np.multiply(w[c, k], xc[k * batch : k * batch + n], out=term)
+                        np.multiply(wt[c, k], xc[k * batch : k * batch + n], out=term)
                         acc += term
-                out[:, f0:f1, p:q] = acc.reshape(f1 - f0, q - p, batch).transpose(2, 0, 1)
+                out[:, :, p:q] = acc.reshape(n_filters, q - p, batch).transpose(2, 0, 1)
         finally:
             np.setbufsize(saved)
 
@@ -214,25 +204,6 @@ def run_shares(share, n_shares: int) -> None:
     raised = next((e for e in errors if e is not None), None)
     if raised is not None:
         raise raised
-
-
-def conv_tiling(out_len: int, batch: int, n_filters: int) -> tuple[int, int]:
-    """(n_tiles, n_groups) of the forward convolution's blocks for a batch of
-    ``batch`` windows with ``out_len`` output positions and ``n_filters``
-    filters. Tiles split the positions, and groups the filters, into parts
-    whose sizes differ by at most one. Of the splits whose largest row
-    (positions x batch) holds at most ROW elements, or a single position, and
-    whose largest (group, row) block at most GROUP elements, or a single
-    filter, it takes the one with the fewest blocks, and among those the
-    fewest groups."""
-    n_tiles = -(-out_len // max(1, ROW // batch))
-    best = (out_len * n_filters + 1, 0, 0)
-    while n_tiles <= min(out_len, best[0]):
-        n_groups = -(-n_filters // max(1, GROUP // (-(-out_len // n_tiles) * batch)))
-        if n_tiles * n_groups <= best[0]:
-            best = (n_tiles * n_groups, n_tiles, n_groups)
-        n_tiles += 1
-    return best[1], best[2]
 
 
 def conv1d_backward(

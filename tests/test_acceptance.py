@@ -151,7 +151,7 @@ def test_criterion_2_convolution_oracle(capsys):
     with criterion(capsys, 2, "convolution bitwise oracle"):
         started = time.monotonic()
         rng = np.random.default_rng(0)
-        checked = 0
+        checked = negative_zeros = 0
         for c_in in range(1, 5):
             for c_out in range(1, 5):
                 for length in range(1, 9):
@@ -159,12 +159,20 @@ def test_criterion_2_convolution_oracle(capsys):
                         x = rng.normal(size=(2, c_in, length))
                         w = rng.normal(size=(c_out, c_in, kernel))
                         b = rng.normal(size=c_out)
-                        got = conv1d_forward(x, w, b)
-                        ref = _conv_quadruple_loop(x, w, b)
-                        assert got.shape == ref.shape
-                        assert (got == ref).all(), (c_in, c_out, length, kernel)
+                        # window 0 zeroed under a negative filter 0 with a -0.0
+                        # bias: the loop's sums there stay -0.0
+                        x0, w0, b0 = x.copy(), w.copy(), b.copy()
+                        x0[0], w0[0], b0[0] = 0.0, -np.abs(w0[0]), -0.0
+                        for args in ((x, w, b), (x0, w0, b0)):
+                            got = conv1d_forward(*args)
+                            ref = _conv_quadruple_loop(*args)
+                            assert got.shape == ref.shape
+                            # bits, not ==, which takes -0.0 for +0.0
+                            assert (got.view(np.uint64) == ref.view(np.uint64)).all(), (c_in, c_out, length, kernel)
+                        negative_zeros += int((np.signbit(got) & (got == 0.0)).sum())
                         checked += 1
         assert checked == 576  # 4 * 4 * sum(L for L in 1..8)
+        assert negative_zeros == 1920  # every position of window 0, filter 0: 16 * sum(L(L+1)/2 for L in 1..8)
         elapsed = time.monotonic() - started
         assert elapsed < 60.0, f"convolution oracle took {elapsed:.1f}s"
 

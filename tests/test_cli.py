@@ -299,6 +299,19 @@ def test_ingest_missing_dir_exits_1(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_ingest_to_a_missing_directory_exits_1_before_parsing(tmp_cwd, capsys, monkeypatch):
+    data = tmp_cwd / "data"
+    data.mkdir()
+    _write_subject(data / "subject101.dat", np.random.default_rng(3))
+    parsed = []
+    monkeypatch.setattr(dataset, "load_subject_file", lambda *args, **kw: parsed.append(args))
+    assert cli(["ingest", "--data-dir", "data", "--out", "nodir/x.bin"]) == 1
+    err = capsys.readouterr().err
+    assert "cannot write nodir/x.bin: nodir is not a directory" in err
+    assert parsed == []
+    assert "ingesting" not in err
+
+
 def test_ingest_stray_subject_file_exits_1_naming_it(tmp_cwd, capsys):
     data = tmp_cwd / "data"
     data.mkdir()

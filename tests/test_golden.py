@@ -93,7 +93,7 @@ def _train_digests(monkeypatch) -> dict:
 
 def _train_4s() -> dict:
     """A 4 s run, on segments long enough to hold several 4 s windows: its
-    batches make forward calls of several blocks, shared among threads."""
+    batches make forward calls of several tiles, shared among threads."""
     _, result = train_single(_signals(1200), 4.0, CFG)
     return {"accuracy": result.accuracy, "loss": result.loss, "history": [asdict(e) for e in result.history]}
 

@@ -24,7 +24,6 @@ from harwin.layers import (
     adam_step,
     conv1d_backward,
     conv1d_forward,
-    conv_tiling,
     dense_backward,
     dense_forward,
     dropout,
@@ -208,9 +207,9 @@ def one_second_geometries():
 
 
 def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
-    """Every split into position tiles and filter groups keeps the unblocked
-    loop's bits: the sweep's geometries from 0.1 s to 4 s, and at 0.5 s and
-    1 s filter counts that split into groups of unequal size."""
+    """Every split into position tiles keeps the unblocked loop's bits: the
+    sweep's geometries from 0.1 s to 4 s, and at 0.5 s and 1 s filter counts
+    of 5, 17 and 33."""
     rng = np.random.default_rng(19)
     geometries = sweep_geometries() + short_window_geometries() + one_second_geometries()
     geometries += [
@@ -218,44 +217,35 @@ def test_conv_blocked_forward_matches_unblocked_loop_bitwise():
         for c_in, _, kernel, length in short_window_geometries()[4:] + one_second_geometries()
         for c_out in (5, 17, 33)
     ]
-    tiles_and_groups = uneven_groups = False
     for c_in, c_out, kernel, length in geometries:
         w = rng.normal(size=(c_out, c_in, kernel))
         b = rng.normal(size=c_out)
-        out_len = length - kernel + 1
         for batch in (1, 3, 25, 128, EVAL_CHUNK):
             x = rng.normal(size=(batch, c_in, length))
             got = conv1d_forward(x, w, b)
             assert got.flags.c_contiguous
             assert same_bits(got, conv_unblocked(x, w, b)), (c_in, c_out, length, batch)
-            n_tiles, n_groups = conv_tiling(out_len, batch, c_out)
-            tiles_and_groups |= n_tiles > 1 and n_groups > 1
-            uneven_groups |= c_out % n_groups != 0
         # a non-contiguous input: a (B, L, C) array seen through swapaxes
         x = rng.normal(size=(25, length, c_in)).swapaxes(1, 2)
         assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b)), (c_in, length)
-    assert tiles_and_groups  # several tiles and several filter groups in one call
-    assert uneven_groups  # filter groups of unequal size
 
 
-def test_conv_forward_keeps_a_negative_zero_bias_across_filter_groups():
-    """A -0.0 bias entry, in every filter group or in the last one alone,
-    keeps the loop's -0.0 sums, in one tile and in several, on long rows and
-    on rows of a single position, as a zero bias and a plain one keep their
-    bits."""
+def test_conv_forward_keeps_a_negative_zero_bias_across_tiles():
+    """A -0.0 bias entry, in every other filter or in the last one alone,
+    keeps the loop's -0.0 sums, in several tiles, on long rows and on rows
+    of a single position, as a zero bias and a plain one keep their bits."""
     rng = np.random.default_rng(43)
-    # one tile of five groups, two tiles of three groups, one position in two groups
+    # several tiles of 33 filters, and one position whose accumulator holds more than BLOCK
     cases = [((16, 33, 11, 26), 512), ((16, 33, 11, 32), 512), ((18, 33, 3, 3), 2730)]
     for (c_in, c_out, kernel, length), batch in cases:
         out_len = length - kernel + 1
-        assert conv_tiling(out_len, batch, c_out)[1] > 1, (c_out, out_len, batch)
         x = relu(rng.normal(size=(batch, c_in, length)))
         x[::3] = 0.0  # whole windows of zeros
         w = rng.normal(size=(c_out, c_in, kernel))
         w[::2] = -np.abs(w[::2])  # negative filters: -0.0 products over a zero input
         w[-1] = -np.abs(w[-1])
         b = rng.normal(size=c_out)
-        last_only = np.where(np.arange(c_out) == c_out - 1, -0.0, b)  # a -0.0 in the last group alone
+        last_only = np.where(np.arange(c_out) == c_out - 1, -0.0, b)  # a -0.0 in the last filter alone
         for bias in (np.where(np.arange(c_out) % 2 == 0, -0.0, b), last_only, np.full(c_out, -0.0), np.zeros(c_out), b):
             got = conv1d_forward(x, w, bias)
             assert same_bits(got, conv_unblocked(x, w, bias)), (c_out, out_len, batch, bias[0])
@@ -356,20 +346,39 @@ def test_usable_cpus_falls_back_where_there_is_no_affinity_mask(monkeypatch):
 
 
 # (c_in, c_out, kernel, length) of wide layers whose calls split into 3 and 4
-# shares, the last into several filter groups as well as tiles
+# shares
 WIDE_GEOMETRIES = [(64, 16, 3, 130), (64, 16, 3, 200), (16, 48, 3, 66)]
+
+# (c_in, c_out, kernel, length) of conv1 and conv2 from 0.1 s to 4 s, and
+# their tile counts at batch 128 and EVAL_CHUNK. These are the counts of the
+# (filter group x position tile) blocking that position tiles replaced,
+# which cut each of these calls into a single filter group.
+DEFAULT_TILES = {
+    (18, 16, 3, 10): (1, 1),
+    (18, 16, 3, 25): (1, 3),
+    (16, 32, 5, 8): (1, 1),
+    (16, 32, 5, 11): (1, 2),
+    (18, 16, 7, 50): (2, 6),
+    (16, 32, 11, 22): (1, 3),
+    (18, 16, 7, 100): (3, 12),
+    (16, 32, 11, 47): (3, 10),
+    (18, 16, 7, 200): (7, 25),
+    (16, 32, 11, 97): (6, 22),
+    (18, 16, 7, 400): (13, 50),
+    (16, 32, 11, 197): (12, 47),
+}
 
 
 def forward_plan(geometry, batch, cpus):
-    """(n_shares, blocks) of a conv1d_forward call on ``geometry`` and
-    ``batch`` windows with the CPU count forced to ``cpus``. The blocks,
-    (p, q, f0, f1) for positions [p, q) of filters [f0, f1), are read from
-    the call's share before it runs, and no share runs: nothing is summed."""
+    """(n_shares, tiles) of a conv1d_forward call on ``geometry`` and
+    ``batch`` windows with the CPU count forced to ``cpus``. The tiles,
+    (p, q) for positions [p, q), are read from the call's share before it
+    runs, and no share runs: nothing is summed."""
     c_in, c_out, kernel, length = geometry
     plan = []
 
     def record(share, n_shares):
-        plan.append((n_shares, list(inspect.getclosurevars(share).nonlocals["blocks"])))
+        plan.append((n_shares, list(inspect.getclosurevars(share).nonlocals["tiles"])))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(layers, "usable_cpus", lambda: cpus)
@@ -378,47 +387,57 @@ def forward_plan(geometry, batch, cpus):
     return plan[0]
 
 
-def block_scratch(kernel, batch, tile, group):
-    """Elements of one share's scratch for blocks of at most ``tile``
-    positions and ``group`` filters: one channel of a tile, an accumulator
-    and a product."""
-    return (tile + kernel - 1) * batch + 2 * group * tile * batch
+def closed_form_tiles(out_len, batch, n_filters):
+    """A call's tile count before rounding to the share count: tiles of at
+    most BLOCK // (F * B) positions, or of one."""
+    return -(-out_len // max(1, layers.BLOCK // (n_filters * batch)))
 
 
-def test_forward_shares_conv_tilings_blocks():
-    """A forward call cuts conv_tiling's blocks, with the tile count rounded
-    up to a multiple of the share count, but never to more tiles than
-    positions: from 0.1 s to 4 s at batch 128 and EVAL_CHUNK, every share
-    has as many blocks, and no tile or group is empty, also in a call of
-    one position and two filter groups. Shares take the blocks as
-    conv_tiling sizes them, not shorter ones: conv2 at 4 s and batch 128
-    runs 12 blocks on 2 CPUs."""
-    geometries = short_window_geometries() + one_second_geometries() + sweep_geometries()
-    cases = [(g, batch) for g in geometries for batch in (128, EVAL_CHUNK)] + [((18, 33, 3, 3), 2730)]
-    for (c_in, c_out, kernel, length), batch in cases:
+def tile_scratch(kernel, batch, tile, n_filters):
+    """Elements of one share's scratch for tiles of at most ``tile``
+    positions: one channel of a tile, an accumulator and a product."""
+    return (tile + kernel - 1) * batch + 2 * n_filters * tile * batch
+
+
+def test_forward_shares_position_tiles():
+    """A forward call cuts ceil(out_len / max(1, BLOCK // (F * B))) tiles,
+    rounded up to a multiple of the share count but never to more tiles
+    than positions: from 0.1 s to 4 s at batch 128 and EVAL_CHUNK, every
+    share has as many tiles and none is empty, also in calls of one and of
+    five positions, each position holding more than BLOCK. The default
+    calls keep the tile counts in DEFAULT_TILES, and conv2 at 4 s and batch
+    128 runs 12 tiles on 2 CPUs."""
+    assert list(DEFAULT_TILES) == short_window_geometries() + one_second_geometries() + sweep_geometries()
+    cases = [(g, batch) for g in DEFAULT_TILES for batch in (128, EVAL_CHUNK)]
+    cases += [((18, 33, 3, 3), 2730), ((18, 33, 3, 7), 2730)]
+    for geometry, batch in cases:
+        c_in, c_out, kernel, length = geometry
         out_len = length - kernel + 1
-        n_tiles, n_groups = conv_tiling(out_len, batch, c_out)
+        n_tiles = closed_form_tiles(out_len, batch, c_out)
+        if geometry in DEFAULT_TILES:
+            assert n_tiles == DEFAULT_TILES[geometry][batch != 128], (geometry, batch)
         for cpus in (1, 2, 3, 4):
-            n_shares, blocks = forward_plan((c_in, c_out, kernel, length), batch, cpus)
-            assert n_shares == min(cpus, n_tiles * n_groups)
-            tiles = min(out_len, -(-n_tiles // n_shares) * n_shares)
-            assert blocks == [
-                (i * out_len // tiles, (i + 1) * out_len // tiles, j * c_out // n_groups, (j + 1) * c_out // n_groups)
-                for i in range(tiles)
-                for j in range(n_groups)
-            ], (c_in, length, batch, cpus)
-            assert all(q > p and f1 > f0 for p, q, f0, f1 in blocks)
-            assert len(blocks) % n_shares == 0, (c_in, length, batch, cpus)
-    n_shares, blocks = forward_plan(sweep_geometries()[-1], 128, 2)  # conv2 at 4 s
-    assert (n_shares, len(blocks)) == (2, 12)
+            n_shares, tiles = forward_plan(geometry, batch, cpus)
+            assert n_shares == min(cpus, n_tiles)
+            count = min(out_len, -(-n_tiles // n_shares) * n_shares)
+            assert tiles == [(i * out_len // count, (i + 1) * out_len // count) for i in range(count)], (
+                geometry,
+                batch,
+                cpus,
+            )
+            assert all(q > p for p, q in tiles)
+            assert len(tiles) % n_shares == 0 or len(tiles) == out_len, (geometry, batch, cpus)
+    n_shares, tiles = forward_plan(sweep_geometries()[-1], 128, 2)  # conv2 at 4 s
+    assert (n_shares, len(tiles)) == (2, 12)
+    assert forward_plan((18, 33, 3, 7), 2730, 4) == (4, [(p, p + 1) for p in range(5)])
 
 
 def test_conv_forward_bits_do_not_depend_on_the_thread_count(monkeypatch, share_counts):
     """With the CPU count forced to 1, 2, 3 and 4, every call keeps the bits
     of the unblocked loop: conv1 and conv2 from 0.5 s to 4 s at batch 128 and
-    EVAL_CHUNK, and wide layers that split into 3 and 4 shares. Every
-    filter group holds -0.0 biases over -0.0 products, so the blocks of
-    every share hold one, whichever share takes them."""
+    EVAL_CHUNK, and wide layers that split into 3 and 4 shares. Every other
+    filter has a -0.0 bias over -0.0 products, so every tile holds some,
+    whichever share takes it."""
     rng = np.random.default_rng(59)
     for c_in, c_out, kernel, length in sweep_geometries((50, 100, 200, 400)) + WIDE_GEOMETRIES:
         w = rng.normal(size=(c_out, c_in, kernel))
@@ -443,11 +462,9 @@ def test_conv_forward_bits_do_not_depend_on_the_thread_count(monkeypatch, share_
 def test_many_shares_under_fast_thread_switching_take_every_block_once(monkeypatch, share_counts):
     """Eight shares, more than the cores of most machines that run this, with
     Python switching threads every microsecond: fresh inputs each round, so
-    a block taken twice or never (left with an earlier round's sums) would
+    a tile taken twice or never (left with an earlier round's sums) would
     change the bits."""
     c_in, c_out, kernel, length = 24, 8, 3, 514
-    n_tiles, n_groups = conv_tiling(length - kernel + 1, 128, c_out)
-    assert n_tiles * n_groups >= 8
     monkeypatch.setattr(layers, "usable_cpus", lambda: 8)
     rng = np.random.default_rng(67)
     interval = sys.getswitchinterval()
@@ -480,29 +497,29 @@ def test_shares_without_a_thread_run_on_the_calling_thread(monkeypatch):
     assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
 
 
-def test_each_share_holds_at_most_one_conv_tiling_blocks_scratch(monkeypatch, share_counts):
-    """Every share allocates scratch for one block: one channel of a tile,
-    an accumulator and a product. The forward's blocks are never larger
-    than conv_tiling's, so a call's scratch is at most one conv_tiling
-    block's per share, as the plan's arithmetic shows for every CPU count
-    and tracemalloc for conv2 at 4 s on an eval chunk and 2 CPUs."""
+def test_each_share_holds_at_most_one_tiles_scratch(monkeypatch, share_counts):
+    """Every share allocates scratch for one tile: one channel of the tile,
+    an accumulator and a product. Rounding the tile count to the share
+    count never lengthens a tile, so a call's scratch is at most one tile's
+    per share of the closed-form plan, as the plan's arithmetic shows for
+    every CPU count and tracemalloc for conv2 at 4 s on an eval chunk and 2
+    CPUs."""
     for c_in, c_out, kernel, length in sweep_geometries((50, 100, 200, 400)) + WIDE_GEOMETRIES:
         out_len = length - kernel + 1
         for batch in (128, EVAL_CHUNK):
-            n_tiles, n_groups = conv_tiling(out_len, batch, c_out)
-            limit = block_scratch(kernel, batch, -(-out_len // n_tiles), -(-c_out // n_groups))
+            n_tiles = closed_form_tiles(out_len, batch, c_out)
+            limit = tile_scratch(kernel, batch, -(-out_len // n_tiles), c_out)
             for cpus in (1, 2, 3, 4):
-                _, blocks = forward_plan((c_in, c_out, kernel, length), batch, cpus)
-                tile = max(q - p for p, q, _, _ in blocks)
-                group = max(f1 - f0 for _, _, f0, f1 in blocks)
-                assert block_scratch(kernel, batch, tile, group) <= limit, (c_in, length, batch, cpus)
+                _, tiles = forward_plan((c_in, c_out, kernel, length), batch, cpus)
+                tile = max(q - p for p, q in tiles)
+                assert tile_scratch(kernel, batch, tile, c_out) <= limit, (c_in, length, batch, cpus)
     c_in, c_out, kernel, length = sweep_geometries()[-1]  # conv2 at 4 s
     rng = np.random.default_rng(61)
     x = rng.normal(size=(EVAL_CHUNK, c_in, length))
     w = rng.normal(size=(c_out, c_in, kernel))
     b = rng.normal(size=c_out)
-    n_tiles, n_groups = conv_tiling(length - kernel + 1, EVAL_CHUNK, c_out)
-    tile, group = -(-(length - kernel + 1) // n_tiles), -(-c_out // n_groups)
+    out_len = length - kernel + 1
+    tile = -(-out_len // closed_form_tiles(out_len, EVAL_CHUNK, c_out))
     monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
     tracemalloc.start()
     try:
@@ -512,7 +529,7 @@ def test_each_share_holds_at_most_one_conv_tiling_blocks_scratch(monkeypatch, sh
     finally:
         tracemalloc.stop()
     assert share_counts == {2}
-    budget = 2 * block_scratch(kernel, EVAL_CHUNK, tile, group) * 8  # bytes of two shares' float64 scratch
+    budget = 2 * tile_scratch(kernel, EVAL_CHUNK, tile, c_out) * 8  # bytes of two shares' float64 scratch
     assert peak - out.nbytes <= budget + 2**16, (peak - out.nbytes, budget)
 
 

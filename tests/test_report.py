@@ -1,5 +1,6 @@
 """CSV formatting, SVG box plots and the JSON archive round-trip."""
 
+import ast
 import json
 import os
 import subprocess
@@ -122,6 +123,25 @@ def test_import_loads_no_network_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    """harwin is numpy-only: every absolute import in its modules names a
+    standard-library module or numpy; relative imports are its own."""
+    paths = sorted(Path(harwin.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    foreign = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names} - sys.stdlib_module_names - {"numpy"}
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in sorted(top)]
+    assert foreign == []
 
 
 def test_svg_handles_degenerate_equal_values():
