@@ -15,7 +15,7 @@ from .dataset import (
     load_signals,
     save_signals,
 )
-from .experiment import SweepReport, SweepRow, run_cell, run_sweep, select_kernels, train_single
+from .experiment import SweepReport, SweepRow, prepare, run_cell, run_cells, run_sweep, select_kernels
 from .model import ModelParams, ModelSpec, TrainConfig, build_model, evaluate, load_model, plan_shapes, save_model, train
 from .preprocess import (
     ChannelStats, Sample, WindowSpec, apply_zscore, compute_stats, kept_signal, make_folds, segment, window_arrays
@@ -50,8 +50,10 @@ __all__ = [
     "load_signals",
     "make_folds",
     "plan_shapes",
+    "prepare",
     "render_all",
     "run_cell",
+    "run_cells",
     "run_sweep",
     "save_model",
     "save_report",
@@ -59,6 +61,5 @@ __all__ = [
     "segment",
     "select_kernels",
     "train",
-    "train_single",
     "window_arrays",
 ]

@@ -144,19 +144,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(str(err)) from None
     cfg = _train_config(args)
     _check_out_dirs(args.model_out, args.metrics_json)
-    model, result = experiment.train_single(
-        _load_signals(args),  # a temporary, so train_single can free the loaded data
-        args.window,
-        cfg,
-        kernels=kernels,
-        progress=_progress,
-    )
+    prepared = experiment.prepare(_load_signals(args))  # a temporary, freed when prepare returns
+    _progress(f"training at window {args.window:g} s (seed {cfg.seed})")
+    # the single-model protocol: fit four fifths, stop on and test fold 0 of a 5-fold plan
+    model, result = experiment.run_cell(prepared, args.window, 0, 5, cfg, kernels=kernels)
     if args.model_out:
         save_model(model, args.model_out)
         _progress(f"saved model to {args.model_out}")
     if args.metrics_json:
         doc = dict(window_sec=args.window, **asdict(result))
-        del doc["fold"]  # train_single's one fold is always 0
+        del doc["fold"]  # always 0
         Path(args.metrics_json).write_text(json.dumps(doc, indent=2) + "\n")
     print(
         f"window {args.window:g} s: accuracy {result.accuracy * 100:.2f}% "
@@ -173,6 +170,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _train_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable one fails before any data is read
+
+    def done(cell: experiment.Cell, outcome: experiment.FoldResult | str) -> None:
+        w_sec, fold = cell
+        result = f"failed, {outcome}" if isinstance(outcome, str) else f"accuracy {outcome.accuracy * 100:.2f}%"
+        kernels = experiment.select_kernels(w_sec)
+        _progress(f"window {w_sec:g} s: kernels {kernels}, fold {fold + 1}/{args.folds}: {result}")
+
     rep = experiment.run_sweep(
         _load_signals(args),  # a temporary, so run_sweep can free the loaded data
         windows,
@@ -180,11 +184,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         folds=args.folds,
         honest_split=args.honest_split,
         per_fold_stats=args.per_fold_stats,
-        progress=_progress,
+        done=done,
     )
     report.save_report(rep, out_dir / "report.json")
-    report.render_all(rep, out_dir)
-    _progress(f"wrote {out_dir}/report.json, report.csv and box plots")
+    written = [out_dir / "report.json", *report.render_all(rep, out_dir)]
+    _progress("wrote " + ", ".join(map(str, written)))
     sys.stdout.write(report.format_report_csv(rep))
     return 0
 

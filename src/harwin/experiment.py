@@ -1,9 +1,10 @@
 """Cross-validated training and the window-duration sweep.
 
 A sweep is a flat list of independent cells, one per (window duration,
-fold). ``run_cell`` trains and tests one from the sweep's inputs and its key
-alone; ``assemble`` builds the report from the cells' outcomes, in any
-order. Kernel sizes follow the window: short windows (<= 0.25 s) use (3, 5),
+fold). ``prepare`` builds what every cell reads, ``run_cell`` trains and
+tests one from that and its key alone, ``run_cells`` runs a list of them
+and ``assemble`` builds the report from their outcomes, in any order.
+Kernel sizes follow the window: short windows (<= 0.25 s) use (3, 5),
 everything longer (7, 11). A cell whose geometry fails (``GeometryError``)
 or whose windows cannot fill the folds (``CoverageError``) fails its
 duration's row; any other error aborts the sweep.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +28,8 @@ SHORT_KERNELS = (3, 5)
 LONG_KERNELS = (7, 11)
 
 DEFAULT_WINDOWS_SEC = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+Cell = tuple[float, int]  # (window_sec, fold)
 
 # Elements per chunk of the per-fold statistics' passes (8 MiB of float64).
 STATS_CHUNK_ELEMS = 1 << 20
@@ -119,15 +123,29 @@ def _window_level_stats(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.
     return mean, std
 
 
+class Prepared(NamedTuple):
+    """What every cell reads; ``stats`` is None under per-fold statistics."""
+
+    sig: np.ndarray
+    segments: list[ActivitySegment]
+    stats: ChannelStats | None
+
+
+def prepare(signals: list[LabeledSignal], *, per_fold_stats: bool = False) -> Prepared:
+    """``compute_stats``, unless ``per_fold_stats``, then the ``kept_signal``
+    of the segments. Nothing returned refers to ``signals``, so a temporary
+    passed in, as the CLI does, is freed when this returns."""
+    stats = None if per_fold_stats else compute_stats(signals)
+    return Prepared(*kept_signal(collect_segments(signals)), stats)
+
+
 def run_cell(
-    sig: np.ndarray,
-    segments: list[ActivitySegment],
+    prepared: Prepared,
     window_sec: float,
     fold: int,
     folds: int,
     cfg: TrainConfig,
     *,
-    stats: ChannelStats | None,
     honest_split: bool = False,
     kernels: tuple[int, int] | None = None,
 ) -> tuple[ModelParams, FoldResult]:
@@ -135,16 +153,16 @@ def run_cell(
     ``cfg.seed``, but ``fold``, and test on ``fold``; return the best epoch's
     model and the fold's result. ``kernels`` overrides ``select_kernels``.
 
-    The windows are read-only views of ``sig``, the ``kept_signal`` of
-    ``segments``, and folds are index arrays into them: ``train`` and
-    ``evaluate`` standardize each batch they gather with ``stats``, or, when
-    it is None (``--per-fold-stats``), with the training folds' statistics.
+    The windows are read-only views of ``prepared.sig``, and folds are index
+    arrays into them: ``train`` and ``evaluate`` standardize each gathered
+    batch with ``prepared.stats``, or with the training folds' statistics.
     The model, rng and inner split are seeded with ``cfg.seed + fold``. The
     test fold doubles as the early-stopping set, the optimistic protocol
     this reproduces, unless ``honest_split``: then fold 0 of a stratified
     10-fold plan of the training folds, seeded ``cfg.seed + fold``, is the
     stopping set, and the other nine are fit.
     """
+    sig, segments, stats = prepared
     wspec = WindowSpec(window_sec)
     fold_seed = cfg.seed + fold
     # built first: its shape plan fails a bad geometry before the windows can fail coverage
@@ -162,9 +180,7 @@ def run_cell(
     return best, FoldResult(fold, accuracy, loss, best_epoch, history)
 
 
-def assemble(
-    outcomes: dict[tuple[float, int], FoldResult | str], *, seed: int, fingerprint: str, config: dict
-) -> SweepReport:
+def assemble(outcomes: dict[Cell, FoldResult | str], *, seed: int, fingerprint: str, config: dict) -> SweepReport:
     """The sweep report from its cell outcomes, each a ``FoldResult`` or the
     reason its cell failed, keyed by ``(window_sec, fold)``: one row per
     duration, in ascending order, with its folds in index order. A row with
@@ -182,6 +198,30 @@ def assemble(
     return SweepReport(rows=rows, seed=seed, dataset_fingerprint=fingerprint, config=config)
 
 
+def run_cells(
+    prepared: Prepared, cells: list[Cell], folds: int, cfg: TrainConfig, *, honest_split: bool = False, done=None
+) -> dict[Cell, FoldResult | str]:
+    """Run ``cells`` in order and return their outcomes for ``assemble``,
+    calling ``done(cell, outcome)`` after each one that ran. A failed cell
+    skips its duration's later cells; a ``DivergenceError`` gets its ``cell``."""
+    outcomes: dict[Cell, FoldResult | str] = {}
+    failed = set()
+    for cell in cells:
+        if cell[0] in failed:
+            continue
+        try:
+            _, outcomes[cell] = run_cell(prepared, *cell, folds, cfg, honest_split=honest_split)
+        except (GeometryError, CoverageError) as err:
+            outcomes[cell] = str(err)
+            failed.add(cell[0])
+        except DivergenceError as err:
+            err.cell = cell
+            raise
+        if done is not None:
+            done(cell, outcomes[cell])
+    return outcomes
+
+
 def run_sweep(
     signals: list[LabeledSignal],
     windows_sec: list[float],
@@ -190,65 +230,20 @@ def run_sweep(
     folds: int = 8,
     honest_split: bool = False,
     per_fold_stats: bool = False,
-    progress=None,
+    done=None,
 ) -> SweepReport:
     """Cross-validate one model per window duration over a shared dataset:
-    run the cells ``(w, f)`` for each duration ``w`` in ascending order and
-    each fold ``f`` in order, then ``assemble`` their outcomes.
-
-    A ``GeometryError`` or ``CoverageError`` from a cell fails its
-    duration's row with the reason, and that duration's later cells are
-    skipped; anything else propagates, a ``DivergenceError`` with its
-    ``cell`` set. The report archives ``cfg.seed`` once, as its ``seed``.
-
-    The cells read only the kept signal and its re-pointed segments
-    (``kept_signal``), so ``signals`` is dropped before the first cell: a
-    caller that passes it as a temporary, as the CLI does, lets the loaded
-    data be freed there (the callee holds the only reference on CPython
-    3.11 and later).
-    """
+    ``run_cells`` the durations in ascending order, each one's folds in
+    order, then ``assemble`` the outcomes; the report archives ``cfg.seed``
+    once, as its ``seed``. ``signals`` is dropped once ``prepare`` has built
+    the kept signal: a caller that passes it as a temporary, as the CLI
+    does, lets the loaded data be freed before the first cell."""
     check_windows(windows_sec)
     fingerprint = dataset_fingerprint(signals)
-    stats = None if per_fold_stats else compute_stats(signals)
-    sig, segments = kept_signal(collect_segments(signals))
+    prepared = prepare(signals, per_fold_stats=per_fold_stats)
     del signals  # the last reference, when the caller passed a temporary
-    outcomes: dict[tuple[float, int], FoldResult | str] = {}
-    failed = set()
-    for w_sec, fold in [(w, f) for w in sorted(windows_sec) for f in range(folds)]:
-        if w_sec in failed:
-            continue
-        if progress is not None:
-            progress(f"window {w_sec:g} s: kernels {select_kernels(w_sec)}, fold {fold + 1}/{folds}")
-        try:
-            _, outcomes[w_sec, fold] = run_cell(
-                sig, segments, w_sec, fold, folds, cfg, stats=stats, honest_split=honest_split
-            )
-        except (GeometryError, CoverageError) as err:
-            outcomes[w_sec, fold] = str(err)
-            failed.add(w_sec)
-        except DivergenceError as err:
-            err.cell = (w_sec, fold)
-            raise
+    cells = [(w, f) for w in sorted(windows_sec) for f in range(folds)]
+    outcomes = run_cells(prepared, cells, folds, cfg, honest_split=honest_split, done=done)
     config = asdict(cfg) | {"folds": folds, "honest_split": honest_split, "per_fold_stats": per_fold_stats}
     del config["seed"]  # archived once, as the report's own seed
     return assemble(outcomes, seed=cfg.seed, fingerprint=fingerprint, config=config)
-
-
-def train_single(
-    signals: list[LabeledSignal],
-    window_sec: float,
-    cfg: TrainConfig,
-    *,
-    kernels: tuple[int, int] | None = None,
-    progress=None,
-) -> tuple[ModelParams, FoldResult]:
-    """One cell with global statistics: train on four fifths, stop on and
-    evaluate the held-out fifth (fold 0 of a 5-fold plan). Used by the
-    CLI's single-model path. Like ``run_sweep``, it drops ``signals`` once
-    the kept signal is built."""
-    stats = compute_stats(signals)
-    sig, segments = kept_signal(collect_segments(signals))
-    del signals  # as in run_sweep
-    if progress is not None:
-        progress(f"training at window {window_sec:g} s (seed {cfg.seed})")
-    return run_cell(sig, segments, window_sec, 0, 5, cfg, stats=stats, kernels=kernels)

@@ -78,14 +78,15 @@ PRODUCT_BUFSIZE = 1024
 
 class DivergenceError(RuntimeError):
     """A non-finite loss, logit or gradient: training has diverged. ``train``
-    sets the 1-based ``epoch`` it diverged in, which the message then names,
-    and ``run_sweep`` the ``(window_sec, fold)`` ``cell``."""
+    sets the 1-based ``epoch`` it diverged in and ``run_cells`` the
+    ``(window_sec, fold)`` ``cell``, which the message then names."""
 
     epoch: int | None = None
     cell: tuple[float, int] | None = None
 
     def __str__(self) -> str:
-        return super().__str__() if self.epoch is None else f"training diverged at epoch {self.epoch}"
+        text = super().__str__() if self.epoch is None else f"training diverged at epoch {self.epoch}"
+        return text if self.cell is None else f"{text} in window {self.cell[0]:g} s, fold {self.cell[1] + 1}"
 
 
 class GeometryError(ValueError):

@@ -2,9 +2,8 @@
 
 ``kept_signal`` concatenates the kept segments once per sweep and
 re-points each segment into that copy. Nothing downstream then reads the
-loaded signals, so a sweep holds one copy of its data: ``run_sweep`` and
-``train_single`` drop the loaded signals once the kept copy is made, and
-from then on only kept timesteps are in memory. For each window duration,
+loaded signals, so once ``experiment.prepare`` returns, a sweep holds one
+copy of its data, of kept timesteps only. For each window duration,
 ``window_arrays`` cuts a read-only ``sliding_window_view`` of that one
 array, one row per start position, with a label array that marks where
 ``segment`` has a window (its class) and where it has none (-1); no window

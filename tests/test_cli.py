@@ -13,6 +13,7 @@ from harwin import dataset, experiment, layers
 from harwin.cli import cli
 from harwin.dataset import generate_synthetic, load_signals, save_signals
 from harwin.model import load_model
+from harwin.report import load_report
 
 pytestmark = pytest.mark.usefixtures("tmp_cwd")
 
@@ -124,6 +125,29 @@ def test_sweep_writes_all_outputs(tmp_cwd, capsys):
     for name in ("report.json", "report.csv", "accuracy_boxplot.svg", "loss_boxplot.svg", "epochs_boxplot.svg"):
         assert (tmp_cwd / "out" / name).is_file(), name
     assert (tmp_cwd / "out" / "report.csv").read_text() == captured.out
+    rep = load_report(tmp_cwd / "out" / "report.json")
+    lines = captured.err.splitlines()
+    assert lines[1:-1] == [
+        f"window {row.window_sec:g} s: kernels ({row.k1}, {row.k2}), fold {f.fold + 1}/2: "
+        f"accuracy {f.accuracy * 100:.2f}%"
+        for row in rep.rows
+        for f in row.folds
+    ]
+    assert len(lines) == 6 and lines[-1] == (
+        "wrote out/report.json, out/report.csv, out/accuracy_boxplot.svg, out/loss_boxplot.svg, out/epochs_boxplot.svg"
+    )
+
+
+def test_sweep_with_only_failed_rows_names_the_files_it_wrote(tmp_cwd, capsys):
+    _synth()
+    capsys.readouterr()
+    assert cli(["sweep", "--cache", "cache.bin", "--windows", "9", "--folds", "2", "--out-dir", "out"]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines()[1:] == [
+        "window 9 s: kernels (7, 11), fold 1/2: failed, no samples to fold",
+        "wrote out/report.json, out/report.csv",
+    ]
+    assert sorted(p.name for p in (tmp_cwd / "out").iterdir()) == ["report.csv", "report.json"]
 
 
 def test_reports_and_checkpoints_do_not_depend_on_the_thread_count(tmp_cwd, monkeypatch, share_counts):
@@ -225,7 +249,7 @@ def test_sweep_divergence_exits_1(tmp_cwd, capsys):
     assert rc == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert "diverged at epoch 1" in out.err
+    assert "error: training diverged at epoch 1 in window 0.5 s, fold 1\n" in out.err
     assert not (tmp_cwd / "out" / "report.json").exists()
 
 

@@ -10,13 +10,15 @@ from harwin import experiment
 from harwin.dataset import ActivitySegment, collect_segments, generate_synthetic
 from harwin.experiment import (
     FoldResult,
+    Prepared,
     SweepRow,
     _window_level_stats,
     assemble,
+    prepare,
     run_cell,
+    run_cells,
     run_sweep,
     select_kernels,
-    train_single,
 )
 from harwin.layers import CoverageError, DivergenceError
 from harwin.model import EpochStats, ModelSpec, TrainConfig, build_model, evaluate, stack_labels, stack_windows, train
@@ -49,8 +51,8 @@ def _blob_segments(n_per_class, sep=3.0, seed=0, n_classes=3, scale=1.0, offset=
 
 
 def _blob_cell(segments, fold, folds, cfg=None, **kwargs):
-    kwargs.setdefault("stats", IDENTITY)
-    return run_cell(*kept_signal(segments), BLOB_SEC, fold, folds, cfg or FAST_CFG, **kwargs)
+    prepared = Prepared(*kept_signal(segments), kwargs.pop("stats", IDENTITY))
+    return run_cell(prepared, BLOB_SEC, fold, folds, cfg or FAST_CFG, **kwargs)
 
 
 def _arrays(samples):
@@ -164,7 +166,7 @@ def test_per_fold_stats_match_per_window_concatenation_bitwise():
         oracle = np.stack([(w - data.mean(axis=0)) / data.std(axis=0) for w in copies])
         spec = ModelSpec(kernels=select_kernels(sec))
         cfg = replace(FAST_CFG, seed=3)
-        got_model, got = run_cell(sig, segments, sec, 1, 4, cfg, stats=None)
+        got_model, got = run_cell(Prepared(sig, segments, None), sec, 1, 4, cfg)
         want_model, want = _reference_cell(oracle, y, 1, 4, spec, cfg, stats=IDENTITY)
         assert _bits(got) == _bits(want), sec
         _assert_same_model(got_model, want_model, sec)
@@ -197,7 +199,7 @@ def test_run_cell_standardizes_gathered_batches_as_a_standardized_signal_bitwise
         old = segment(collect_segments(apply_zscore([sig], stats)), WindowSpec(sec))
         spec = ModelSpec(kernels=select_kernels(sec))
         cfg = replace(FAST_CFG, seed=3)
-        got_model, got = run_cell(*kept_signal(segments), sec, 2, 4, cfg, stats=stats)
+        got_model, got = run_cell(Prepared(*kept_signal(segments), stats), sec, 2, 4, cfg)
         want_model, want = _reference_cell(*_arrays(old), 2, 4, spec, cfg, stats=IDENTITY)
         assert _bits(got) == _bits(want), sec
         _assert_same_model(got_model, want_model, sec)
@@ -213,7 +215,7 @@ def test_run_cell_only_reads_a_read_only_window_array():
     for stats in (compute_stats([signal]), None):
         for honest_split in (False, True):
             for fold in range(2):
-                run_cell(sig, segments, 0.25, fold, 2, FAST_CFG, stats=stats, honest_split=honest_split)
+                run_cell(Prepared(sig, segments, stats), 0.25, fold, 2, FAST_CFG, honest_split=honest_split)
     assert (sig == before).all()
 
 
@@ -268,7 +270,7 @@ def test_run_cell_hands_the_stacked_array_itself_to_train_and_evaluate(monkeypat
     train_idx, held_out = FoldPlan.stratified(y, 4, seed=0).train_test(2)
     for honest_split in (False, True):
         calls.clear()
-        run_cell(sig, segments, BLOB_SEC, 2, 4, FAST_CFG, stats=IDENTITY, honest_split=honest_split)
+        run_cell(Prepared(sig, segments, IDENTITY), BLOB_SEC, 2, 4, FAST_CFG, honest_split=honest_split)
         (_, fit_x, fit_idx, stop_idx), (_, test_x, test_idx) = calls
         assert fit_x is test_x and np.shares_memory(fit_x, sig) and not fit_x.flags.writeable
         assert np.array_equal(test_idx, held_out)
@@ -298,7 +300,7 @@ def test_run_cell_honest_split_stops_on_fold_0_of_ten_seeded_per_cell(monkeypatc
     cfg = replace(FAST_CFG, seed=7)
     for fold in range(4):
         calls.clear()
-        run_cell(sig, segments, BLOB_SEC, fold, 4, cfg, stats=IDENTITY, honest_split=True)
+        run_cell(Prepared(sig, segments, IDENTITY), BLOB_SEC, fold, 4, cfg, honest_split=True)
         (_, _, fit_idx, stop_idx), _ = calls
         train_idx, _ = FoldPlan.stratified(y, 4, cfg.seed).train_test(fold)
         fit, stop = FoldPlan.stratified(y[train_idx], 10, cfg.seed + fold).train_test(0)
@@ -320,7 +322,7 @@ def test_run_cell_copies_no_fold(monkeypatch):
         for fold in range(8):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run_cell(sig, segments, 0.5, fold, 8, FAST_CFG, stats=IDENTITY)
+            run_cell(Prepared(sig, segments, IDENTITY), 0.5, fold, 8, FAST_CFG)
             extra = tracemalloc.get_traced_memory()[1] - base
             assert extra < 0.1 * nbytes, (fold, extra, nbytes)
     finally:
@@ -344,7 +346,7 @@ def test_run_cell_per_fold_stats_holds_one_window_array(monkeypatch):
     try:
         base = tracemalloc.get_traced_memory()[0]
         for fold in range(4):
-            run_cell(sig, segments, 0.5, fold, 4, FAST_CFG, stats=None)
+            run_cell(Prepared(sig, segments, None), 0.5, fold, 4, FAST_CFG)
         extra = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -462,7 +464,7 @@ def test_run_sweep_raises_on_divergence_instead_of_a_failed_row():
         run_sweep([sig], [0.5], cfg, folds=2)
     assert isinstance(info.value, RuntimeError)
     assert (info.value.epoch, info.value.cell) == (1, (0.5, 0))
-    assert str(info.value) == "training diverged at epoch 1"
+    assert str(info.value) == "training diverged at epoch 1 in window 0.5 s, fold 1"
 
 
 def test_run_sweep_propagates_untyped_value_errors(monkeypatch):
@@ -482,11 +484,41 @@ def test_run_sweep_kernel_switch_across_durations():
     assert (report.rows[1].k1, report.rows[1].k2) == (7, 11)
 
 
-def test_run_sweep_progress_callback():
-    lines = []
-    run_sweep([_tiny_signal()], [0.1], FAST_CFG, folds=2, progress=lines.append)
-    assert lines and "0.1" in lines[0]
-    assert lines == ["window 0.1 s: kernels (3, 5), fold 1/2", "window 0.1 s: kernels (3, 5), fold 2/2"]
+def test_run_cells_calls_done_once_per_cell_that_ran(monkeypatch):
+    """``done`` sees each cell that ran, in the order given, with its
+    outcome; a failed duration's later cells neither run nor reach it; and
+    the outcomes assemble into ``run_sweep``'s report."""
+    sig = _tiny_signal()
+    want = run_sweep([sig], [0.1, 0.25, 4.0], FAST_CFG, folds=2)
+    ran, calls = [], []
+    real_cell = experiment.run_cell
+
+    def cell(prepared, window_sec, fold, *args, **kwargs):
+        ran.append((window_sec, fold))
+        return real_cell(prepared, window_sec, fold, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
+    cells = [(w, f) for w in (0.1, 4.0, 0.25) for f in range(2)]
+    outcomes = run_cells(prepare([sig]), cells, 2, FAST_CFG, done=lambda *args: calls.append(args))
+    assert ran == [(0.1, 0), (0.1, 1), (4.0, 0), (0.25, 0), (0.25, 1)]
+    assert [c for c, _ in calls] == ran == list(outcomes)
+    assert all(outcome is outcomes[c] for c, outcome in calls)
+    assert outcomes[4.0, 0] == "no samples to fold"
+    assert assemble(outcomes, seed=0, fingerprint=want.dataset_fingerprint, config=want.config) == want
+
+
+def test_run_cells_sets_the_cell_of_a_divergence_and_reports_no_outcome(monkeypatch):
+    def diverge(prepared, window_sec, fold, *args, **kwargs):
+        err = DivergenceError("non-finite logits")
+        err.epoch = 2
+        raise err
+
+    monkeypatch.setattr(experiment, "run_cell", diverge)
+    calls = []
+    with pytest.raises(DivergenceError) as info:
+        run_cells(prepare([_tiny_signal()]), [(0.5, 3), (0.5, 4)], 5, FAST_CFG, done=lambda *args: calls.append(args))
+    assert info.value.cell == (0.5, 3) and calls == []
+    assert str(info.value) == "training diverged at epoch 2 in window 0.5 s, fold 4"
 
 
 @pytest.mark.parametrize("honest_split", [False, True])
@@ -502,8 +534,7 @@ def test_a_cell_run_alone_equals_the_same_cell_in_run_sweep(honest_split, per_fo
         assert [f.fold for f in row.folds] == [0, 1]
         for want in row.folds:
             _, got = run_cell(
-                *kept_signal(segments), row.window_sec, want.fold, 2, cfg,
-                stats=stats, honest_split=honest_split,
+                Prepared(*kept_signal(segments), stats), row.window_sec, want.fold, 2, cfg, honest_split=honest_split
             )
             assert got.history and _bits(got) == _bits(want), (row.window_sec, want.fold)
 
@@ -511,7 +542,7 @@ def test_a_cell_run_alone_equals_the_same_cell_in_run_sweep(honest_split, per_fo
 def test_run_sweep_skips_the_later_cells_of_a_failed_duration(monkeypatch):
     ran = []
 
-    def cell(sig, segments, window_sec, fold, folds, cfg, **kwargs):
+    def cell(prepared, window_sec, fold, folds, cfg, **kwargs):
         ran.append((window_sec, fold))
         if (window_sec, fold) == (0.1, 1):
             raise CoverageError("channel 3 is constant in the training folds")
@@ -564,24 +595,24 @@ def test_assemble_gives_the_same_report_for_outcomes_in_any_order(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_train_single_reports_holdout_metrics():
+def test_single_model_reports_holdout_metrics():
     sig = generate_synthetic(3, samples_per_class=2, segment_len=60)
     cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=1)
-    model, res = train_single([sig], 0.25, cfg)
+    model, res = run_cell(prepare([sig]), 0.25, 0, 5, cfg)
     assert res.fold == 0
     assert 0.0 <= res.accuracy <= 1.0
     assert np.isfinite(res.loss)
     assert len(res.history) <= 3
     assert model.plan.window_len == 25
     # kernel override is honored
-    model2, _ = train_single([sig], 0.25, cfg, kernels=(3, 3))
+    model2, _ = run_cell(prepare([sig]), 0.25, 0, 5, cfg, kernels=(3, 3))
     assert model2.spec.kernels == (3, 3)
 
 
-def test_train_single_is_fold_zero_of_five_fold_cv():
+def test_single_model_is_fold_zero_of_five_fold_cv():
     sig = generate_synthetic(3, samples_per_class=2, segment_len=60)
     cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=1)
-    model, res = train_single([sig], 0.25, cfg)
+    model, res = run_cell(prepare([sig]), 0.25, 0, 5, cfg)
     samples = segment(collect_segments(apply_zscore([sig], compute_stats([sig]))), WindowSpec(0.25))
     spec = ModelSpec(kernels=select_kernels(0.25))
     fold0_model, fold0 = _reference_cell(*_arrays(samples), 0, 5, spec, cfg, stats=IDENTITY)

@@ -21,7 +21,7 @@ import pytest
 
 from harwin import experiment, model
 from harwin.dataset import generate_synthetic
-from harwin.experiment import run_sweep, train_single
+from harwin.experiment import prepare, run_cell, run_sweep
 from harwin.model import TrainConfig
 
 GOLDEN = Path(__file__).with_name("golden_values.json")
@@ -64,7 +64,7 @@ def _sweep(monkeypatch, setting: str) -> dict:
 
 
 def _train_history() -> list[dict]:
-    _, result = train_single(_signals(), 0.5, CFG)
+    _, result = run_cell(prepare(_signals()), 0.5, 0, 5, CFG)
     return [asdict(e) for e in result.history]
 
 
@@ -87,14 +87,14 @@ def _train_digests(monkeypatch) -> dict:
 
     monkeypatch.setattr(model, "gather", gather)
     monkeypatch.setattr(model, "dropout", dropout)
-    train_single(_signals(), 0.5, CFG)
+    run_cell(prepare(_signals()), 0.5, 0, 5, CFG)
     return {"gather_sha256": batches.hexdigest(), "dropout_sha256": masks.hexdigest()}
 
 
 def _train_4s() -> dict:
     """A 4 s run, on segments long enough to hold several 4 s windows: its
     batches make forward calls of several tiles, shared among threads."""
-    _, result = train_single(_signals(1200), 4.0, CFG)
+    _, result = run_cell(prepare(_signals(1200)), 4.0, 0, 5, CFG)
     return {"accuracy": result.accuracy, "loss": result.loss, "history": [asdict(e) for e in result.history]}
 
 

@@ -751,6 +751,20 @@ def test_softmax_grad_rows_sum_to_zero(seed, n_classes, batch):
     assert (losses > 0).all()
 
 
+def test_softmax_grad_is_exp_over_its_row_sum_bitwise():
+    """The probabilities are exp(shifted) / sum_exp, one division each: a
+    multiply by the reciprocal rounds differently in about a fifth of the
+    entries, and would change every trained weight after it."""
+    rng = np.random.default_rng(5)
+    logits = rng.normal(size=(2048, 10)) * 4
+    classes = rng.integers(0, 10, size=2048)
+    _, grads = softmax_xent(logits, classes)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    want = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    want[np.arange(2048), classes] -= 1.0
+    assert np.array_equal(grads, want)
+
+
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------

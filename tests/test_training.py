@@ -4,8 +4,8 @@ determinism, evaluation."""
 import numpy as np
 import pytest
 
-from harwin.layers import DivergenceError
-from harwin.model import EVAL_CHUNK, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, train
+from harwin.layers import DivergenceError, softmax_xent
+from harwin.model import EVAL_CHUNK, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, forward, gather, train
 from harwin.preprocess import ChannelStats
 
 # (w - 0) / 1 is w bit for bit: the blobs are trained on as they are
@@ -198,3 +198,22 @@ def test_evaluate_gathers_indexed_windows_like_a_copy():
     perm = np.random.default_rng(2).permutation(len(y))[: EVAL_CHUNK + 40]
     net = build_model(_small_spec(), 12, seed=8)
     assert evaluate(net, x, y, perm, IDENTITY) == evaluate(net, x[perm], y[perm], np.arange(len(perm)), IDENTITY)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_evaluate_loss_adds_the_sums_of_512_window_chunks_in_order(seed):
+    """The mean loss is the sum of each 512-window chunk's losses, added
+    chunk by chunk in index order, over the count, bit for bit. The windows'
+    scales are drawn log-normally, so their losses span orders of magnitude
+    and another chunk size or summation order rounds differently."""
+    rng = np.random.default_rng(seed)
+    x, y = _blobs(1000, seed=seed)  # six chunks
+    x = x * rng.lognormal(sigma=3.0, size=(len(x), 1, 1))
+    idx = rng.permutation(len(y))
+    net = build_model(_small_spec(), 12, seed=seed)
+    total = 0.0
+    for lo in range(0, len(idx), 512):
+        chunk = idx[lo : lo + 512]
+        logits, _ = forward(net, gather(x, chunk, IDENTITY), keep_cache=False)
+        total += float(softmax_xent(logits, y[chunk])[0].sum())
+    assert evaluate(net, x, y, idx, IDENTITY)[1] == total / len(idx)
