@@ -1,5 +1,6 @@
 """Golden values: the trained numbers of a small synthetic sweep and of two
-single-model runs, pinned in ``golden_values.json``.
+single-model runs, pinned in ``golden_values.json``, and the sha256 of the
+files those runs write, pinned per environment in ``golden_bytes.json``.
 
 Accuracy and epochs compare exactly, losses at a relative tolerance of
 1e-9, so a BLAS that sums in another order still passes while a changed
@@ -8,23 +9,39 @@ each cell trains, stops and tests on involve no floating-point sum, so they
 are pinned exactly, by one sha256 per protocol setting. So are the batch
 order and the dropout masks of the 0.5 s run, by one sha256 each.
 
-The file is regenerated only by hand, with ``PYTHONPATH=src python
-tests/test_golden.py``; a change that regenerates it says why in CHANGES.md.
+The output bytes (each sweep's ``report.csv`` and ``report.json``, each
+run's checkpoint and ``--metrics-json`` document) depend on how the BLAS
+sums, so their digests are recorded per environment: the numpy version, the
+BLAS build, core and thread count, and the machine. On an environment with
+no record the bytes test skips and names its key.
+
+Each run is made once per session and shared by the tests that read it.
+Both files are regenerated only by hand: ``PYTHONPATH=src python
+tests/test_golden.py`` rewrites ``golden_values.json``, and with ``--bytes``
+it adds this environment's digests to ``golden_bytes.json``. A change that
+regenerates either says why in CHANGES.md.
 """
 
+import ctypes
+import functools
 import hashlib
 import json
+import platform
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from harwin import experiment, model
 from harwin.dataset import generate_synthetic
 from harwin.experiment import prepare, run_cell, run_sweep
-from harwin.model import TrainConfig
+from harwin.model import TrainConfig, save_model
+from harwin.report import render_all, save_report
 
 GOLDEN = Path(__file__).with_name("golden_values.json")
+GOLDEN_BYTES = Path(__file__).with_name("golden_bytes.json")
 WINDOWS = [0.1, 0.5]
 FOLDS = 4
 CFG = TrainConfig(max_epochs=4, patience=3)
@@ -40,9 +57,10 @@ def _signals(segment_len: int = 300):
     return [generate_synthetic(42, 3, segment_len)]
 
 
-def _sweep(monkeypatch, setting: str) -> dict:
+@functools.cache
+def _sweep(setting: str):
     """The per-fold results of one sweep and a digest of every cell's fit,
-    stop and test indices, in the order the cells ran."""
+    stop and test indices, in the order the cells ran, and the report."""
     digest = hashlib.sha256()
     real_train, real_evaluate = experiment.train, experiment.evaluate
 
@@ -54,24 +72,21 @@ def _sweep(monkeypatch, setting: str) -> dict:
         digest.update(idx.astype("<i8").tobytes() + b";")
         return real_evaluate(model, x, y, idx, stats)
 
-    monkeypatch.setattr(experiment, "train", train)
-    monkeypatch.setattr(experiment, "evaluate", evaluate)
-    report = run_sweep(_signals(), WINDOWS, CFG, folds=FOLDS, **SETTINGS[setting])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(experiment, "train", train)
+        monkeypatch.setattr(experiment, "evaluate", evaluate)
+        report = run_sweep(_signals(), WINDOWS, CFG, folds=FOLDS, **SETTINGS[setting])
     rows = {
         f"{row.window_sec:g}": [[f.accuracy, f.loss, f.epochs_to_best] for f in row.folds] for row in report.rows
     }
-    return {"rows": rows, "index_sha256": digest.hexdigest()}
+    return {"rows": rows, "index_sha256": digest.hexdigest()}, report
 
 
-def _train_history() -> list[dict]:
-    _, result = run_cell(prepare(_signals()), 0.5, 0, 5, CFG)
-    return [asdict(e) for e in result.history]
-
-
-def _train_digests(monkeypatch) -> dict:
-    """One sha256 over the window indices of every batch that ``gather``
-    receives in the 0.5 s run, in call order, and one over every dropout
-    mask that ``dropout`` returns."""
+@functools.cache
+def _train_05():
+    """The 0.5 s run's model and result, with one sha256 over the window
+    indices of every batch that ``gather`` receives, in call order, and one
+    over every dropout mask that ``dropout`` returns."""
     batches, masks = hashlib.sha256(), hashlib.sha256()
     real_gather, real_dropout = model.gather, model.dropout
 
@@ -85,17 +100,25 @@ def _train_digests(monkeypatch) -> dict:
             masks.update(repr(mask.shape).encode() + mask.astype("<f8").tobytes())
         return out, mask
 
-    monkeypatch.setattr(model, "gather", gather)
-    monkeypatch.setattr(model, "dropout", dropout)
-    run_cell(prepare(_signals()), 0.5, 0, 5, CFG)
-    return {"gather_sha256": batches.hexdigest(), "dropout_sha256": masks.hexdigest()}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(model, "gather", gather)
+        monkeypatch.setattr(model, "dropout", dropout)
+        net, result = run_cell(prepare(_signals()), 0.5, 0, 5, CFG)
+    return {"gather_sha256": batches.hexdigest(), "dropout_sha256": masks.hexdigest()}, net, result
 
 
-def _train_4s() -> dict:
+@functools.cache
+def _train_4s():
     """A 4 s run, on segments long enough to hold several 4 s windows: its
     batches make forward calls of several tiles, shared among threads."""
-    _, result = run_cell(prepare(_signals(1200)), 4.0, 0, 5, CFG)
-    return {"accuracy": result.accuracy, "loss": result.loss, "history": [asdict(e) for e in result.history]}
+    return run_cell(prepare(_signals(1200)), 4.0, 0, 5, CFG)
+
+
+@functools.cache
+def _train_01():
+    """A 0.1 s run whose test fold, 1,190 windows, spans three evaluation
+    chunks, so the order their losses are added in shows in its bytes."""
+    return run_cell(prepare(_signals(800)), 0.1, 0, 5, CFG)
 
 
 def _golden() -> dict:
@@ -103,9 +126,9 @@ def _golden() -> dict:
 
 
 @pytest.mark.parametrize("setting", SETTINGS)
-def test_sweep_matches_golden_values(monkeypatch, setting):
+def test_sweep_matches_golden_values(setting):
     want = _golden()["sweeps"][setting]
-    got = _sweep(monkeypatch, setting)
+    got = _sweep(setting)[0]
     assert got["index_sha256"] == want["index_sha256"]
     assert got["rows"].keys() == want["rows"].keys()
     for window, folds in want["rows"].items():
@@ -123,33 +146,112 @@ def _assert_same_history(got: list[dict], want: list[dict]) -> None:
             assert epoch[key] == pytest.approx(value, rel=1e-9)
 
 
+def _history(result) -> list[dict]:
+    return [asdict(e) for e in result.history]
+
+
 def test_train_history_matches_golden_values():
-    _assert_same_history(_train_history(), _golden()["train_history_0.5"])
+    _assert_same_history(_history(_train_05()[2]), _golden()["train_history_0.5"])
 
 
-def test_train_batches_and_dropout_masks_match_golden_digests(monkeypatch):
-    assert _train_digests(monkeypatch) == _golden()["train_digests_0.5"]
+def test_train_batches_and_dropout_masks_match_golden_digests():
+    assert _train_05()[0] == _golden()["train_digests_0.5"]
 
 
 def test_train_4s_matches_golden_values():
     want = _golden()["train_4"]
-    got = _train_4s()
-    assert got["accuracy"] == want["accuracy"]
-    assert got["loss"] == pytest.approx(want["loss"], rel=1e-9)
-    _assert_same_history(got["history"], want["history"])
+    _, got = _train_4s()
+    assert got.accuracy == want["accuracy"]
+    assert got.loss == pytest.approx(want["loss"], rel=1e-9)
+    _assert_same_history(_history(got), want["history"])
+
+
+def _openblas_call(name: str, restype):
+    """``openblas_get_<name>()`` of the OpenBLAS that numpy bundles, read
+    through ctypes under the symbol prefixes and suffixes its builds use; None
+    when there is no such library or function."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        blas = ctypes.CDLL(str(lib))  # the copy numpy has loaded already
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            fn = getattr(blas, f"{prefix}openblas_get_{name}{suffix}", None)
+            if fn is not None:
+                fn.restype = restype
+                result = fn()
+                return result.decode() if isinstance(result, bytes) else result
+    return None
+
+
+def environment_key() -> str:
+    """What the output bytes may depend on besides the code: the numpy
+    version, the BLAS build and the core, configuration and thread count it
+    runs with, and the machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return " | ".join(
+        [
+            f"numpy {np.__version__}",
+            f"{blas.get('name')} {blas.get('version')}",
+            f"core {_openblas_call('corename', ctypes.c_char_p)}",
+            f"config {_openblas_call('config', ctypes.c_char_p)}",
+            f"threads {_openblas_call('num_threads', ctypes.c_int)}",
+            platform.machine(),
+        ]
+    )
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _output_digests(out: Path) -> dict[str, str]:
+    """The sha256 of every file the golden runs write: each sweep's
+    ``report.csv`` and ``report.json``, as ``harwin sweep`` writes them, and
+    each single-model run's checkpoint and metrics document, as ``harwin
+    train --model-out --metrics-json`` writes them."""
+    digests = {}
+    for setting in SETTINGS:
+        report = _sweep(setting)[1]
+        save_report(report, out / "report.json")
+        render_all(report, out)
+        for name in ("report.csv", "report.json"):
+            digests[f"sweep {setting} {name}"] = _sha256(out / name)
+    for window, (net, result) in ((0.1, _train_01()), (0.5, _train_05()[1:]), (4.0, _train_4s())):
+        save_model(net, out / "model.bin")
+        doc = dict(window_sec=window, **asdict(result))
+        del doc["fold"]
+        (out / "metrics.json").write_text(json.dumps(doc, indent=2) + "\n")
+        for name in ("model.bin", "metrics.json"):
+            digests[f"train {window:g} s {name}"] = _sha256(out / name)
+    return digests
+
+
+def test_output_bytes_match_golden_digests(tmp_path):
+    key = environment_key()
+    recorded = json.loads(GOLDEN_BYTES.read_text())
+    if key not in recorded:
+        pytest.skip(f"no golden bytes recorded for environment: {key}")
+    assert _output_digests(tmp_path) == recorded[key]
 
 
 def regenerate() -> None:
     """Rewrite golden_values.json from the code as it stands."""
-    sweeps = {}
-    for setting in SETTINGS:
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            sweeps[setting] = _sweep(monkeypatch, setting)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        digests = _train_digests(monkeypatch)
-    doc = {"sweeps": sweeps, "train_history_0.5": _train_history(), "train_digests_0.5": digests, "train_4": _train_4s()}
+    sweeps = {setting: _sweep(setting)[0] for setting in SETTINGS}
+    digests, _, result = _train_05()
+    _, result_4 = _train_4s()
+    train_4 = {"accuracy": result_4.accuracy, "loss": result_4.loss, "history": _history(result_4)}
+    doc = {"sweeps": sweeps, "train_history_0.5": _history(result), "train_digests_0.5": digests, "train_4": train_4}
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def record_bytes() -> None:
+    """Add this environment's output digests to golden_bytes.json."""
+    import tempfile
+
+    recorded = json.loads(GOLDEN_BYTES.read_text()) if GOLDEN_BYTES.exists() else {}
+    with tempfile.TemporaryDirectory() as out:
+        recorded[environment_key()] = _output_digests(Path(out))
+    GOLDEN_BYTES.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
-    regenerate()
+    record_bytes() if sys.argv[1:] == ["--bytes"] else regenerate()
