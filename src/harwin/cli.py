@@ -21,6 +21,7 @@ from .model import ModelSpec, TrainConfig, plan_shapes, save_model
 from .preprocess import WindowSpec
 
 ENV_DATA_DIR = "HARWIN_DATA_DIR"
+DEFAULT_OUT_DIR = "sweep_out"
 
 
 class UsageError(Exception):
@@ -234,16 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     default_windows = ",".join(f"{w:g}" for w in experiment.DEFAULT_WINDOWS_SEC)
     p.add_argument("--windows", default=default_windows, help="comma-separated durations (s)")
-    p.add_argument("--folds", type=int, default=8)
+    p.add_argument("--folds", type=int, default=experiment.DEFAULT_FOLDS)
     p.add_argument("--honest-split", action="store_true", help="stop on a split of the training folds, not the test fold")
     p.add_argument("--per-fold-stats", action="store_true", help="normalize with training-fold statistics per fold")
     _add_train_flags(p)
-    p.add_argument("--out-dir", default="sweep_out")
+    p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="regenerate CSV/SVG outputs from report.json")
     p.add_argument("--report", required=True, help="report.json from a sweep run")
-    p.add_argument("--out-dir", default="sweep_out")
+    p.add_argument("--out-dir", default=DEFAULT_OUT_DIR)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -51,8 +51,8 @@ ACTIVITY_NAMES = {
     13: "descending stairs",
 }
 
-# Retained activity code -> contiguous class index.
-ACTIVITY_CLASSES = {2: 0, 3: 1, 4: 2, 12: 3, 13: 4}
+# Retained activity code -> contiguous class index, in ACTIVITY_NAMES order.
+ACTIVITY_CLASSES = {code: index for index, code in enumerate(ACTIVITY_NAMES)}
 
 SYNTHETIC_SUBJECT_ID = 0
 
@@ -225,7 +225,7 @@ def generate_synthetic(seed: int, samples_per_class: int, segment_len: int) -> L
     for b, code in enumerate(codes * samples_per_class):
         c = ACTIVITY_CLASSES[code]
         freq = 2.0 + 3.0 * c
-        phase = 2.0 * np.pi * (c * N_CHANNELS + np.arange(N_CHANNELS)) / (5 * N_CHANNELS)
+        phase = 2.0 * np.pi * (c * N_CHANNELS + np.arange(N_CHANNELS)) / (len(codes) * N_CHANNELS)
         clean = np.sin(2.0 * np.pi * freq * t[None, :] + phase[:, None])
         block = channels[:, b * segment_len : (b + 1) * segment_len]
         np.add(clean, rng.normal(0.0, 0.3, size=block.shape), out=block)
@@ -296,7 +296,7 @@ def read_binary(path: str | Path, magic: bytes, kind: str):
 
 def load_signals(path: str | Path) -> list[LabeledSignal]:
     """Read a cache written by save_signals; each labels and channels part
-    is read straight into its own array."""
+    is read straight into its own array, and every sample must be finite."""
     signals = []
     with read_binary(path, CACHE_MAGIC, "dataset cache") as (unpack, array):
         (count,) = unpack("<I")
@@ -304,6 +304,9 @@ def load_signals(path: str | Path) -> list[LabeledSignal]:
             subject, c, t = unpack("<qIQ")
             labels = array((t,), "<i8")
             channels = array((c, t), "<f8")
+            # min and max are non-finite exactly when a sample is, and copy nothing
+            if not np.isfinite([channels.min(), channels.max()]).all():
+                raise ValueError("non-finite sample in dataset cache")
             signals.append(LabeledSignal(int(subject), channels, labels))
     return signals
 

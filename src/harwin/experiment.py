@@ -4,10 +4,10 @@ A sweep is a flat list of independent cells, one per (window duration,
 fold). ``prepare`` builds what every cell reads, ``run_cell`` trains and
 tests one from that and its key alone, ``run_cells`` runs a list of them
 and ``assemble`` builds the report from their outcomes, in any order.
-Kernel sizes follow the window: short windows (<= 0.25 s) use (3, 5),
-everything longer (7, 11). A cell whose geometry fails (``GeometryError``)
-or whose windows cannot fill the folds (``CoverageError``) fails its
-duration's row; any other error aborts the sweep.
+Kernel sizes follow the window (``model.select_kernels``). A cell whose
+geometry fails (``GeometryError``) or whose windows cannot fill the folds
+(``CoverageError``) fails its duration's row; any other error aborts the
+sweep.
 """
 
 from __future__ import annotations
@@ -20,24 +20,16 @@ import numpy as np
 
 from .dataset import ActivitySegment, LabeledSignal, collect_segments, dataset_fingerprint
 from .layers import CoverageError, DivergenceError, GeometryError
-from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, train
+from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, select_kernels, train
 from .preprocess import ChannelStats, FoldPlan, WindowSpec, compute_stats, kept_signal, window_arrays
 
-SHORT_WINDOW_SEC = 0.25
-SHORT_KERNELS = (3, 5)
-LONG_KERNELS = (7, 11)
-
 DEFAULT_WINDOWS_SEC = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
+DEFAULT_FOLDS = 8
 
 Cell = tuple[float, int]  # (window_sec, fold)
 
 # Elements per chunk of the per-fold statistics' passes (8 MiB of float64).
 STATS_CHUNK_ELEMS = 1 << 20
-
-
-def select_kernels(window_sec: float) -> tuple[int, int]:
-    """Conv kernel sizes as a function of window duration."""
-    return SHORT_KERNELS if window_sec <= SHORT_WINDOW_SEC else LONG_KERNELS
 
 
 def check_windows(windows_sec: list[float]) -> None:
@@ -227,7 +219,7 @@ def run_sweep(
     windows_sec: list[float],
     cfg: TrainConfig,
     *,
-    folds: int = 8,
+    folds: int = DEFAULT_FOLDS,
     honest_split: bool = False,
     per_fold_stats: bool = False,
     done=None,

@@ -335,11 +335,11 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    lr: float
     t: int = 0
-    lr: float = 1e-3
 
 
-def init_adam(params: np.ndarray, lr: float = 1e-3) -> AdamState:
+def init_adam(params: np.ndarray, lr: float) -> AdamState:
     return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 

@@ -1,9 +1,11 @@
 """Two-conv-layer 1-D CNN: shape planning, init, forward/backward, training.
 
-The fixed column is conv(16) -> ReLU -> pool -> conv(32) -> ReLU -> pool ->
-dense 32 -> ReLU -> dropout -> dense 24 -> ReLU -> dropout -> dense 5 ->
-softmax. Short windows degrade gracefully: a pool stage is skipped when its
-output would starve the next layer (first pool) or be empty (second pool).
+The column is conv -> ReLU -> pool -> conv -> ReLU -> pool -> dense ->
+ReLU -> dropout -> dense -> ReLU -> dropout -> dense -> softmax. ``ModelSpec``
+sets its channels, filters, kernels and classes; the pools (width 2), the
+dense sizes and the dropout rate are fixed. The window's duration picks the
+kernels (``select_kernels``), and a pool stage is skipped when its output
+would starve the next layer (first pool) or be empty (second pool).
 """
 
 from __future__ import annotations
@@ -32,35 +34,35 @@ from .layers import (
     relu_backward,
     softmax_xent,
 )
-from .dataset import read_binary
+from .dataset import ACTIVITY_CLASSES, N_CHANNELS, read_binary
 from .preprocess import ChannelStats
 
 EVAL_CHUNK = 512
 
+DENSE_SIZES = (32, 24)
+DROPOUT_RATE = 0.3
+
+SHORT_WINDOW_SEC = 0.25
+SHORT_KERNELS = (3, 5)
+LONG_KERNELS = (7, 11)
+
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture hyperparameters; shapes are derived per window length."""
+    """The sizes a caller may set; shapes are derived per window length."""
 
-    in_channels: int = 18
+    in_channels: int = N_CHANNELS
     conv_filters: tuple[int, int] = (16, 32)
-    kernels: tuple[int, int] = (7, 11)
-    pool_width: int = 2
-    dense_sizes: tuple[int, int] = (32, 24)
-    n_classes: int = 5
-    dropout_rate: float = 0.3
+    kernels: tuple[int, int] = LONG_KERNELS
+    n_classes: int = len(ACTIVITY_CLASSES)
 
     def __post_init__(self) -> None:
-        if self.pool_width != 2:
-            raise ValueError(f"only pool width 2 is supported, got {self.pool_width}")
         for name in ("in_channels", "n_classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in ("conv_filters", "kernels", "dense_sizes"):
+        for name in ("conv_filters", "kernels"):
             if any(v < 1 for v in getattr(self, name)):
                 raise ValueError(f"{name} entries must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,11 @@ class ShapePlan:
     flatten: int
     pool1_applied: bool
     pool2_applied: bool
+
+
+def select_kernels(window_sec: float) -> tuple[int, int]:
+    """Conv kernel sizes as a function of window duration."""
+    return SHORT_KERNELS if window_sec <= SHORT_WINDOW_SEC else LONG_KERNELS
 
 
 def plan_shapes(spec: ModelSpec, window_len: int) -> ShapePlan:
@@ -145,7 +152,7 @@ def param_shapes(spec: ModelSpec, plan: ShapePlan) -> dict[str, tuple[int, ...]]
     """Name and shape of every parameter tensor, in flat-vector order: each
     layer's weights (out, in, ...) followed by its bias (out,)."""
     f1, f2 = spec.conv_filters
-    d1, d2 = spec.dense_sizes
+    d1, d2 = DENSE_SIZES
     layers = {
         "conv1": (f1, spec.in_channels, spec.kernels[0]),
         "conv2": (f2, f1, spec.kernels[1]),
@@ -259,11 +266,11 @@ def forward(
     if not keep_cache:
         del p2, first2
     h1 = relu(z1)
-    h1d, mask1 = dropout(h1, model.spec.dropout_rate, training, rng)
+    h1d, mask1 = dropout(h1, DROPOUT_RATE, training, rng)
 
     z2 = dense_forward(h1d, model.dense2_w, model.dense2_b)
     h2 = relu(z2)
-    h2d, mask2 = dropout(h2, model.spec.dropout_rate, training, rng)
+    h2d, mask2 = dropout(h2, DROPOUT_RATE, training, rng)
 
     logits = dense_forward(h2d, model.out_w, model.out_b)
     if not keep_cache:
@@ -484,8 +491,8 @@ def train(
 # Checkpoints ("HARM1"): one model in one little-endian binary file.
 #
 #   magic "HARM1"
-#   <9Id  ModelSpec's fields in declaration order, pairs flattened: u32 in_channels,
-#         conv_filters[2], kernels[2], pool_width, dense_sizes[2], n_classes, f64 dropout_rate
+#   <9Id  u32 in_channels, conv_filters[2], kernels[2], then the fixed layers' u32 pool
+#         width 2 and DENSE_SIZES[2], then u32 n_classes, then f64 DROPOUT_RATE
 #   <6I2B ShapePlan's fields: u32 window_len, conv1_out, pool1_out, conv2_out,
 #         pool2_out, flatten, u8 pool1_applied, pool2_applied
 #   f64   ModelParams.flat: every tensor, C-order, in its param_shapes() order and shape
@@ -497,25 +504,20 @@ _PLAN_HEADER = "<6I2B"
 
 
 def save_model(model: ModelParams, path: str | Path) -> None:
-    spec = [v for value in astuple(model.spec) for v in (value if isinstance(value, tuple) else (value,))]
+    s = model.spec  # the fixed layers' slots get pool width 2 and DENSE_SIZES
+    spec = (s.in_channels, *s.conv_filters, *s.kernels, 2, *DENSE_SIZES, s.n_classes, DROPOUT_RATE)
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC + struct.pack(_SPEC_HEADER, *spec) + struct.pack(_PLAN_HEADER, *astuple(model.plan)))
         f.write(model.flat.astype("<f8", copy=False).data)
 
 
-def _unflat_spec(values: tuple) -> ModelSpec:
-    """The ModelSpec that save_model flattened into ``values``; a pair field
-    takes as many values as its default holds."""
-    it = iter(values)
-    return ModelSpec(
-        *(tuple(next(it) for _ in f.default) if isinstance(f.default, tuple) else next(it) for f in fields(ModelSpec))
-    )
-
-
 def load_model(path: str | Path) -> ModelParams:
     """Read a checkpoint written by save_model; every error names the file."""
     with read_binary(path, CKPT_MAGIC, "model checkpoint") as (unpack, array):
-        spec = _unflat_spec(unpack(_SPEC_HEADER))
+        in_channels, f1, f2, k1, k2, pool, d1, d2, n_classes, rate = unpack(_SPEC_HEADER)
+        if (pool, (d1, d2), rate) != (2, DENSE_SIZES, DROPOUT_RATE):
+            raise ValueError(f"fixed layers differ: pool width {pool}, dense sizes {(d1, d2)}, dropout rate {rate}")
+        spec = ModelSpec(in_channels, (f1, f2), (k1, k2), n_classes)
         stored = unpack(_PLAN_HEADER)
         plan = plan_shapes(spec, stored[0])  # the plan is derived; the stored copy must agree
         if astuple(plan) != stored:

@@ -3,6 +3,7 @@
 import json
 import struct
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -396,6 +397,26 @@ def test_malformed_input_exits_1_naming_the_file(tmp_cwd, capsys, command, messa
     assert out.out == ""
     assert f"error: {message}\n" in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "command", [["sweep", "--windows", "0.5", "--folds", "4", "--per-fold-stats"], ["train", "--window", "0.5"]]
+)
+def test_non_finite_cache_exits_1_naming_the_file_not_divergence(tmp_cwd, capsys, command, value):
+    """A NaN or infinite sample is refused as the cache loads; it is not
+    trained on until it surfaces as divergence."""
+    sig = generate_synthetic(42, 3, 600)
+    sig.channels[3, 100] = value
+    save_signals([sig], "bad.bin")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the statistics either
+        rc = cli([*command, "--cache", "bad.bin", "--max-epochs", "2"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: bad.bin: non-finite sample in dataset cache\n" in out.err
+    assert "diverged" not in out.err
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's stack keeps a call's arguments alive")

@@ -406,6 +406,13 @@ def test_cache_rejects_garbage(tmp_path):
     path.write_bytes(blob + b"\xff")
     with pytest.raises(ValueError, match="trailing"):
         load_signals(path)
+    for value in (np.nan, np.inf, -np.inf):
+        sig = generate_synthetic(0, 1, 10)
+        sig.channels[3, 7] = value
+        save_signals([sig], path)
+        with pytest.raises(ValueError) as err:
+            load_signals(path)
+        assert str(err.value) == f"{path}: non-finite sample in dataset cache"
 
 
 def test_fingerprint_tracks_content(tmp_path):

@@ -28,6 +28,7 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -176,7 +177,7 @@ def _openblas_call(name: str, restype):
         for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
             fn = getattr(blas, f"{prefix}openblas_get_{name}{suffix}", None)
             if fn is not None:
-                fn.restype = restype
+                fn.argtypes, fn.restype = [], restype
                 result = fn()
                 return result.decode() if isinstance(result, bytes) else result
     return None
@@ -245,8 +246,6 @@ def regenerate() -> None:
 
 def record_bytes() -> None:
     """Add this environment's output digests to golden_bytes.json."""
-    import tempfile
-
     recorded = json.loads(GOLDEN_BYTES.read_text()) if GOLDEN_BYTES.exists() else {}
     with tempfile.TemporaryDirectory() as out:
         recorded[environment_key()] = _output_digests(Path(out))

@@ -859,7 +859,7 @@ def test_adam_matches_mpmath_reference():
 
 def test_adam_moment_recursion_known_values():
     p = np.zeros(1)
-    state = init_adam(p)
+    state = init_adam(p, lr=1e-3)
     adam_step(state, p, np.array([2.0]))
     assert state.m[0] == pytest.approx(0.2, rel=1e-15)  # (1-0.9)*2
     assert state.v[0] == pytest.approx(0.004, rel=1e-15)  # (1-0.999)*4
@@ -881,7 +881,7 @@ def test_adam_updates_in_place_across_tensors():
 
 def test_adam_rejects_non_finite_gradient():
     p = np.ones(2)
-    state = init_adam(p)
+    state = init_adam(p, lr=1e-3)
     with pytest.raises(DivergenceError, match="non-finite"):
         adam_step(state, p, np.array([1.0, np.nan]))
     assert state.t == 0  # nothing applied
@@ -890,7 +890,7 @@ def test_adam_rejects_non_finite_gradient():
 
 def test_adam_rejects_mismatched_shapes():
     p = np.ones(2)
-    state = init_adam(p)
+    state = init_adam(p, lr=1e-3)
     for params, grads in ((p, np.ones(3)), (np.ones(3), np.ones(3)), (p, np.ones((2, 1)))):
         with pytest.raises(ValueError, match="shape"):
             adam_step(state, params, grads)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from harwin.dataset import SAMPLE_RATE_HZ
+from harwin.dataset import ACTIVITY_CLASSES, N_CHANNELS, SAMPLE_RATE_HZ
 from harwin.experiment import DEFAULT_WINDOWS_SEC, select_kernels
 from harwin.layers import (
     GeometryError,
@@ -26,7 +26,9 @@ from harwin.layers import (
     softmax_xent,
 )
 from harwin.model import (
+    DROPOUT_RATE,
     EVAL_CHUNK,
+    LONG_KERNELS,
     ModelParams,
     ModelSpec,
     TrainConfig,
@@ -100,12 +102,13 @@ def test_plan_shapes_rejects_window_too_short_for_second_kernel():
 
 
 def test_model_spec_validation():
-    with pytest.raises(ValueError, match="pool width"):
-        ModelSpec(pool_width=3)
-    with pytest.raises(ValueError, match="dropout"):
-        ModelSpec(dropout_rate=1.0)
     with pytest.raises(ValueError):
         ModelSpec(conv_filters=(0, 32))
+
+
+def test_model_spec_defaults_come_from_the_data_and_the_kernel_rule():
+    assert ModelSpec() == ModelSpec(N_CHANNELS, (16, 32), LONG_KERNELS, len(ACTIVITY_CLASSES))
+    assert [f.name for f in fields(ModelSpec)] == ["in_channels", "conv_filters", "kernels", "n_classes"]
 
 
 def test_build_model_shapes_and_init():
@@ -300,9 +303,9 @@ def _grads_in_the_cached_pre_activation_order(net, windows, classes, rng):
     p2, first2 = maxpool_forward(relu(a2)) if plan.pool2_applied else (relu(a2), None)
     flat = p2.reshape(len(p2), plan.flatten)
     z1 = dense_forward(flat, net.dense1_w, net.dense1_b)
-    h1d, mask1 = dropout(relu(z1), net.spec.dropout_rate, True, rng)
+    h1d, mask1 = dropout(relu(z1), DROPOUT_RATE, True, rng)
     z2 = dense_forward(h1d, net.dense2_w, net.dense2_b)
-    h2d, mask2 = dropout(relu(z2), net.spec.dropout_rate, True, rng)
+    h2d, mask2 = dropout(relu(z2), DROPOUT_RATE, True, rng)
     _, g = softmax_xent(dense_forward(h2d, net.out_w, net.out_b), classes)
     g_h2d, g_out_w, g_out_b = dense_backward(h2d, net.out_w, g / len(windows))
     g_h1d, g_d2_w, g_d2_b = dense_backward(h1d, net.dense2_w, relu_backward(z2, dropout_backward(mask2, g_h2d)))
@@ -440,8 +443,8 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
 
 def test_checkpoint_rejects_garbage(tmp_path):
     """Every damaged checkpoint is a ValueError whose message starts with
-    the file's path, a header slot that the spec or the plan rejects
-    included."""
+    the file's path, a header slot that the fixed layers, the spec or the
+    plan reject included."""
     import struct
 
     path = tmp_path / "bad.bin"
@@ -458,8 +461,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
         (b"XXXXX" + b"\x00" * 64, "not a model checkpoint (bad magic)"),
         (blob[:-16], "truncated model checkpoint"),
         (blob + b"\x00", "trailing bytes in model checkpoint"),
-        (patched(spec_at + 36, "<d", 1.5), "dropout_rate must be in [0, 1), got 1.5"),
-        (patched(spec_at + 20, "<I", 3), "only pool width 2 is supported, got 3"),
+        (patched(spec_at + 36, "<d", 1.5), "fixed layers differ: pool width 2, dense sizes (32, 24), dropout rate 1.5"),
+        (patched(spec_at + 20, "<I", 3), "fixed layers differ: pool width 3, dense sizes (32, 24), dropout rate 0.3"),
+        (patched(spec_at + 28, "<I", 25), "fixed layers differ: pool width 2, dense sizes (32, 25), dropout rate 0.3"),
         (patched(spec_at + 12, "<I", 99), "first kernel 99 does not fit"),
         (patched(plan_at, "<I", 3), "second kernel 5 does not fit in 1"),
     ]
