@@ -123,6 +123,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError("--segment-len must be >= 2")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
+    _check_out_dirs(args.out)
     sig = dataset.generate_synthetic(args.seed, args.samples_per_class, args.segment_len)
     dataset.save_signals([sig], args.out)
     print(f"wrote {args.out}: 1 signal, {sig.n_timesteps} timesteps")

@@ -277,7 +277,7 @@ def read_binary(path: str | Path, magic: bytes, kind: str):
             if f.tell() + nbytes > size:  # checked before allocating what a header claims
                 raise ValueError(f"truncated {kind}")
             arr = np.empty(shape, dtype=dtype)
-            if f.readinto(memoryview(arr).cast("B")) != nbytes:
+            if nbytes and f.readinto(memoryview(arr).cast("B")) != nbytes:
                 raise ValueError(f"truncated {kind}")
             return arr
 
@@ -305,7 +305,7 @@ def load_signals(path: str | Path) -> list[LabeledSignal]:
             labels = array((t,), "<i8")
             channels = array((c, t), "<f8")
             # min and max are non-finite exactly when a sample is, and copy nothing
-            if not np.isfinite([channels.min(), channels.max()]).all():
+            if not np.isfinite([channels.min(initial=0.0), channels.max(initial=0.0)]).all():
                 raise ValueError("non-finite sample in dataset cache")
             signals.append(LabeledSignal(int(subject), channels, labels))
     return signals

@@ -30,7 +30,7 @@ elements by default, as short windows' rows are (n = L_out * B = 1,024 for
 conv1 at 0.1 s and batch 128); under the smaller buffer every row of a full
 batch of 128 is long enough. The buffer size is a measured speed choice
 that never changes an elementwise result, so the bits do not depend on it,
-and each share restores the size its thread had. The
+and the call restores the caller's size as it returns or raises. The
 tiles decide only where an element sits in memory, never the order of one
 output element's terms. The backward convolution is one GEMM pair per tap.
 Its sums run in BLAS order, so it is checked against finite differences and
@@ -38,27 +38,30 @@ a per-(channel, tap) reference loop by tolerance, not bit for bit.
 
 Threads. A forward call of several tiles shares them among up to
 ``usable_cpus()`` threads, the CPUs in the process's affinity mask (so
-``taskset`` limits them): the calling thread runs one share and a helper
-thread each of the others, and every share takes the next tile from one
-list until none is left. The tile count is rounded up to a multiple of the
-share count so that every share has as many, but never to more tiles than
-positions. With the default kernels on 2 CPUs, every call from 1 s on
-splits, as do conv1 of a batch of 128 at 0.5 s and both convolutions of a
-512-window evaluation chunk at 0.25 s and 0.5 s. A call of a single tile,
-such as every call at 0.1 s, and every call where one CPU is usable, is one
-share on the calling thread. numpy releases the GIL inside the multiply and
-the add, so the shares' terms run at once. Each share has scratch of its
-own for one tile: one channel of the tile plus an accumulator and a product
-of at most BLOCK elements each, about 1 MiB. One thread sums each output
-element, bias first and then the (channel, tap) terms in channel-major
-order, so the bits depend neither on the number of threads nor on which
-thread takes which tile. The helpers run under the caller's numpy error
-state, which is per thread, and an exception in any share is re-raised in
-the caller once every share has finished.
+``taskset`` limits them). ``run_shares`` holds the tiles as one queue: the
+calling thread runs one share and a helper thread each of the others, and
+every share takes the next tile until none is left. The tile count is
+rounded up to a multiple of the share count so that every share has as
+many, but never to more tiles than positions. With the default kernels on
+2 CPUs, every call from 1 s on splits, as do conv1 of a batch of 128 at
+0.5 s and both convolutions of a 512-window evaluation chunk at 0.25 s and
+0.5 s. A call of a single tile, such as every call at 0.1 s, and every
+call where one CPU is usable, is one share on the calling thread. numpy
+releases the GIL inside the multiply and the add, so the shares' terms run
+at once. Each share has scratch of its own for one tile: one channel of the
+tile plus an accumulator and a product of at most BLOCK elements each,
+about 1 MiB. One thread sums each output element, bias first and then the
+(channel, tap) terms in channel-major order, so the bits depend neither on
+the number of threads nor on which thread takes which tile. Each helper
+starts in a copy of the caller's context (PEP 567), which since numpy 2.0
+holds the error state and the buffer size. A helper the OS refuses leaves
+its tiles to the shares that did start, and an exception in any share is
+re-raised in the caller once every share has finished.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass
@@ -99,9 +102,9 @@ class CoverageError(ValueError):
 
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation: x (B, C, L), weights (F, C, K), bias (F,)
-    -> (B, F, L-K+1). The tiles of one call may be summed on several
-    threads (see Threads in the module docstring); the bits do not depend
-    on how many."""
+    -> (B, F, L-K+1). ``run_shares`` sums the tiles with ``sum_tile`` on up
+    to ``usable_cpus()`` threads (see Threads in the module docstring)
+    under the caller's error state; the bits do not depend on how many."""
     if x.ndim != 3 or weights.ndim != 3:
         raise ValueError(f"input and weights must be 3-D, got {x.ndim}-D and {weights.ndim}-D")
     n_filters, n_in, kernel = weights.shape
@@ -121,44 +124,36 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     n_shares = min(usable_cpus(), n_tiles)
     # as many tiles for every share, each no longer than BLOCK allows
     n_tiles = min(out_len, -(-n_tiles // n_shares) * n_shares)
-    tiles = iter([(i * out_len // n_tiles, (i + 1) * out_len // n_tiles) for i in range(n_tiles)])
+    tiles = [(i * out_len // n_tiles, (i + 1) * out_len // n_tiles) for i in range(n_tiles)]
     tile = -(-out_len // n_tiles)  # the most positions the scratch must hold
     wt = weights.transpose(1, 2, 0)[..., None].copy()  # (C, K, F, 1): each wt[c, k] is contiguous
-    take = threading.Lock()
     # allocated here, not in the helpers, so that no helper's malloc arena keeps them
     scratch = [
         (np.empty((tile + kernel - 1) * batch), np.empty(n_filters * tile * batch), np.empty(n_filters * tile * batch))
         for _ in range(n_shares)
     ]
 
-    def share(s: int) -> None:
-        """Sum tiles into out until none is left: positions [p, q) of every
-        filter, one input channel of the tile copied at a time into xc,
+    def sum_tile(s: int, span: tuple[int, int]) -> None:
+        """Sum positions [p, q) of every filter into out in share s's
+        scratch, one input channel of the tile copied at a time into xc,
         xc[j * B + b] = x[b, c, p + j]."""
         xc_buf, acc_buf, term_buf = scratch[s]
-        saved = np.setbufsize(PRODUCT_BUFSIZE)  # per thread, like the error state
-        try:
-            while True:
-                with take:
-                    span = next(tiles, None)
-                if span is None:
-                    return
-                p, q = span
-                n = (q - p) * batch
-                xc = xc_buf[: (q - p + kernel - 1) * batch]
-                acc = acc_buf[: n_filters * n].reshape(n_filters, n)
-                term = term_buf[: acc.size].reshape(acc.shape)
-                acc[...] = bias[:, None]
-                for c in range(n_in):
-                    xc.reshape(-1, batch)[...] = x[:, c, p : q + kernel - 1].T
-                    for k in range(kernel):
-                        np.multiply(wt[c, k], xc[k * batch : k * batch + n], out=term)
-                        acc += term
-                out[:, :, p:q] = acc.reshape(n_filters, q - p, batch).transpose(2, 0, 1)
-        finally:
-            np.setbufsize(saved)
+        p, q = span
+        n = (q - p) * batch
+        xc = xc_buf[: (q - p + kernel - 1) * batch]
+        acc = acc_buf[: n_filters * n].reshape(n_filters, n)
+        term = term_buf[: acc.size].reshape(acc.shape)
+        acc[...] = bias[:, None]
+        for c in range(n_in):
+            xc.reshape(-1, batch)[...] = x[:, c, p : q + kernel - 1].T
+            for k in range(kernel):
+                np.multiply(wt[c, k], xc[k * batch : k * batch + n], out=term)
+                acc += term
+        out[:, :, p:q] = acc.reshape(n_filters, q - p, batch).transpose(2, 0, 1)
 
-    run_shares(share, n_shares)
+    with np.errstate():  # its exit restores the caller's buffer size too
+        np.setbufsize(PRODUCT_BUFSIZE)
+        run_shares(sum_tile, tiles, n_shares)
     return out
 
 
@@ -170,36 +165,38 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_shares(share, n_shares: int) -> None:
-    """Run ``share(s)`` for every s in range(n_shares): the calling thread
-    runs share 0 and one helper thread each of the others, all under the
-    caller's numpy error state (which is per thread). A share whose thread
-    cannot be started runs on the calling thread after share 0. Once every
-    share has finished, the exception of the first share that raised, if
-    any, is re-raised in the caller."""
-    if n_shares == 1:
-        share(0)
-        return
+def run_shares(work, items, n_shares: int) -> None:
+    """Call ``work(s, item)`` once for every item, where share s takes the
+    next item from one queue until none is left. The calling thread runs
+    share 0 and a helper thread each of the others. Each helper starts in a
+    copy of the caller's context, so it runs under the caller's numpy error
+    state and ufunc buffer size. If the OS refuses a thread, no further
+    helper is started, and the shares that did start drain the queue. Once
+    every share has finished, the exception of the first share that raised,
+    if any, is re-raised in the caller."""
+    queue, take, done = iter(items), threading.Lock(), object()
     errors: list[BaseException | None] = [None] * n_shares
-    errstate, errcall = np.geterr(), np.geterrcall()
 
-    def run(s: int) -> None:
+    def share(s: int) -> None:
         try:
-            with np.errstate(call=errcall, **errstate):
-                share(s)
+            while True:
+                with take:
+                    item = next(queue, done)
+                if item is done:
+                    return
+                work(s, item)
         except BaseException as exc:
             errors[s] = exc
 
-    helpers, inline = [], [0]
+    helpers = []
     for s in range(1, n_shares):
-        helper = threading.Thread(target=run, args=(s,), daemon=True)
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(share, s), daemon=True)
         try:
             helper.start()
-            helpers.append(helper)
-        except RuntimeError:  # the OS gives no more threads: the caller runs this share too
-            inline.append(s)
-    for s in inline:
-        run(s)
+        except RuntimeError:  # the OS gives no more threads
+            break
+        helpers.append(helper)
+    share(0)
     for helper in helpers:
         helper.join()
     raised = next((e for e in errors if e is not None), None)

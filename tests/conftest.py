@@ -9,9 +9,9 @@ def share_counts(monkeypatch):
     test from here on."""
     seen = set()
 
-    def counting(share, n_shares, run=layers.run_shares):
+    def counting(work, items, n_shares, run=layers.run_shares):
         seen.add(n_shares)
-        run(share, n_shares)
+        run(work, items, n_shares)
 
     monkeypatch.setattr(layers, "run_shares", counting)
     return seen

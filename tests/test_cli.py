@@ -53,6 +53,16 @@ def test_synth_is_reproducible(tmp_cwd):
     assert (tmp_cwd / "a.bin").read_bytes() == (tmp_cwd / "b.bin").read_bytes()
 
 
+def test_synth_to_a_missing_directory_exits_1_before_generating(tmp_cwd, capsys, monkeypatch):
+    generated = []
+    monkeypatch.setattr(dataset, "generate_synthetic", lambda *args: generated.append(args))
+    assert cli(["synth", "--out", "nodir/x.bin"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: cannot write nodir/x.bin: nodir is not a directory\n" in out.err
+    assert generated == []
+
+
 def test_synth_validation_exit_2(capsys):
     assert cli(["synth", "--samples-per-class", "0", "--out", "x.bin"]) == 2
     assert cli(["synth", "--segment-len", "1", "--out", "x.bin"]) == 2
@@ -378,6 +388,20 @@ def test_sweep_reads_requested_subjects_from_cache(tmp_cwd, capsys):
     capsys.readouterr()
     assert cli([*sweep, "--cache", "two.bin", "--subjects", "102,103"]) == 1
     assert "error: two.bin: subject 103 is not in the dataset cache\n" in capsys.readouterr().err
+
+
+def test_sweep_over_a_cache_with_an_empty_subject_matches_the_sweep_without_it(tmp_cwd, capsys):
+    """A subject of no timesteps loads and adds no window: the report.csv is
+    byte-identical to the sweep's without it."""
+    sig = generate_synthetic(42, 2, 120)
+    empty = dataset.LabeledSignal(105, np.empty((18, 0)), np.empty(0, dtype=np.int64))
+    save_signals([sig, empty], "with.bin")
+    save_signals([sig], "without.bin")
+    sweep = ["sweep", "--windows", "0.1,0.25", "--folds", "2", "--max-epochs", "1"]
+    assert cli([*sweep, "--cache", "with.bin", "--out-dir", "with"]) == 0
+    assert cli([*sweep, "--cache", "without.bin", "--out-dir", "without"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_cwd / "with" / "report.csv").read_bytes() == (tmp_cwd / "without" / "report.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Protocol-file parsing, channel selection, gap repair, segmentation and the
 binary dataset cache."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -354,17 +355,20 @@ def test_generate_synthetic_validation():
 
 
 def test_cache_round_trip_bit_exact(tmp_path):
+    """Also for a signal of no timesteps, which save_signals writes."""
     sig1 = generate_synthetic(3, 1, 20)
     sig2 = LabeledSignal(104, np.random.default_rng(0).normal(size=(18, 7)), np.arange(7, dtype=np.int64))
+    empty = LabeledSignal(105, np.empty((18, 0)), np.empty(0, dtype=np.int64))
     path = tmp_path / "cache.bin"
-    save_signals([sig1, sig2], path)
+    save_signals([sig1, sig2, empty], path)
     back = load_signals(path)
-    assert len(back) == 2
+    assert len(back) == 3
     assert back[0].subject_id == sig1.subject_id
     assert back[1].subject_id == 104
     assert np.array_equal(back[0].channels, sig1.channels)
     assert np.array_equal(back[1].channels, sig2.channels)
     assert np.array_equal(back[1].labels, sig2.labels)
+    assert (back[2].subject_id, back[2].channels.shape, back[2].labels.shape) == (105, (18, 0), (0,))
 
 
 def test_cache_bytes_are_pinned(tmp_path):
@@ -406,6 +410,10 @@ def test_cache_rejects_garbage(tmp_path):
     path.write_bytes(blob + b"\xff")
     with pytest.raises(ValueError, match="trailing"):
         load_signals(path)
+    path.write_bytes(b"HARW1" + struct.pack("<I", 1) + struct.pack("<qIQ", 101, 0, 3) + bytes(8 * 3))  # no channels
+    with pytest.raises(ValueError) as err:
+        load_signals(path)
+    assert str(err.value) == f"{path}: expected 18 channels, got shape (0, 3)"
     for value in (np.nan, np.inf, -np.inf):
         sig = generate_synthetic(0, 1, 10)
         sig.channels[3, 7] = value

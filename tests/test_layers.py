@@ -1,7 +1,6 @@
 """Layer-level oracles: naive-loop convolution, the pre-GEMM convolution
 loops, finite differences, mpmath references for softmax and Adam."""
 
-import inspect
 import os
 import sys
 import threading
@@ -253,14 +252,14 @@ def test_conv_forward_keeps_a_negative_zero_bias_across_tiles():
 
 
 def test_conv_forward_bits_and_the_callers_buffer_size_hold_under_any_buffer_size(monkeypatch, share_counts):
-    """Each share forms its products under a ufunc buffer size of its own.
-    Under a caller's buffer of 16 elements and of 65536, every call from
-    0.1 s to 4 s at batch 128, on one thread and on two, keeps the bits of
-    the unblocked loop, the sign of zero included: inputs hold exact zeros,
-    as relu and pool outputs do, and filter 0 is all negative, so its sums
-    over a zero window stay at a -0.0 bias. The caller's buffer size is
-    unchanged after every call, also after a call that raises, on one
-    thread and on two."""
+    """The call forms its products under PRODUCT_BUFSIZE, which each helper
+    inherits from the caller's context. Under a caller's buffer of 16
+    elements and of 65536, every call from 0.1 s to 4 s at batch 128, on one
+    thread and on two, keeps the bits of the unblocked loop, the sign of
+    zero included: inputs hold exact zeros, as relu and pool outputs do, and
+    filter 0 is all negative, so its sums over a zero window stay at a -0.0
+    bias. The caller's buffer size is unchanged after every call, also after
+    a call that raises, on one thread and on two."""
     rng = np.random.default_rng(37)
     saved = np.getbufsize()
     try:
@@ -372,13 +371,13 @@ DEFAULT_TILES = {
 def forward_plan(geometry, batch, cpus):
     """(n_shares, tiles) of a conv1d_forward call on ``geometry`` and
     ``batch`` windows with the CPU count forced to ``cpus``. The tiles,
-    (p, q) for positions [p, q), are read from the call's share before it
-    runs, and no share runs: nothing is summed."""
+    (p, q) for positions [p, q), are the items the call hands to
+    run_shares, and no share runs: nothing is summed."""
     c_in, c_out, kernel, length = geometry
     plan = []
 
-    def record(share, n_shares):
-        plan.append((n_shares, list(inspect.getclosurevars(share).nonlocals["tiles"])))
+    def record(work, tiles, n_shares):
+        plan.append((n_shares, list(tiles)))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(layers, "usable_cpus", lambda: cpus)
@@ -481,13 +480,16 @@ def test_many_shares_under_fast_thread_switching_take_every_block_once(monkeypat
 
 
 def test_shares_without_a_thread_run_on_the_calling_thread(monkeypatch):
+    """When the OS starts no helper, every item runs once, in order, as
+    share 0 on the calling thread, and the forward keeps its bits."""
+
     def no_thread(self):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     ran = []
-    run_shares(lambda s: ran.append((s, threading.get_ident())), 3)
-    assert ran == [(s, threading.get_ident()) for s in range(3)]
+    run_shares(lambda s, item: ran.append((s, item, threading.get_ident())), range(5), 3)
+    assert ran == [(0, item, threading.get_ident()) for item in range(5)]
     monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
     c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
     rng = np.random.default_rng(71)
@@ -495,6 +497,32 @@ def test_shares_without_a_thread_run_on_the_calling_thread(monkeypatch):
     w = rng.normal(size=(c_out, c_in, kernel))
     b = rng.normal(size=c_out)
     assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
+
+
+def test_a_refused_helper_leaves_its_tiles_to_the_shares_that_started(monkeypatch, share_counts):
+    """With the CPU count forced to 3 and the second helper refused by the
+    OS, conv1 at 4 s runs on the calling thread and one helper, keeps the
+    bits of the unblocked loop and leaves no thread behind."""
+    start, starts = threading.Thread.start, []
+
+    def second_refused(self):
+        starts.append(self)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", second_refused)
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 3)
+    c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
+    rng = np.random.default_rng(73)
+    x = rng.normal(size=(128, c_in, length))
+    w = rng.normal(size=(c_out, c_in, kernel))
+    b = rng.normal(size=c_out)
+    threads = threading.active_count()
+    assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
+    assert len(starts) == 2
+    assert threading.active_count() == threads
+    assert share_counts == {3}
 
 
 def test_each_share_holds_at_most_one_tiles_scratch(monkeypatch, share_counts):
@@ -534,9 +562,9 @@ def test_each_share_holds_at_most_one_tiles_scratch(monkeypatch, share_counts):
 
 
 def test_threaded_forward_runs_under_the_callers_error_state(monkeypatch, share_counts):
-    """numpy's error state is per thread: the helpers take the caller's, so
-    an overflow that the caller ignores warns nowhere, and one that it
-    raises on raises in the caller."""
+    """The helpers start in a copy of the caller's context, which holds
+    numpy's error state, so an overflow that the caller ignores warns
+    nowhere, and one that it raises on raises in the caller."""
     monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
     c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
     x = np.full((128, c_in, length), 1e200)
@@ -552,17 +580,19 @@ def test_threaded_forward_runs_under_the_callers_error_state(monkeypatch, share_
 
 
 def test_run_shares_reraises_a_helpers_exception_once_every_share_has_finished():
+    """Item 1 raises in whichever share takes it; the other shares still
+    finish items 0 and 2, and no helper outlives the call."""
     finished = []
 
-    def share(s):
-        if s == 1:
+    def work(s, item):
+        if item == 1:
             raise KeyError("helper")
         time.sleep(0.2)
-        finished.append(s)
+        finished.append(item)
 
     threads = threading.active_count()
     with pytest.raises(KeyError, match="helper"):
-        run_shares(share, 3)
+        run_shares(work, range(3), 3)
     assert sorted(finished) == [0, 2]
     assert threading.active_count() == threads
 
