@@ -3,6 +3,9 @@
 Pipeline: PAMAP2 protocol ingestion -> per-channel standardization ->
 75%-overlap sliding windows -> a from-scratch 1-D CNN trained with Adam ->
 stratified cross-validation swept over window durations.
+
+Importing the package sets the OpenBLAS that numpy bundles to one thread,
+so that no thread variable or CPU count changes a report's bytes.
 """
 
 from .dataset import (
@@ -16,6 +19,7 @@ from .dataset import (
     save_signals,
 )
 from .experiment import SweepReport, SweepRow, prepare, run_cell, run_cells, run_sweep, select_kernels
+from .layers import pin_blas_threads
 from .model import ModelParams, ModelSpec, TrainConfig, build_model, evaluate, load_model, plan_shapes, save_model, train
 from .preprocess import (
     ChannelStats, Sample, WindowSpec, apply_zscore, compute_stats, kept_signal, make_folds, segment, window_arrays
@@ -23,6 +27,8 @@ from .preprocess import (
 from .report import format_report_csv, load_report, render_all, save_report
 
 __version__ = "0.1.0"
+
+pin_blas_threads()
 
 __all__ = [
     "ACTIVITY_CLASSES",

@@ -156,7 +156,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.metrics_json:
         doc = dict(window_sec=args.window, **asdict(result))
         del doc["fold"]  # always 0
-        Path(args.metrics_json).write_text(json.dumps(doc, indent=2) + "\n")
+        dataset.write_atomic(args.metrics_json, [(json.dumps(doc, indent=2) + "\n").encode()])
     print(
         f"window {args.window:g} s: accuracy {result.accuracy * 100:.2f}% "
         f"loss {result.loss:.4f} best epoch {result.epochs_to_best}"

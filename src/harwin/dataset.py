@@ -24,7 +24,7 @@ import math
 import os
 import struct
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -258,8 +258,27 @@ def _pack_signals(signals: list[LabeledSignal]) -> Iterator[bytes | memoryview]:
 
 
 def save_signals(signals: list[LabeledSignal], path: str | Path) -> None:
-    with open(path, "wb") as f:
-        f.writelines(_pack_signals(signals))
+    write_atomic(path, _pack_signals(signals))
+
+
+def write_atomic(path: str | Path, parts: Iterable[bytes | memoryview]) -> None:
+    """Write ``parts`` in order as the file ``path``, all or nothing: into a
+    new temporary file in the same directory, flushed and fsynced, then
+    renamed over ``path``. A failure leaves any previous file as it was and
+    removes the temporary one. The file gets the mode a plain ``open()``
+    gives a new file, 0o666 less the umask."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "wb") as f:
+            f.writelines(parts)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager

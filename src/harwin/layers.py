@@ -34,7 +34,9 @@ and the call restores the caller's size as it returns or raises. The
 tiles decide only where an element sits in memory, never the order of one
 output element's terms. The backward convolution is one GEMM pair per tap.
 Its sums run in BLAS order, so it is checked against finite differences and
-a per-(channel, tap) reference loop by tolerance, not bit for bit.
+a per-(channel, tap) reference loop by tolerance, not bit for bit. That order
+would change with the BLAS's thread count, so importing harwin pins the
+bundled OpenBLAS to one thread (``pin_blas_threads``).
 
 Threads. A forward call of several tiles shares them among up to
 ``usable_cpus()`` threads, the CPUs in the process's affinity mask (so
@@ -62,9 +64,12 @@ re-raised in the caller once every share has finished.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 import threading
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -163,6 +168,43 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def openblas_function(name: str, restype=None, *argtypes):
+    """The ctypes function ``openblas_<name>`` of the OpenBLAS that numpy
+    bundles, with ``restype`` and ``argtypes`` declared, under the library
+    names and the symbol prefixes and suffixes its builds use; None when
+    there is no such library or function."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        blas = ctypes.CDLL(str(lib))  # the copy numpy has loaded already
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            fn = getattr(blas, f"{prefix}openblas_{name}{suffix}", None)
+            if fn is not None:
+                fn.argtypes, fn.restype = list(argtypes), restype
+                return fn
+    return None
+
+
+def pin_blas_threads() -> None:
+    """Set the bundled OpenBLAS to one thread, so that the BLAS sums in one
+    order whatever its thread variable or the CPU count. A count that is
+    already one is left alone: setting it again changes no result, but it
+    changed the speed of later large-array loops. With a BLAS that cannot
+    be pinned this way, warn naming it and change nothing."""
+    get_num_threads = openblas_function("get_num_threads", ctypes.c_int)
+    set_num_threads = openblas_function("set_num_threads", None, ctypes.c_int)
+    if get_num_threads is not None and set_num_threads is not None:
+        if get_num_threads() != 1:
+            set_num_threads(1)
+        return
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    warnings.warn(
+        f"cannot pin the BLAS ({blas.get('name')} {blas.get('version')}) to one thread; "
+        "reports may then depend on its thread variable",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 
 
 def run_shares(work, items, n_shares: int) -> None:

@@ -34,7 +34,7 @@ from .layers import (
     relu_backward,
     softmax_xent,
 )
-from .dataset import ACTIVITY_CLASSES, N_CHANNELS, read_binary
+from .dataset import ACTIVITY_CLASSES, N_CHANNELS, read_binary, write_atomic
 from .preprocess import ChannelStats
 
 EVAL_CHUNK = 512
@@ -506,9 +506,8 @@ _PLAN_HEADER = "<6I2B"
 def save_model(model: ModelParams, path: str | Path) -> None:
     s = model.spec  # the fixed layers' slots get pool width 2 and DENSE_SIZES
     spec = (s.in_channels, *s.conv_filters, *s.kernels, 2, *DENSE_SIZES, s.n_classes, DROPOUT_RATE)
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC + struct.pack(_SPEC_HEADER, *spec) + struct.pack(_PLAN_HEADER, *astuple(model.plan)))
-        f.write(model.flat.astype("<f8", copy=False).data)
+    header = CKPT_MAGIC + struct.pack(_SPEC_HEADER, *spec) + struct.pack(_PLAN_HEADER, *astuple(model.plan))
+    write_atomic(path, [header, model.flat.astype("<f8", copy=False).data])
 
 
 def load_model(path: str | Path) -> ModelParams:

@@ -16,6 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .dataset import write_atomic
 from .experiment import FoldResult, SweepReport, SweepRow
 
 CSV_HEADER = "window_sec,k1,k2,acc_mean,acc_std,loss_mean,loss_std,epochs_mean,epochs_std"
@@ -156,7 +157,7 @@ def render_all(report: SweepReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [out / "report.csv"]
-    written[0].write_text(format_report_csv(report))
+    write_atomic(written[0], [format_report_csv(report).encode()])
     rows = [r for r in report.rows if not r.failed]
     if rows:
         panels = [
@@ -167,7 +168,7 @@ def render_all(report: SweepReport, out_dir: str | Path) -> list[Path]:
         for name, metric, pick in panels:
             groups = [(r.window_sec, [pick(f) for f in r.folds]) for r in rows]
             path = out / name
-            path.write_text(render_boxplot_svg(groups, metric))
+            write_atomic(path, [render_boxplot_svg(groups, metric).encode()])
             written.append(path)
     return written
 
@@ -204,7 +205,7 @@ def _record(cls: type, doc: dict, **nested):
 def save_report(report: SweepReport, path: str | Path) -> None:
     """Write the report's dataclass fields as JSON, keys sorted."""
     doc = asdict(report, dict_factory=_archived)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def load_report(path: str | Path) -> SweepReport:

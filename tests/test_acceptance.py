@@ -210,8 +210,6 @@ def _run_cli(args, cwd):
     # ``src`` no longer resolves; point it at the package this process imported.
     package_root = str(Path(harwin.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
     return subprocess.run(
         [sys.executable, "-m", "harwin.cli", *args],
         cwd=cwd,

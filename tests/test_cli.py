@@ -1,11 +1,14 @@
 """CLI behaviour: exit codes, stream discipline, artifact round-trips."""
 
 import json
+import os
 import struct
+import subprocess
 import sys
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +181,28 @@ def test_reports_and_checkpoints_do_not_depend_on_the_thread_count(tmp_cwd, monk
             assert max(share_counts) == cpus, args
     for name in ("sweep{}/report.csv", "sweep{}/report.json", "m{}.bin", "m{}.json"):
         assert (tmp_cwd / name.format(1)).read_bytes() == (tmp_cwd / name.format(2)).read_bytes(), name
+
+
+@pytest.mark.skipif(layers.usable_cpus() < 2, reason="OpenBLAS takes no more threads than usable CPUs")
+def test_reports_do_not_depend_on_the_blas_thread_variable(tmp_cwd):
+    """A sweep in child processes with OPENBLAS_NUM_THREADS unset, 1 and 2
+    writes the same report bytes, because importing harwin pins the BLAS to
+    one thread. Unpinned, a 1 s sweep's report.json differs at two."""
+    _synth(extra=("--samples-per-class", "3", "--segment-len", "240"))
+    unpinned = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads these in turn
+    env = {k: v for k, v in os.environ.items() if k not in unpinned}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(layers.__file__).parents[1]), env.get("PYTHONPATH")]))
+    sweep = ["sweep", "--cache", "cache.bin", "--windows", "1", "--folds", "4", "--max-epochs", "3", "--patience", "3"]
+    for threads in ("unset", "1", "2"):
+        child_env = env if threads == "unset" else dict(env, OPENBLAS_NUM_THREADS=threads)
+        child = subprocess.run(
+            [sys.executable, "-m", "harwin.cli", *sweep, "--out-dir", threads],
+            env=child_env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+    for name in ("report.csv", "report.json"):
+        assert (tmp_cwd / "1" / name).read_bytes() == (tmp_cwd / "unset" / name).read_bytes(), name
+        assert (tmp_cwd / "1" / name).read_bytes() == (tmp_cwd / "2" / name).read_bytes(), name
 
 
 def test_sweep_folds_below_two_exit_2(capsys):

@@ -1,6 +1,8 @@
 """Protocol-file parsing, channel selection, gap repair, segmentation and the
 binary dataset cache."""
 
+import os
+import stat
 import struct
 import warnings
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harwin import dataset
 from harwin.dataset import (
     ACTIVITY_CLASSES,
     ACTIVITY_NAMES,
@@ -24,6 +27,7 @@ from harwin.dataset import (
     load_subject_file,
     repair_gaps,
     save_signals,
+    write_atomic,
 )
 
 
@@ -466,6 +470,41 @@ def test_cache_bytes_stream_without_a_second_copy(tmp_path):
     (back,), extra = _traced_peak(load_signals, path)
     assert extra < 1.05 * (sig.channels.nbytes + sig.labels.nbytes), extra / sig.channels.nbytes
     assert np.array_equal(back.channels, sig.channels) and np.array_equal(back.labels, sig.labels)
+
+
+def test_a_write_that_fails_partway_leaves_the_previous_file_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "c.bin"
+    save_signals([generate_synthetic(0, 1, 10)], path)
+    before = path.read_bytes()
+
+    def failing(signals, pack=dataset._pack_signals):
+        parts = pack(signals)
+        yield next(parts)
+        yield next(parts)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dataset, "_pack_signals", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_signals([generate_synthetic(1, 1, 10)], path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["c.bin"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+def test_write_atomic_gives_the_mode_of_a_plain_open(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_atomic(tmp_path / "new.bin", [b"new"])
+        with open(tmp_path / "plain.bin", "wb") as f:
+            f.write(b"plain")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.bin").read_bytes() == b"new"
+    assert stat.S_IMODE((tmp_path / "new.bin").stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "plain.bin").stat().st_mode) == 0o640
+    write_atomic(tmp_path / "new.bin", [b"re", memoryview(b"placed")])
+    assert (tmp_path / "new.bin").read_bytes() == b"replaced"
+    assert sorted(os.listdir(tmp_path)) == ["new.bin", "plain.bin"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ order and the dropout masks of the 0.5 s run, by one sha256 each.
 The output bytes (each sweep's ``report.csv`` and ``report.json``, each
 run's checkpoint and ``--metrics-json`` document) depend on how the BLAS
 sums, so their digests are recorded per environment: the numpy version, the
-BLAS build, core and thread count, and the machine. On an environment with
-no record the bytes test skips and names its key.
+BLAS build, core and thread count, and the machine. The thread count reads
+1 wherever harwin could pin the BLAS. On an environment with no record the
+bytes test skips and names its key.
 
 Each run is made once per session and shared by the tests that read it.
 Both files are regenerated only by hand: ``PYTHONPATH=src python
@@ -38,6 +39,7 @@ import pytest
 from harwin import experiment, model
 from harwin.dataset import generate_synthetic
 from harwin.experiment import prepare, run_cell, run_sweep
+from harwin.layers import openblas_function
 from harwin.model import TrainConfig, save_model
 from harwin.report import render_all, save_report
 
@@ -167,20 +169,12 @@ def test_train_4s_matches_golden_values():
     _assert_same_history(_history(got), want["history"])
 
 
-def _openblas_call(name: str, restype):
-    """``openblas_get_<name>()`` of the OpenBLAS that numpy bundles, read
-    through ctypes under the symbol prefixes and suffixes its builds use; None
-    when there is no such library or function."""
-    root = Path(np.__file__).parent
-    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
-        blas = ctypes.CDLL(str(lib))  # the copy numpy has loaded already
-        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
-            fn = getattr(blas, f"{prefix}openblas_get_{name}{suffix}", None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], restype
-                result = fn()
-                return result.decode() if isinstance(result, bytes) else result
-    return None
+def _openblas(name: str, restype):
+    """``openblas_<name>()`` of the OpenBLAS that numpy bundles, bytes
+    decoded; None when there is no such library or function."""
+    fn = openblas_function(name, restype)
+    result = None if fn is None else fn()
+    return result.decode() if isinstance(result, bytes) else result
 
 
 def environment_key() -> str:
@@ -192,9 +186,9 @@ def environment_key() -> str:
         [
             f"numpy {np.__version__}",
             f"{blas.get('name')} {blas.get('version')}",
-            f"core {_openblas_call('corename', ctypes.c_char_p)}",
-            f"config {_openblas_call('config', ctypes.c_char_p)}",
-            f"threads {_openblas_call('num_threads', ctypes.c_int)}",
+            f"core {_openblas('get_corename', ctypes.c_char_p)}",
+            f"config {_openblas('get_config', ctypes.c_char_p)}",
+            f"threads {_openblas('get_num_threads', ctypes.c_int)}",
             platform.machine(),
         ]
     )

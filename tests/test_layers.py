@@ -1,12 +1,15 @@
 """Layer-level oracles: naive-loop convolution, the pre-GEMM convolution
 loops, finite differences, mpmath references for softmax and Adam."""
 
+import ctypes
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -342,6 +345,31 @@ def test_usable_cpus_falls_back_where_there_is_no_affinity_mask(monkeypatch):
     assert usable_cpus() == 6
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert usable_cpus() == 1
+
+
+def test_pin_warns_naming_the_blas_where_no_openblas_is_found(tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert layers.openblas_function("set_num_threads", None, ctypes.c_int) is None
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    with pytest.warns(RuntimeWarning, match="thread variable") as caught:
+        layers.pin_blas_threads()
+    assert len(caught) == 1
+    assert f"{blas['name']} {blas['version']}" in str(caught[0].message)
+
+
+def test_the_blas_runs_one_thread_once_harwin_is_imported():
+    """In a child whose thread variable asks OpenBLAS for two threads."""
+    if layers.openblas_function("get_num_threads", ctypes.c_int) is None:
+        pytest.skip("numpy's BLAS has no openblas_get_num_threads")
+    code = (
+        "import ctypes, harwin.layers as layers;"
+        "print(layers.openblas_function('get_num_threads', ctypes.c_int)())"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(layers.__file__).parents[1]), env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout) == (0, "1\n"), child.stderr
+    assert layers.openblas_function("get_num_threads", ctypes.c_int)() == 1
 
 
 # (c_in, c_out, kernel, length) of wide layers whose calls split into 3 and 4
