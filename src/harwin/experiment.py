@@ -165,7 +165,10 @@ def run_cell(
         stats = ChannelStats(*_window_level_stats(x, train_idx))
     fit_idx, stop_idx = train_idx, test_idx
     if honest_split:
-        fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)
+        try:
+            fit, stop = FoldPlan.stratified(y[train_idx], 10, fold_seed).train_test(0)
+        except CoverageError as err:
+            raise CoverageError(f"the honest split stops on 1 of 10 folds of the training folds: {err}") from err
         fit_idx, stop_idx = train_idx[fit], train_idx[stop]
     best, best_epoch, history = train(net, x, y, fit_idx, stop_idx, replace(cfg, seed=fold_seed), stats)
     accuracy, loss = evaluate(best, x, y, test_idx, stats)

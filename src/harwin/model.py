@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -183,39 +183,6 @@ def build_model(spec: ModelSpec, window_len: int, seed: int) -> ModelParams:
     return model
 
 
-@dataclass
-class ForwardCache:
-    """What a training forward pass keeps for backprop: the channel-major
-    input ``x``, each conv layer's pooled ReLU map (p1, p2) with its pool's
-    winner mask, and each dense layer's pre-ReLU output and dropped-out
-    activation (with its mask). A conv layer's output is not kept: its ReLU
-    runs in place and the pool reads it, and ``backward`` takes the ReLU's
-    gradient from the pooled map. When a pool is skipped, its map is that
-    ReLU output and its mask is None. ``backward`` empties the cache as it
-    runs. Evaluation keeps none of this (``forward(..., keep_cache=False)``)."""
-
-    x: np.ndarray
-    p1: np.ndarray
-    first1: np.ndarray | None
-    p2: np.ndarray
-    first2: np.ndarray | None
-    z1: np.ndarray
-    h1d: np.ndarray
-    mask1: np.ndarray | None
-    z2: np.ndarray
-    h2d: np.ndarray
-    mask2: np.ndarray | None
-
-    def take(self) -> list:
-        """Every field's array, in declaration order, leaving the cache
-        empty (each field None), so whoever takes them holds the only
-        reference and each array is freed after its last reader."""
-        values = [getattr(self, f.name) for f in fields(self)]
-        for f in fields(self):
-            setattr(self, f.name, None)
-        return values
-
-
 def _relu_pool(a: np.ndarray, pool: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """ReLU of the conv output ``a``, in place, then, when ``pool``, its
     width-2 max pool and winner mask; unpooled, the map is ``a`` itself."""
@@ -229,11 +196,17 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
     keep_cache: bool = True,
-) -> tuple[np.ndarray, ForwardCache | None]:
+) -> tuple[np.ndarray, list | None]:
     """Run a (B, window_len, 18) batch through the net; returns logits and
     the cache the backward pass needs. windows are time-major as produced by
     the windowing stage and transposed to channel-major here, which copies
     nothing for a batch from ``gather``; they are only read.
+
+    The cache is the list ``[x, p1, first1, p2, first2, z1, h1d, mask1, z2,
+    h2d, mask2]``: the channel-major input, each conv layer's pooled ReLU
+    map with its pool's winner mask, and each dense layer's pre-ReLU output
+    and dropped-out activation with its dropout mask. When a pool is
+    skipped, its map is the ReLU output itself and its mask is None.
 
     Each conv layer's ReLU runs in place on its output, and the output is
     dropped once pooled. With ``keep_cache=False`` (evaluation) the cache is
@@ -275,14 +248,14 @@ def forward(
     logits = dense_forward(h2d, model.out_w, model.out_b)
     if not keep_cache:
         return logits, None
-    return logits, ForwardCache(x, p1, first1, p2, first2, z1, h1d, mask1, z2, h2d, mask2)
+    return logits, [x, p1, first1, p2, first2, z1, h1d, mask1, z2, h2d, mask2]
 
 
-def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -> ModelParams:
+def backward(model: ModelParams, cache: list, grad_logits: np.ndarray) -> ModelParams:
     """Backprop grad_logits through the cached pass into a fresh ModelParams
     of the model's spec and plan, each gradient in its parameter's view. The
-    cache is emptied on entry (``ForwardCache.take``), and each of its arrays,
-    like each conv-sized gradient, is dropped once its last reader has run.
+    cache list is emptied on entry, and each of its arrays, like each
+    conv-sized gradient, is dropped once its last reader has run.
 
     A conv layer's ReLU gradient is taken from its pooled map, before the
     pool routes it back: the pool picks from the ReLU output, so a pooled
@@ -290,7 +263,8 @@ def backward(model: ModelParams, cache: ForwardCache, grad_logits: np.ndarray) -
     gradients are bit-identical to masking the routed gradient by the
     pre-activation (a loser slot gets +0.0 either way)."""
     plan = model.plan
-    x, p1, first1, p2, first2, z1, h1d, mask1, z2, h2d, mask2 = cache.take()
+    x, p1, first1, p2, first2, z1, h1d, mask1, z2, h2d, mask2 = cache
+    cache.clear()
     g = ModelParams(model.spec, plan, np.empty_like(model.flat))
 
     g_h2d, g.out_w[...], g.out_b[...] = dense_backward(h2d, model.out_w, grad_logits)

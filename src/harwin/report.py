@@ -202,6 +202,18 @@ def _record(cls: type, doc: dict, **nested):
     return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name != "history"} | nested)
 
 
+def _check_row(row: SweepRow) -> SweepRow:
+    """``row`` if a sweep could have written it (``assemble``): a failed row
+    has a reason and no folds, a row that ran has no reason and folds 0, 1,
+    ... in order, at least two of them."""
+    if row.failed:
+        if row.reason is None or row.folds:
+            raise ValueError(f"row {row.window_sec:g} failed, so it needs a reason and no folds")
+    elif row.reason is not None or len(row.folds) < 2 or [f.fold for f in row.folds] != list(range(len(row.folds))):
+        raise ValueError(f"row {row.window_sec:g} ran, so it needs a null reason and folds 0, 1, ... (at least 2)")
+    return row
+
+
 def save_report(report: SweepReport, path: str | Path) -> None:
     """Write the report's dataclass fields as JSON, keys sorted."""
     doc = asdict(report, dict_factory=_archived)
@@ -210,12 +222,14 @@ def save_report(report: SweepReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> SweepReport:
     """Read a report.json written by ``save_report``; a file that is not
-    JSON, a missing key, a list or object out of place or a value its field
-    cannot hold is a ValueError naming the file."""
+    JSON, a missing key, a list or object out of place, a value its field
+    cannot hold or a row no sweep writes (``_check_row``) is a ValueError
+    naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
         rows = [
-            _record(SweepRow, row, folds=[_record(FoldResult, f) for f in row["folds"]]) for row in doc["rows"]
+            _check_row(_record(SweepRow, row, folds=[_record(FoldResult, f) for f in row["folds"]]))
+            for row in doc["rows"]
         ]
         return _record(SweepReport, doc, rows=rows)
     except KeyError as err:

@@ -68,14 +68,14 @@ def _kink_margin(net, windows):
     the perturbation any single-parameter step can cause. The cache keeps
     no conv output, so both are recomputed from the layer inputs it keeps:
     the same calls on the same arrays as the forward pass, the same values."""
-    _, cache = forward(net, windows)
-    a1 = conv1d_forward(cache.x, net.conv1_w, net.conv1_b)
-    a2 = conv1d_forward(cache.p1, net.conv2_w, net.conv2_b)
+    _, (x, p1, _, _, _, z1, _, _, z2, _, _) = forward(net, windows)
+    a1 = conv1d_forward(x, net.conv1_w, net.conv1_b)
+    a2 = conv1d_forward(p1, net.conv2_w, net.conv2_b)
     margins = [
         np.abs(a1).min(),
         np.abs(a2).min(),
-        np.abs(cache.z1).min(),
-        np.abs(cache.z2).min(),
+        np.abs(z1).min(),
+        np.abs(z2).min(),
     ]
     for pre, applied in ((a1, net.plan.pool1_applied), (a2, net.plan.pool2_applied)):
         if not applied:

@@ -235,6 +235,24 @@ def test_load_report_rejects_malformed_reports_naming_the_file(tmp_path, capsys)
     assert err.startswith("error: ") and "missing key 'rows'" in err and "Traceback" not in err
 
 
+def _refusal(tmp_path, capsys, edit):
+    """What `harwin report` says is wrong with the two-row archive once
+    ``edit`` has changed its JSON document, after checking that it exits 1,
+    names the file and writes nothing."""
+    path = tmp_path / "report.json"
+    save_report(_two_row_report(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert cli(["report", "--report", str(path), "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_dir.exists()
+    prefix = f"error: {path}: not a sweep report, "
+    assert captured.err.startswith(prefix) and captured.err.endswith("\n")
+    return captured.err[len(prefix) : -1]
+
+
 @pytest.mark.parametrize(
     "where, key, value, message",
     [
@@ -259,20 +277,43 @@ def test_load_report_rejects_malformed_reports_naming_the_file(tmp_path, capsys)
 def test_report_rejects_a_value_its_field_cannot_hold(tmp_path, capsys, where, key, value, message):
     """`harwin report` on an archive with one bad value exits 1 naming the
     file and the key, and writes nothing."""
-    path = tmp_path / "report.json"
-    save_report(_two_row_report(), path)
-    doc = json.loads(path.read_text())
-    record = doc
-    for step in where:
-        record = record[step]
-    record[key] = value
-    path.write_text(json.dumps(doc))
-    out_dir = tmp_path / "out"
-    assert cli(["report", "--report", str(path), "--out-dir", str(out_dir)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {path}: not a sweep report, key {key!r} must hold {message}\n"
-    assert not out_dir.exists()
+
+    def edit(doc):
+        for step in where:
+            doc = doc[step]
+        doc[key] = value
+
+    assert _refusal(tmp_path, capsys, edit) == f"key {key!r} must hold {message}"
+
+
+_RAN = "ran, so it needs a null reason and folds 0, 1, ... (at least 2)"
+_FAILED = "failed, so it needs a reason and no folds"
+
+
+@pytest.mark.parametrize(
+    "row, edit, message",
+    [
+        (0, lambda r: r.update(folds=[]), _RAN),
+        (0, lambda r: r.update(folds=r["folds"][:1]), _RAN),
+        (0, lambda r: r["folds"].reverse(), _RAN),
+        (0, lambda r: r["folds"].pop(1), _RAN),
+        (0, lambda r: r.update(reason="too short"), _RAN),
+        (1, lambda r: r.update(failed=True), _FAILED),
+        (1, lambda r: r.update(failed=True, reason="too short"), _FAILED),
+        (1, lambda r: r.update(failed=True, folds=[]), _FAILED),
+    ],
+    ids=[
+        "ran-without-folds", "ran-with-one-fold", "folds-out-of-order", "fold-missing", "ran-with-a-reason",
+        "failed-with-folds", "failed-with-folds-and-reason", "failed-without-reason",
+    ],
+)
+def test_report_rejects_a_row_no_sweep_writes(tmp_path, capsys, row, edit, message):
+    """A failed row needs a reason and no folds; a row that ran needs a null
+    reason and at least two folds, numbered from 0 in order. Anything else
+    makes `harwin report` exit 1 naming the file and the row, writing
+    nothing."""
+    window = _two_row_report().rows[row].window_sec
+    assert _refusal(tmp_path, capsys, lambda doc: edit(doc["rows"][row])) == f"row {window:g} {message}"
 
 
 def test_json_save_is_byte_stable(tmp_path):

@@ -89,6 +89,40 @@ def test_patience_zero_stops_after_first_epoch():
     assert best_epoch == 1
 
 
+def test_a_stop_loss_that_only_ties_is_no_new_best(monkeypatch):
+    """Only a strictly lower stop loss makes a new best epoch: with a
+    constant one, epoch 1 stays the best and patience 3 stops training after
+    epoch 4, well before the epoch budget of 10."""
+    monkeypatch.setattr("harwin.model.evaluate", lambda *args: (0.5, 1.0))
+    x, y = _blobs(4)
+    every = np.arange(len(y))
+    net = build_model(_small_spec(), 12, seed=0)
+    cfg = TrainConfig(batch_size=8, max_epochs=10, patience=3, seed=0)
+    _, best_epoch, history = train(net, x, y, every, every, cfg, IDENTITY)
+    assert best_epoch == 1
+    assert len(history) == 4
+
+
+def test_epoch_train_loss_is_the_mean_of_its_batch_losses_in_order(monkeypatch):
+    """An epoch's train loss is np.mean of its batch losses in batch order.
+    Summed in that order, 1.0 absorbs each 1e-16 on its own; summed in
+    reverse, their 3e-16 moves 1.0 by one ulp."""
+    losses = [1.0, 1e-16, 1e-16, 1e-16]
+    batches = iter(losses)
+
+    def fake_loss_and_grads(model, *args, **kwargs):
+        return next(batches), ModelParams(model.spec, model.plan, np.zeros_like(model.flat))
+
+    monkeypatch.setattr("harwin.model.loss_and_grads", fake_loss_and_grads)
+    x, y = _blobs(4)  # 12 windows: four batches of 3
+    every = np.arange(len(y))
+    net = build_model(_small_spec(), 12, seed=0)
+    cfg = TrainConfig(batch_size=3, max_epochs=1, seed=0)
+    _, _, history = train(net, x, y, every, every, cfg, IDENTITY)
+    assert np.mean(losses) != np.mean(losses[::-1])
+    assert history[0].train_loss == float(np.mean(losses))
+
+
 def test_epoch_indices_are_one_based():
     x, y = _blobs(6)
     every = np.arange(len(y))
