@@ -2,8 +2,9 @@
 
 A sweep is a flat list of independent cells, one per (window duration,
 fold). ``prepare`` builds what every cell reads, ``run_cell`` trains and
-tests one from that and its key alone, ``run_cells`` runs a list of them
-and ``assemble`` builds the report from their outcomes, in any order.
+tests one from that and its key alone, ``run_cells`` runs a list of them,
+in worker processes where the OS lets it pin them (``worker_cpus``), and
+``assemble`` builds the report from their outcomes, in any order.
 Kernel sizes follow the window (``model.select_kernels``). A cell whose
 geometry fails (``GeometryError``) or whose windows cannot fill the folds
 (``CoverageError``) fails its duration's row; any other error aborts the
@@ -13,11 +14,14 @@ sweep.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import layers
 from .dataset import ActivitySegment, LabeledSignal, collect_segments, dataset_fingerprint
 from .layers import CoverageError, DivergenceError, GeometryError
 from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, select_kernels, train
@@ -193,27 +197,110 @@ def assemble(outcomes: dict[Cell, FoldResult | str], *, seed: int, fingerprint: 
     return SweepReport(rows=rows, seed=seed, dataset_fingerprint=fingerprint, config=config)
 
 
+def worker_cpus(n_cells: int) -> list[list[int]]:
+    """The CPUs of each worker of a pool that runs ``n_cells`` cells: one
+    worker per usable CPU, at most one per cell, each pinned to its own
+    slice of this process's affinity mask, so that ``usable_cpus()`` in a
+    worker counts its slice alone. Empty, and the cells run in this
+    process, where fewer than two workers would run or the OS has no
+    affinity call (anything but Linux)."""
+    if not hasattr(os, "sched_setaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    n = min(layers.usable_cpus(), n_cells)
+    return [cpus[i::n] for i in range(n)] if n > 1 else []
+
+
+def _outcome(prepared: Prepared, folds: int, cfg: TrainConfig, honest_split: bool, cell: Cell):
+    """The cell's ``FoldResult``, the reason it failed (geometry or
+    coverage), or the error it raised, for ``run_cells`` to raise if the
+    cell is not skipped. Never the model, which a worker does not send."""
+    try:
+        return run_cell(prepared, *cell, folds, cfg, honest_split=honest_split)[1]
+    except (GeometryError, CoverageError) as err:
+        return str(err)
+    except Exception as err:
+        return err
+
+
+_worker_args: tuple = ()  # a pool worker's (prepared, folds, cfg, honest_split)
+
+
+def _start_worker(slices, *args) -> None:
+    import signal  # here, as multiprocessing is, so that importing harwin does not pay for it
+
+    global _worker_args
+    os.sched_setaffinity(0, slices.get())
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the caller, which stops the workers
+    _worker_args = args
+
+
+def _worker_outcome(cell: Cell):
+    return _outcome(*_worker_args, cell)
+
+
+@contextmanager
+def _outcome_stream(args: tuple, cells: list[Cell], skip: set[float]):
+    """The outcome of each of ``cells``, in their order. With
+    ``worker_cpus``, they come from a pool of worker processes, forked here
+    so that they read ``args`` copy-on-write, and a cell whose duration is
+    in ``skip`` still runs; a worker's death is a RuntimeError. Otherwise
+    each is computed in this process as it is read, and such a cell gives
+    None without running. Leaving the context stops the workers."""
+    cpu_slices = worker_cpus(len(cells))
+    if not cpu_slices:
+        yield (None if cell[0] in skip else _outcome(*args, cell) for cell in cells)
+        return
+    import multiprocessing  # here, so that importing harwin does not pay for it
+
+    ctx = multiprocessing.get_context("fork")
+    slices = ctx.SimpleQueue()
+    for cpus in cpu_slices:
+        slices.put(cpus)
+    others = set(multiprocessing.active_children())
+    with ctx.Pool(len(cpu_slices), _start_worker, (slices, *args)) as pool:
+        workers = set(multiprocessing.active_children()) - others
+        results = pool.imap(_worker_outcome, cells, chunksize=1)
+
+        def next_outcome():
+            # a pool waits for ever for the cell of a worker that died, as
+            # one does that the OS kills when memory runs out
+            while True:
+                try:
+                    return results.next(timeout=1.0)
+                except multiprocessing.TimeoutError:
+                    dead = [w.exitcode for w in workers if w.exitcode is not None]
+                    if dead:
+                        raise RuntimeError(f"a sweep worker process died (exit code {dead[0]})") from None
+
+        yield (next_outcome() for _ in cells)
+
+
 def run_cells(
     prepared: Prepared, cells: list[Cell], folds: int, cfg: TrainConfig, *, honest_split: bool = False, done=None
 ) -> dict[Cell, FoldResult | str]:
-    """Run ``cells`` in order and return their outcomes for ``assemble``,
-    calling ``done(cell, outcome)`` after each one that ran. A failed cell
-    skips its duration's later cells; a ``DivergenceError`` gets its ``cell``."""
+    """Run ``cells`` and return their outcomes for ``assemble``, calling
+    ``done(cell, outcome)`` after each one that ran, in the order given. A
+    failed cell skips its duration's later cells; a ``DivergenceError`` gets
+    its ``cell``. The cells run in worker processes where ``worker_cpus``
+    gives two or more, else in this process, and one loop reads their
+    outcomes in order, so the outcomes, the ``done`` calls and the error
+    raised are the same either way."""
     outcomes: dict[Cell, FoldResult | str] = {}
-    failed = set()
-    for cell in cells:
-        if cell[0] in failed:
-            continue
-        try:
-            _, outcomes[cell] = run_cell(prepared, *cell, folds, cfg, honest_split=honest_split)
-        except (GeometryError, CoverageError) as err:
-            outcomes[cell] = str(err)
-            failed.add(cell[0])
-        except DivergenceError as err:
-            err.cell = cell
-            raise
-        if done is not None:
-            done(cell, outcomes[cell])
+    failed: set[float] = set()
+    with _outcome_stream((prepared, folds, cfg, honest_split), cells, failed) as stream:
+        for cell, outcome in zip(cells, stream):
+            if cell[0] in failed:
+                continue
+            if isinstance(outcome, Exception):
+                if isinstance(outcome, DivergenceError):
+                    outcome.cell = cell
+                raise outcome
+            outcomes[cell] = outcome
+            if isinstance(outcome, str):
+                failed.add(cell[0])
+            if done is not None:
+                done(cell, outcome)
     return outcomes
 
 
@@ -228,16 +315,17 @@ def run_sweep(
     done=None,
 ) -> SweepReport:
     """Cross-validate one model per window duration over a shared dataset:
-    ``run_cells`` the durations in ascending order, each one's folds in
-    order, then ``assemble`` the outcomes; the report archives ``cfg.seed``
-    once, as its ``seed``. ``signals`` is dropped once ``prepare`` has built
-    the kept signal: a caller that passes it as a temporary, as the CLI
-    does, lets the loaded data be freed before the first cell."""
+    ``run_cells`` fold 0 of every duration, longest first, then fold 1, and
+    so on, then ``assemble`` the outcomes; the report archives ``cfg.seed``
+    once, as its ``seed``. Longest first, a pool ends on short cells.
+    ``signals`` is dropped once ``prepare`` has built the kept signal: a
+    caller that passes it as a temporary, as the CLI does, lets the loaded
+    data be freed before the first cell."""
     check_windows(windows_sec)
     fingerprint = dataset_fingerprint(signals)
     prepared = prepare(signals, per_fold_stats=per_fold_stats)
     del signals  # the last reference, when the caller passed a temporary
-    cells = [(w, f) for w in sorted(windows_sec) for f in range(folds)]
+    cells = [(w, f) for f in range(folds) for w in sorted(windows_sec, reverse=True)]
     outcomes = run_cells(prepared, cells, folds, cfg, honest_split=honest_split, done=done)
     config = asdict(cfg) | {"folds": folds, "honest_split": honest_split, "per_fold_stats": per_fold_stats}
     del config["seed"]  # archived once, as the report's own seed

@@ -1,10 +1,12 @@
 """CLI behaviour: exit codes, stream discipline, artifact round-trips."""
 
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from dataclasses import replace
@@ -141,11 +143,11 @@ def test_sweep_writes_all_outputs(tmp_cwd, capsys):
     assert (tmp_cwd / "out" / "report.csv").read_text() == captured.out
     rep = load_report(tmp_cwd / "out" / "report.json")
     lines = captured.err.splitlines()
-    assert lines[1:-1] == [
-        f"window {row.window_sec:g} s: kernels ({row.k1}, {row.k2}), fold {f.fold + 1}/2: "
-        f"accuracy {f.accuracy * 100:.2f}%"
-        for row in rep.rows
-        for f in row.folds
+    assert lines[1:-1] == [  # fold-major, the longest duration first
+        f"window {row.window_sec:g} s: kernels ({row.k1}, {row.k2}), fold {fold + 1}/2: "
+        f"accuracy {row.folds[fold].accuracy * 100:.2f}%"
+        for fold in range(2)
+        for row in reversed(rep.rows)
     ]
     assert len(lines) == 6 and lines[-1] == (
         "wrote out/report.json, out/report.csv, out/accuracy_boxplot.svg, out/loss_boxplot.svg, out/epochs_boxplot.svg"
@@ -168,7 +170,9 @@ def test_reports_and_checkpoints_do_not_depend_on_the_thread_count(tmp_cwd, monk
     """Criterion 6 across thread counts: with the forward forced onto one CPU
     or two, a sweep writes the same report.csv and report.json bytes, and
     train the same checkpoint and metrics bytes. At batch 60 some forward
-    calls of both commands split into two shares."""
+    calls of both commands split into two shares. The sweep runs its cells
+    in this process, where the shares are counted."""
+    monkeypatch.setattr(experiment, "worker_cpus", lambda n_cells: [])
     _synth(extra=("--segment-len", "600"))
     flags = ["--cache", "cache.bin", "--max-epochs", "2", "--patience", "2", "--batch-size", "60"]
     for cpus in (1, 2):
@@ -218,6 +222,21 @@ def test_sweep_bad_windows_exit_2(capsys):
     for windows in ("inf", "nan,nan", "-1", "0.1,0"):
         assert cli(["sweep", "--cache", "cache.bin", "--windows", windows]) == 2, windows
     assert "positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--windows", "0.1,zebra", "--windows: 'zebra' is not a number"),
+        ("--windows", " , ,", "--windows: no values given"),
+        ("--subjects", "101,1.5", "--subjects: '1.5' is not an integer"),
+    ],
+)
+def test_sweep_list_flag_errors_exit_2_naming_the_flag(capsys, flag, value, message):
+    _synth()
+    capsys.readouterr()
+    assert cli(["sweep", "--cache", "cache.bin", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_train_bad_window_exit_2(capsys):
@@ -287,6 +306,32 @@ def test_sweep_divergence_exits_1(tmp_cwd, capsys):
     assert out.out == ""
     assert "error: training diverged at epoch 1 in window 0.5 s, fold 1\n" in out.err
     assert not (tmp_cwd / "out" / "report.json").exists()
+
+
+@pytest.mark.skipif(layers.usable_cpus() < 2, reason="a pool needs two usable CPUs")
+@pytest.mark.parametrize(
+    "flags, bug, code",
+    [
+        ([], False, 0),
+        (["--windows", "0.1,9"], False, 0),  # no segment holds a 9 s window: an NA row
+        (["--learning-rate", "1e200"], False, 1),
+        ([], True, 1),
+    ],
+    ids=["succeeds", "na-row", "diverges", "untyped-error"],
+)
+def test_a_sweep_leaves_no_worker_or_pool_thread_running(monkeypatch, capsys, worker_slices, flags, bug, code):
+    def broken_train(*args):
+        raise ValueError("class index out of range")
+
+    _synth()
+    if bug:
+        monkeypatch.setattr(experiment, "train", broken_train)
+    threads = set(threading.enumerate())
+    sweep = ["sweep", "--cache", "cache.bin", "--windows", "0.1,0.5", "--folds", "2", "--max-epochs", "2"]
+    assert cli([*sweep, *flags]) == code
+    assert ("error: class index out of range" in capsys.readouterr().err) == bug
+    assert len(worker_slices[0]) >= 2
+    assert multiprocessing.active_children() == [] and set(threading.enumerate()) == threads
 
 
 def test_report_regenerates_byte_identical_outputs(tmp_cwd):
@@ -495,5 +540,6 @@ def test_loaded_signals_are_freed_before_the_first_cell(monkeypatch, command, su
 
     monkeypatch.setattr(dataset, "load_signals", load_and_watch)
     monkeypatch.setattr(experiment, "run_cell", watched_cell)
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 1)  # the cells run in this process, where they are watched
     assert cli([*command, "--cache", "cache.bin", *subjects, "--max-epochs", "1"]) == 0
     assert len(loaded) == 2 and alive and alive[0] == 0, alive

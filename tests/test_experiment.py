@@ -1,12 +1,16 @@
 """Cross-validation cells, their assembly and the window-duration sweep."""
 
+import ctypes
+import multiprocessing
+import os
 import random
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from harwin import experiment
+from harwin import experiment, layers
 from harwin.dataset import ActivitySegment, collect_segments, generate_synthetic
 from harwin.experiment import (
     FoldResult,
@@ -227,6 +231,7 @@ def test_run_sweep_holds_one_window_array(monkeypatch):
     per-fold window array and no joined cache bytes for the fingerprint."""
     import tracemalloc
 
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 1)  # the cells run in this process, which tracemalloc sees
     monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg, stats: (net, 1, []))
     monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx, stats: (1.0, 0.0))
     monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", 1 << 14)  # 128 KiB, under 1% of the signal
@@ -500,6 +505,7 @@ def test_run_cells_calls_done_once_per_cell_that_ran(monkeypatch):
         return real_cell(prepared, window_sec, fold, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "run_cell", cell)
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 1)  # the cells run in this process, where they are watched
     cells = [(w, f) for w in (0.1, 4.0, 0.25) for f in range(2)]
     outcomes = run_cells(prepare([sig]), cells, 2, FAST_CFG, done=lambda *args: calls.append(args))
     assert ran == [(0.1, 0), (0.1, 1), (4.0, 0), (0.25, 0), (0.25, 1)]
@@ -551,13 +557,125 @@ def test_run_sweep_skips_the_later_cells_of_a_failed_duration(monkeypatch):
         return None, FoldResult(fold, 1.0, 0.0, 1)
 
     monkeypatch.setattr(experiment, "run_cell", cell)
+    monkeypatch.setattr(layers, "usable_cpus", lambda: 1)  # the cells run in this process, where they are watched
     report = run_sweep([_tiny_signal()], [0.25, 0.1], FAST_CFG, folds=3)
-    assert ran == [(0.1, 0), (0.1, 1), (0.25, 0), (0.25, 1), (0.25, 2)]
+    assert ran == [(0.25, 0), (0.1, 0), (0.25, 1), (0.1, 1), (0.25, 2)]  # fold-major, the longest first
     assert [(row.window_sec, row.failed, row.reason) for row in report.rows] == [
         (0.1, True, "channel 3 is constant in the training folds"),
         (0.25, False, None),
     ]
     assert report.rows[0].folds == [] and [f.fold for f in report.rows[1].folds] == [0, 1, 2]
+
+
+needs_a_pool = pytest.mark.skipif(layers.usable_cpus() < 2, reason="a pool needs two usable CPUs")
+
+
+def _in_process_and_in_a_pool(worker_slices, run):
+    """``run()`` with the cells in this process, then in a pool of two or
+    more workers."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(layers, "usable_cpus", lambda: 1)
+        alone = run()
+    pooled = run()
+    assert len(worker_slices) == 2 and worker_slices[0] == [] and len(worker_slices[1]) >= 2
+    return alone, pooled
+
+
+@needs_a_pool
+@pytest.mark.parametrize("honest_split", [False, True])
+@pytest.mark.parametrize("per_fold_stats", [False, True])
+def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, worker_slices, honest_split, per_fold_stats):
+    sig = generate_synthetic(7, samples_per_class=2, segment_len=240)
+    cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=4)
+
+    def outputs():
+        report = run_sweep([sig], [0.5, 0.1], cfg, folds=2, honest_split=honest_split, per_fold_stats=per_fold_stats)
+        save_report(report, tmp_path / "report.json")
+        return (tmp_path / "report.json").read_bytes(), format_report_csv(report)
+
+    alone, pooled = _in_process_and_in_a_pool(worker_slices, outputs)
+    assert alone == pooled
+
+
+@needs_a_pool
+def test_run_cells_in_a_pool_gives_the_same_outcomes_and_done_calls(worker_slices):
+    """4 s fails its first fold: its second still runs in a worker, and
+    its outcome is dropped, as the cell is skipped in this process."""
+    prepared = prepare([_tiny_signal()])
+    cells = [(w, f) for f in range(2) for w in (4.0, 0.25, 0.1)]
+
+    def run():
+        calls = []
+        outcomes = run_cells(prepared, cells, 2, FAST_CFG, done=lambda *args: calls.append(args))
+        return list(outcomes.items()), calls
+
+    alone, pooled = _in_process_and_in_a_pool(worker_slices, run)
+    assert alone == pooled
+    assert alone[1] == alone[0] and [c for c, _ in alone[0]] == [c for c in cells if c != (4.0, 1)]
+    assert dict(alone[0])[4.0, 0] == "no samples to fold"
+
+
+@needs_a_pool
+def test_a_skipped_cell_that_raises_in_a_worker_is_dropped(monkeypatch, worker_slices):
+    def cell(prepared, window_sec, fold, *args, **kwargs):
+        if fold == 0:
+            raise CoverageError("channel 3 is constant in the training folds")
+        raise ValueError("a later fold of a failed duration")
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
+    prepared = prepare([_tiny_signal()])
+    cells = [(0.5, 0), (0.5, 1)]
+    alone, pooled = _in_process_and_in_a_pool(worker_slices, lambda: run_cells(prepared, cells, 2, FAST_CFG))
+    assert alone == pooled == {(0.5, 0): "channel 3 is constant in the training folds"}
+
+
+@needs_a_pool
+def test_a_divergence_in_a_worker_reaches_the_caller_with_its_epoch_and_cell(worker_slices):
+    sig = generate_synthetic(42, samples_per_class=2, segment_len=120)
+    cfg = TrainConfig(max_epochs=3, learning_rate=1e200, seed=42)
+    with pytest.raises(DivergenceError) as info:
+        run_sweep([sig], [0.25, 0.5], cfg, folds=2)
+    assert len(worker_slices[0]) >= 2
+    assert (info.value.epoch, info.value.cell) == (1, (0.5, 0))
+    assert str(info.value) == "training diverged at epoch 1 in window 0.5 s, fold 1"
+    assert multiprocessing.active_children() == []
+
+
+@needs_a_pool
+def test_a_worker_that_dies_fails_the_sweep_instead_of_hanging_it(monkeypatch, worker_slices):
+    real_cell = experiment.run_cell
+
+    def cell(prepared, window_sec, fold, *args, **kwargs):
+        if fold == 1:
+            os.kill(os.getpid(), signal.SIGKILL)  # as the OS does to a process when memory runs out
+        return real_cell(prepared, window_sec, fold, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
+    calls = []
+    with pytest.raises(RuntimeError, match=r"^a sweep worker process died \(exit code -9\)$"):
+        run_cells(prepare([_tiny_signal()]), [(0.1, 0), (0.1, 1)], 2, FAST_CFG, done=lambda *args: calls.append(args))
+    assert len(worker_slices[0]) >= 2 and [c for c, _ in calls] == [(0.1, 0)]
+    assert multiprocessing.active_children() == []
+
+
+@needs_a_pool
+def test_each_worker_runs_on_its_own_cpus_with_one_blas_thread(monkeypatch, worker_slices):
+    """A worker's ``usable_cpus()`` counts its own slice of the mask, so its
+    forward runs one share per CPU of the slice, and it inherits the BLAS
+    pin of the process that forked it."""
+    blas_threads = layers.openblas_function("get_num_threads", ctypes.c_int)
+
+    def cell(prepared, window_sec, fold, *args, **kwargs):  # sends back what the worker sees
+        seen = [os.getpid(), sorted(os.sched_getaffinity(0)), blas_threads() if blas_threads else 1]
+        return None, FoldResult(fold, layers.usable_cpus(), 0.0, 1, seen)
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
+    outcomes = run_cells(prepare([_tiny_signal()]), [(0.1, f) for f in range(4)], 4, FAST_CFG)
+    (slices,) = worker_slices
+    assert len(slices) >= 2
+    for result in outcomes.values():
+        pid, cpus, threads = result.history
+        assert pid != os.getpid() and cpus in slices and result.accuracy == len(cpus) and threads == 1
 
 
 def test_assemble_gives_the_same_report_for_outcomes_in_any_order(tmp_path):

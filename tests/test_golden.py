@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harwin import experiment, model
+from harwin import experiment, layers, model
 from harwin.dataset import generate_synthetic
 from harwin.experiment import prepare, run_cell, run_sweep
 from harwin.layers import openblas_function
@@ -63,25 +63,35 @@ def _signals(segment_len: int = 300):
 @functools.cache
 def _sweep(setting: str):
     """The per-fold results of one sweep and a digest of every cell's fit,
-    stop and test indices, in the order the cells ran, and the report."""
-    digest = hashlib.sha256()
-    real_train, real_evaluate = experiment.train, experiment.evaluate
+    stop and test indices, cells in (duration, fold) order, and the report.
+    The cells run in this process, where the indices are seen."""
+    indices: dict[tuple[float, int], list[bytes]] = {}  # per cell
+    parts: list[bytes] = []  # the running cell's
+    real_cell, real_train, real_evaluate = experiment.run_cell, experiment.train, experiment.evaluate
+
+    def cell(prepared, window_sec, fold, *args, **kwargs):
+        nonlocal parts
+        parts = indices[window_sec, fold] = []
+        return real_cell(prepared, window_sec, fold, *args, **kwargs)
 
     def train(model, x, y, fit_idx, stop_idx, cfg, stats):
-        digest.update(fit_idx.astype("<i8").tobytes() + b"|" + stop_idx.astype("<i8").tobytes() + b"|")
+        parts.append(fit_idx.astype("<i8").tobytes() + b"|" + stop_idx.astype("<i8").tobytes() + b"|")
         return real_train(model, x, y, fit_idx, stop_idx, cfg, stats)
 
     def evaluate(model, x, y, idx, stats):  # run_cell's test-fold pass only
-        digest.update(idx.astype("<i8").tobytes() + b";")
+        parts.append(idx.astype("<i8").tobytes() + b";")
         return real_evaluate(model, x, y, idx, stats)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(layers, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(experiment, "run_cell", cell)
         monkeypatch.setattr(experiment, "train", train)
         monkeypatch.setattr(experiment, "evaluate", evaluate)
         report = run_sweep(_signals(), WINDOWS, CFG, folds=FOLDS, **SETTINGS[setting])
     rows = {
         f"{row.window_sec:g}": [[f.accuracy, f.loss, f.epochs_to_best] for f in row.folds] for row in report.rows
     }
+    digest = hashlib.sha256(b"".join(part for key in sorted(indices) for part in indices[key]))
     return {"rows": rows, "index_sha256": digest.hexdigest()}, report
 
 

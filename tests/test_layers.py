@@ -659,6 +659,14 @@ def test_conv_gemm_backward_matches_einsum_loop():
                 assert (gw[:, :, k] == tap).all(), (batch, c_in, length, k)
 
 
+def test_conv_backward_rejects_a_grad_out_of_another_shape():
+    x, w = np.ones((2, 3, 8)), np.ones((4, 3, 5))
+    conv1d_backward(x, w, np.ones((2, 4, 4)))
+    for shape in ((2, 4, 5), (1, 4, 4), (2, 3, 4)):
+        with pytest.raises(ValueError, match=rf"grad_out shape \({shape[0]}, {shape[1]}, {shape[2]}\) does not match"):
+            conv1d_backward(x, w, np.ones(shape))
+
+
 # ---------------------------------------------------------------------------
 # max pooling
 # ---------------------------------------------------------------------------

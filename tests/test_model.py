@@ -106,6 +106,14 @@ def test_model_spec_validation():
         ModelSpec(conv_filters=(0, 32))
 
 
+def test_model_spec_names_the_size_that_is_not_positive():
+    for name in ("in_channels", "n_classes"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            ModelSpec(**{name: 0})
+    with pytest.raises(ValueError, match="^kernels entries must be positive$"):
+        ModelSpec(kernels=(3, -1))
+
+
 def test_model_spec_defaults_come_from_the_data_and_the_kernel_rule():
     assert ModelSpec() == ModelSpec(N_CHANNELS, (16, 32), LONG_KERNELS, len(ACTIVITY_CLASSES))
     assert [f.name for f in fields(ModelSpec)] == ["in_channels", "conv_filters", "kernels", "n_classes"]
