@@ -3,8 +3,8 @@
 A sweep is a flat list of independent cells, one per (window duration,
 fold). ``prepare`` builds what every cell reads, ``run_cell`` trains and
 tests one from that and its key alone, ``run_cells`` runs a list of them,
-in worker processes where the OS lets it pin them (``worker_cpus``), and
-``assemble`` builds the report from their outcomes, in any order.
+in worker processes on Linux (``worker_count``), and ``assemble`` builds
+the report from their outcomes, in any order.
 Kernel sizes follow the window (``model.select_kernels``). A cell whose
 geometry fails (``GeometryError``) or whose windows cannot fill the folds
 (``CoverageError``) fails its duration's row; any other error aborts the
@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import layers
 from .dataset import ActivitySegment, LabeledSignal, collect_segments, dataset_fingerprint
 from .layers import CoverageError, DivergenceError, GeometryError
 from .model import EpochStats, ModelParams, ModelSpec, TrainConfig, build_model, evaluate, select_kernels, train
@@ -197,18 +196,16 @@ def assemble(outcomes: dict[Cell, FoldResult | str], *, seed: int, fingerprint: 
     return SweepReport(rows=rows, seed=seed, dataset_fingerprint=fingerprint, config=config)
 
 
-def worker_cpus(n_cells: int) -> list[list[int]]:
-    """The CPUs of each worker of a pool that runs ``n_cells`` cells: one
-    worker per usable CPU, at most one per cell, each pinned to its own
-    slice of this process's affinity mask, so that ``usable_cpus()`` in a
-    worker counts its slice alone. Empty, and the cells run in this
-    process, where fewer than two workers would run or the OS has no
-    affinity call (anything but Linux)."""
-    if not hasattr(os, "sched_setaffinity"):
-        return []
-    cpus = sorted(os.sched_getaffinity(0))
-    n = min(layers.usable_cpus(), n_cells)
-    return [cpus[i::n] for i in range(n)] if n > 1 else []
+def worker_count(n_cells: int) -> int:
+    """The size of the pool that runs ``n_cells`` cells: one worker per CPU
+    in this process's affinity mask, at most one per cell. 0, and the cells
+    run in this process, where fewer than two workers would run or the OS
+    has no affinity mask: anything but Linux, where the ``fork`` pool is
+    untested."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 0
+    n = min(len(os.sched_getaffinity(0)), n_cells)
+    return n if n > 1 else 0
 
 
 def _outcome(prepared: Prepared, folds: int, cfg: TrainConfig, honest_split: bool, cell: Cell):
@@ -226,11 +223,10 @@ def _outcome(prepared: Prepared, folds: int, cfg: TrainConfig, honest_split: boo
 _worker_args: tuple = ()  # a pool worker's (prepared, folds, cfg, honest_split)
 
 
-def _start_worker(slices, *args) -> None:
+def _start_worker(*args) -> None:
     import signal  # here, as multiprocessing is, so that importing harwin does not pay for it
 
     global _worker_args
-    os.sched_setaffinity(0, slices.get())
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the caller, which stops the workers
     _worker_args = args
 
@@ -242,23 +238,20 @@ def _worker_outcome(cell: Cell):
 @contextmanager
 def _outcome_stream(args: tuple, cells: list[Cell], skip: set[float]):
     """The outcome of each of ``cells``, in their order. With
-    ``worker_cpus``, they come from a pool of worker processes, forked here
+    ``worker_count``, they come from a pool of worker processes, forked here
     so that they read ``args`` copy-on-write, and a cell whose duration is
     in ``skip`` still runs; a worker's death is a RuntimeError. Otherwise
     each is computed in this process as it is read, and such a cell gives
     None without running. Leaving the context stops the workers."""
-    cpu_slices = worker_cpus(len(cells))
-    if not cpu_slices:
+    n_workers = worker_count(len(cells))
+    if not n_workers:
         yield (None if cell[0] in skip else _outcome(*args, cell) for cell in cells)
         return
     import multiprocessing  # here, so that importing harwin does not pay for it
 
     ctx = multiprocessing.get_context("fork")
-    slices = ctx.SimpleQueue()
-    for cpus in cpu_slices:
-        slices.put(cpus)
     others = set(multiprocessing.active_children())
-    with ctx.Pool(len(cpu_slices), _start_worker, (slices, *args)) as pool:
+    with ctx.Pool(n_workers, _start_worker, args) as pool:
         workers = set(multiprocessing.active_children()) - others
         results = pool.imap(_worker_outcome, cells, chunksize=1)
 
@@ -282,7 +275,7 @@ def run_cells(
     """Run ``cells`` and return their outcomes for ``assemble``, calling
     ``done(cell, outcome)`` after each one that ran, in the order given. A
     failed cell skips its duration's later cells; a ``DivergenceError`` gets
-    its ``cell``. The cells run in worker processes where ``worker_cpus``
+    its ``cell``. The cells run in worker processes where ``worker_count``
     gives two or more, else in this process, and one loop reads their
     outcomes in order, so the outcomes, the ``done`` calls and the error
     raised are the same either way."""

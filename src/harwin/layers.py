@@ -18,10 +18,11 @@ with the batch innermost, so one (channel, tap) term of the tile is a
 single (F, n) product plus an in-place add over contiguous rows of
 n = positions * B elements. A call takes the fewest tiles, of sizes that
 differ by at most one position, whose accumulator and product hold at most
-BLOCK elements each, unless a single position holds more; the pair then
-fits in a 2 MiB L2 cache. A tile is written back into the output as soon as
+BLOCK elements each, unless a single position holds more (``forward_tiles``);
+the pair then fits in a 2 MiB L2 cache. The tiles are summed one after
+another in one scratch, and each is written back into the output as soon as
 its terms are summed. Copying one channel of one tile at a time rather than
-the whole input keeps a thread's scratch near 1 MiB.
+the whole input keeps that scratch near 1 MiB.
 
 Every product is one broadcast multiply, run under a ufunc buffer of
 PRODUCT_BUFSIZE elements. numpy's buffered iterator made that multiply 2-4x
@@ -36,37 +37,14 @@ output element's terms. The backward convolution is one GEMM pair per tap.
 Its sums run in BLAS order, so it is checked against finite differences and
 a per-(channel, tap) reference loop by tolerance, not bit for bit. That order
 would change with the BLAS's thread count, so importing harwin pins the
-bundled OpenBLAS to one thread (``pin_blas_threads``).
-
-Threads. A forward call of several tiles shares them among up to
-``usable_cpus()`` threads, the CPUs in the process's affinity mask (so
-``taskset`` limits them). ``run_shares`` holds the tiles as one queue: the
-calling thread runs one share and a helper thread each of the others, and
-every share takes the next tile until none is left. The tile count is
-rounded up to a multiple of the share count so that every share has as
-many, but never to more tiles than positions. With the default kernels on
-2 CPUs, every call from 1 s on splits, as do conv1 of a batch of 128 at
-0.5 s and both convolutions of a 512-window evaluation chunk at 0.25 s and
-0.5 s. A call of a single tile, such as every call at 0.1 s, and every
-call where one CPU is usable, is one share on the calling thread. numpy
-releases the GIL inside the multiply and the add, so the shares' terms run
-at once. Each share has scratch of its own for one tile: one channel of the
-tile plus an accumulator and a product of at most BLOCK elements each,
-about 1 MiB. One thread sums each output element, bias first and then the
-(channel, tap) terms in channel-major order, so the bits depend neither on
-the number of threads nor on which thread takes which tile. Each helper
-starts in a copy of the caller's context (PEP 567), which since numpy 2.0
-holds the error state and the buffer size. A helper the OS refuses leaves
-its tiles to the shares that did start, and an exception in any share is
-re-raised in the caller once every share has finished.
+bundled OpenBLAS to one thread (``pin_blas_threads``). harwin runs one
+thread per process; a sweep runs its cells in worker processes instead
+(``experiment.run_cells``).
 """
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,9 +56,9 @@ import numpy as np
 # accumulator, and in its product, unless a single position holds more: the
 # pair takes 1 MiB, half of a 2 MiB L2 cache.
 BLOCK = 65536
-# numpy's ufunc buffer size while a share forms its products: a multiple of
-# 16, as numpy requires, and under three times the shortest row of a full
-# batch (see the module docstring).
+# numpy's ufunc buffer size while a forward call forms its products: a
+# multiple of 16, as numpy requires, and under three times the shortest row
+# of a full batch (see the module docstring).
 PRODUCT_BUFSIZE = 1024
 
 
@@ -107,9 +85,8 @@ class CoverageError(ValueError):
 
 def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation: x (B, C, L), weights (F, C, K), bias (F,)
-    -> (B, F, L-K+1). ``run_shares`` sums the tiles with ``sum_tile`` on up
-    to ``usable_cpus()`` threads (see Threads in the module docstring)
-    under the caller's error state; the bits do not depend on how many."""
+    -> (B, F, L-K+1), summed tile by tile (see the module docstring)
+    under the caller's error state."""
     if x.ndim != 3 or weights.ndim != 3:
         raise ValueError(f"input and weights must be 3-D, got {x.ndim}-D and {weights.ndim}-D")
     n_filters, n_in, kernel = weights.shape
@@ -125,49 +102,35 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     out = np.empty((batch, n_filters, out_len))
     if batch == 0:
         return out
-    n_tiles = -(-out_len // max(1, BLOCK // (n_filters * batch)))
-    n_shares = min(usable_cpus(), n_tiles)
-    # as many tiles for every share, each no longer than BLOCK allows
-    n_tiles = min(out_len, -(-n_tiles // n_shares) * n_shares)
-    tiles = [(i * out_len // n_tiles, (i + 1) * out_len // n_tiles) for i in range(n_tiles)]
-    tile = -(-out_len // n_tiles)  # the most positions the scratch must hold
+    tiles = forward_tiles(out_len, batch, n_filters)
+    tile = max(q - p for p, q in tiles)  # the most positions the scratch must hold
     wt = weights.transpose(1, 2, 0)[..., None].copy()  # (C, K, F, 1): each wt[c, k] is contiguous
-    # allocated here, not in the helpers, so that no helper's malloc arena keeps them
-    scratch = [
-        (np.empty((tile + kernel - 1) * batch), np.empty(n_filters * tile * batch), np.empty(n_filters * tile * batch))
-        for _ in range(n_shares)
-    ]
-
-    def sum_tile(s: int, span: tuple[int, int]) -> None:
-        """Sum positions [p, q) of every filter into out in share s's
-        scratch, one input channel of the tile copied at a time into xc,
-        xc[j * B + b] = x[b, c, p + j]."""
-        xc_buf, acc_buf, term_buf = scratch[s]
-        p, q = span
-        n = (q - p) * batch
-        xc = xc_buf[: (q - p + kernel - 1) * batch]
-        acc = acc_buf[: n_filters * n].reshape(n_filters, n)
-        term = term_buf[: acc.size].reshape(acc.shape)
-        acc[...] = bias[:, None]
-        for c in range(n_in):
-            xc.reshape(-1, batch)[...] = x[:, c, p : q + kernel - 1].T
-            for k in range(kernel):
-                np.multiply(wt[c, k], xc[k * batch : k * batch + n], out=term)
-                acc += term
-        out[:, :, p:q] = acc.reshape(n_filters, q - p, batch).transpose(2, 0, 1)
-
+    # one channel of a tile, xc[j * B + b] = x[b, c, p + j], and the tile's accumulator and product
+    xc_buf = np.empty((tile + kernel - 1) * batch)
+    acc_buf, term_buf = np.empty(n_filters * tile * batch), np.empty(n_filters * tile * batch)
     with np.errstate():  # its exit restores the caller's buffer size too
         np.setbufsize(PRODUCT_BUFSIZE)
-        run_shares(sum_tile, tiles, n_shares)
+        for p, q in tiles:
+            n = (q - p) * batch
+            xc = xc_buf[: (q - p + kernel - 1) * batch]
+            acc = acc_buf[: n_filters * n].reshape(n_filters, n)
+            term = term_buf[: acc.size].reshape(acc.shape)
+            acc[...] = bias[:, None]
+            for c in range(n_in):
+                xc.reshape(-1, batch)[...] = x[:, c, p : q + kernel - 1].T
+                for k in range(kernel):
+                    np.multiply(wt[c, k], xc[k * batch : k * batch + n], out=term)
+                    acc += term
+            out[:, :, p:q] = acc.reshape(n_filters, q - p, batch).transpose(2, 0, 1)
     return out
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS reports
-    one (Linux), else os.cpu_count(), else 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def forward_tiles(out_len: int, batch: int, n_filters: int) -> list[tuple[int, int]]:
+    """The (p, q) spans, positions [p, q), of a forward call's tiles: the
+    fewest of at most BLOCK // (F * B) positions, or of one, with sizes
+    that differ by at most one position."""
+    n_tiles = -(-out_len // max(1, BLOCK // (n_filters * batch)))
+    return [(i * out_len // n_tiles, (i + 1) * out_len // n_tiles) for i in range(n_tiles)]
 
 
 def openblas_function(name: str, restype=None, *argtypes):
@@ -205,45 +168,6 @@ def pin_blas_threads() -> None:
         RuntimeWarning,
         stacklevel=2,
     )
-
-
-def run_shares(work, items, n_shares: int) -> None:
-    """Call ``work(s, item)`` once for every item, where share s takes the
-    next item from one queue until none is left. The calling thread runs
-    share 0 and a helper thread each of the others. Each helper starts in a
-    copy of the caller's context, so it runs under the caller's numpy error
-    state and ufunc buffer size. If the OS refuses a thread, no further
-    helper is started, and the shares that did start drain the queue. Once
-    every share has finished, the exception of the first share that raised,
-    if any, is re-raised in the caller."""
-    queue, take, done = iter(items), threading.Lock(), object()
-    errors: list[BaseException | None] = [None] * n_shares
-
-    def share(s: int) -> None:
-        try:
-            while True:
-                with take:
-                    item = next(queue, done)
-                if item is done:
-                    return
-                work(s, item)
-        except BaseException as exc:
-            errors[s] = exc
-
-    helpers = []
-    for s in range(1, n_shares):
-        helper = threading.Thread(target=contextvars.copy_context().run, args=(share, s), daemon=True)
-        try:
-            helper.start()
-        except RuntimeError:  # the OS gives no more threads
-            break
-        helpers.append(helper)
-    share(0)
-    for helper in helpers:
-        helper.join()
-    raised = next((e for e in errors if e is not None), None)
-    if raised is not None:
-        raise raised
 
 
 def conv1d_backward(

@@ -1,31 +1,17 @@
 import pytest
 
-from harwin import experiment, layers
+from harwin import experiment
 
 
 @pytest.fixture
-def share_counts(monkeypatch):
-    """The set of share counts of every forward convolution call made in the
-    test from here on."""
-    seen = set()
-
-    def counting(work, items, n_shares, run=layers.run_shares):
-        seen.add(n_shares)
-        run(work, items, n_shares)
-
-    monkeypatch.setattr(layers, "run_shares", counting)
-    return seen
-
-
-@pytest.fixture
-def worker_slices(monkeypatch):
-    """The CPU slices that ``worker_cpus`` gave each ``run_cells`` call made
-    in the test from here on: an empty list for cells run in this process."""
+def worker_counts(monkeypatch):
+    """The pool size that ``worker_count`` gave each ``run_cells`` call made
+    in the test from here on: 0 for cells run in this process."""
     seen = []
 
-    def recording(n_cells, real=experiment.worker_cpus):
+    def recording(n_cells, real=experiment.worker_count):
         seen.append(real(n_cells))
         return seen[-1]
 
-    monkeypatch.setattr(experiment, "worker_cpus", recording)
+    monkeypatch.setattr(experiment, "worker_count", recording)
     return seen

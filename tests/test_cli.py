@@ -166,28 +166,24 @@ def test_sweep_with_only_failed_rows_names_the_files_it_wrote(tmp_cwd, capsys):
     assert sorted(p.name for p in (tmp_cwd / "out").iterdir()) == ["report.csv", "report.json"]
 
 
-def test_reports_and_checkpoints_do_not_depend_on_the_thread_count(tmp_cwd, monkeypatch, share_counts):
-    """Criterion 6 across thread counts: with the forward forced onto one CPU
-    or two, a sweep writes the same report.csv and report.json bytes, and
-    train the same checkpoint and metrics bytes. At batch 60 some forward
-    calls of both commands split into two shares. The sweep runs its cells
-    in this process, where the shares are counted."""
-    monkeypatch.setattr(experiment, "worker_cpus", lambda n_cells: [])
-    _synth(extra=("--segment-len", "600"))
-    flags = ["--cache", "cache.bin", "--max-epochs", "2", "--patience", "2", "--batch-size", "60"]
-    for cpus in (1, 2):
-        monkeypatch.setattr(layers, "usable_cpus", lambda cpus=cpus: cpus)
-        outputs = ["--model-out", f"m{cpus}.bin", "--metrics-json", f"m{cpus}.json"]
-        sweep = ["sweep", "--windows", "1,2", "--folds", "2", "--out-dir", f"sweep{cpus}"]
-        for args in (sweep, ["train", "--window", "2", *outputs]):
-            share_counts.clear()
-            assert cli([*args, *flags]) == 0
-            assert max(share_counts) == cpus, args
-    for name in ("sweep{}/report.csv", "sweep{}/report.json", "m{}.bin", "m{}.json"):
-        assert (tmp_cwd / name.format(1)).read_bytes() == (tmp_cwd / name.format(2)).read_bytes(), name
+def test_train_starts_no_thread(tmp_cwd, monkeypatch):
+    """harwin runs one thread per process, and train runs one cell, so no
+    pool: a 4 s train, whose forwards span several tiles, starts no thread
+    and leaves the running ones as they were."""
+    _synth(extra=("--segment-len", "1200"))
+    start, starts = threading.Thread.start, []
+
+    def counted(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    threads = set(threading.enumerate())
+    assert cli(["train", "--cache", "cache.bin", "--window", "4", "--max-epochs", "2", "--patience", "2"]) == 0
+    assert starts == [] and set(threading.enumerate()) == threads
 
 
-@pytest.mark.skipif(layers.usable_cpus() < 2, reason="OpenBLAS takes no more threads than usable CPUs")
+@pytest.mark.skipif(experiment.worker_count(2) == 0, reason="OpenBLAS takes no more threads than usable CPUs")
 def test_reports_do_not_depend_on_the_blas_thread_variable(tmp_cwd):
     """A sweep in child processes with OPENBLAS_NUM_THREADS unset, 1 and 2
     writes the same report bytes, because importing harwin pins the BLAS to
@@ -308,7 +304,7 @@ def test_sweep_divergence_exits_1(tmp_cwd, capsys):
     assert not (tmp_cwd / "out" / "report.json").exists()
 
 
-@pytest.mark.skipif(layers.usable_cpus() < 2, reason="a pool needs two usable CPUs")
+@pytest.mark.skipif(experiment.worker_count(2) == 0, reason="a pool needs Linux and two usable CPUs")
 @pytest.mark.parametrize(
     "flags, bug, code",
     [
@@ -319,7 +315,7 @@ def test_sweep_divergence_exits_1(tmp_cwd, capsys):
     ],
     ids=["succeeds", "na-row", "diverges", "untyped-error"],
 )
-def test_a_sweep_leaves_no_worker_or_pool_thread_running(monkeypatch, capsys, worker_slices, flags, bug, code):
+def test_a_sweep_leaves_no_worker_or_pool_thread_running(monkeypatch, capsys, worker_counts, flags, bug, code):
     def broken_train(*args):
         raise ValueError("class index out of range")
 
@@ -330,7 +326,7 @@ def test_a_sweep_leaves_no_worker_or_pool_thread_running(monkeypatch, capsys, wo
     sweep = ["sweep", "--cache", "cache.bin", "--windows", "0.1,0.5", "--folds", "2", "--max-epochs", "2"]
     assert cli([*sweep, *flags]) == code
     assert ("error: class index out of range" in capsys.readouterr().err) == bug
-    assert len(worker_slices[0]) >= 2
+    assert worker_counts[0] >= 2
     assert multiprocessing.active_children() == [] and set(threading.enumerate()) == threads
 
 
@@ -540,6 +536,6 @@ def test_loaded_signals_are_freed_before_the_first_cell(monkeypatch, command, su
 
     monkeypatch.setattr(dataset, "load_signals", load_and_watch)
     monkeypatch.setattr(experiment, "run_cell", watched_cell)
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 1)  # the cells run in this process, where they are watched
+    monkeypatch.setattr(experiment, "worker_count", lambda n_cells: 0)  # cells run here, where they are watched
     assert cli([*command, "--cache", "cache.bin", *subjects, "--max-epochs", "1"]) == 0
     assert len(loaded) == 2 and alive and alive[0] == 0, alive

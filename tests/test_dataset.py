@@ -81,6 +81,16 @@ def test_activity_codes():
 # ---------------------------------------------------------------------------
 
 
+def test_labeled_signal_rejects_one_label_too_many_or_too_few():
+    channels = np.zeros((N_CHANNELS, 5))
+    for n_labels in (4, 6):
+        with pytest.raises(ValueError, match="^labels length must equal the number of timesteps$"):
+            LabeledSignal(101, channels, np.zeros(n_labels, dtype=np.int64))
+    with pytest.raises(ValueError, match="^labels length"):
+        LabeledSignal(101, channels, np.zeros((5, 1), dtype=np.int64))  # one label per timestep, but 2-D
+    assert LabeledSignal(101, channels, np.zeros(5, dtype=np.int64)).n_timesteps == 5
+
+
 def test_parse_basic_file(tmp_path):
     text = make_text([(0.01, 4, counted_readings()), (0.02, 4, counted_readings(100))])
     sig = load_text(tmp_path, text, subject_id=101)

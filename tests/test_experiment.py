@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import random
 import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -231,7 +232,7 @@ def test_run_sweep_holds_one_window_array(monkeypatch):
     per-fold window array and no joined cache bytes for the fingerprint."""
     import tracemalloc
 
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 1)  # the cells run in this process, which tracemalloc sees
+    monkeypatch.setattr(experiment, "worker_count", lambda n_cells: 0)  # cells run here, where tracemalloc sees
     monkeypatch.setattr(experiment, "train", lambda net, x, y, fit_idx, stop_idx, cfg, stats: (net, 1, []))
     monkeypatch.setattr(experiment, "evaluate", lambda net, x, y, idx, stats: (1.0, 0.0))
     monkeypatch.setattr(experiment, "STATS_CHUNK_ELEMS", 1 << 14)  # 128 KiB, under 1% of the signal
@@ -505,7 +506,7 @@ def test_run_cells_calls_done_once_per_cell_that_ran(monkeypatch):
         return real_cell(prepared, window_sec, fold, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "run_cell", cell)
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 1)  # the cells run in this process, where they are watched
+    monkeypatch.setattr(experiment, "worker_count", lambda n_cells: 0)  # cells run here, where they are watched
     cells = [(w, f) for w in (0.1, 4.0, 0.25) for f in range(2)]
     outcomes = run_cells(prepare([sig]), cells, 2, FAST_CFG, done=lambda *args: calls.append(args))
     assert ran == [(0.1, 0), (0.1, 1), (4.0, 0), (0.25, 0), (0.25, 1)]
@@ -557,7 +558,7 @@ def test_run_sweep_skips_the_later_cells_of_a_failed_duration(monkeypatch):
         return None, FoldResult(fold, 1.0, 0.0, 1)
 
     monkeypatch.setattr(experiment, "run_cell", cell)
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 1)  # the cells run in this process, where they are watched
+    monkeypatch.setattr(experiment, "worker_count", lambda n_cells: 0)  # cells run here, where they are watched
     report = run_sweep([_tiny_signal()], [0.25, 0.1], FAST_CFG, folds=3)
     assert ran == [(0.25, 0), (0.1, 0), (0.25, 1), (0.1, 1), (0.25, 2)]  # fold-major, the longest first
     assert [(row.window_sec, row.failed, row.reason) for row in report.rows] == [
@@ -567,24 +568,33 @@ def test_run_sweep_skips_the_later_cells_of_a_failed_duration(monkeypatch):
     assert report.rows[0].folds == [] and [f.fold for f in report.rows[1].folds] == [0, 1, 2]
 
 
-needs_a_pool = pytest.mark.skipif(layers.usable_cpus() < 2, reason="a pool needs two usable CPUs")
+def test_worker_count_is_one_per_usable_cpu_and_cell_and_none_below_two(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
+    assert [experiment.worker_count(n) for n in (0, 1, 2, 3, 4, 48)] == [0, 0, 2, 3, 4, 4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert experiment.worker_count(48) == 0
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity mask: not Linux
+    assert experiment.worker_count(48) == 0
 
 
-def _in_process_and_in_a_pool(worker_slices, run):
+needs_a_pool = pytest.mark.skipif(experiment.worker_count(2) == 0, reason="a pool needs Linux and two usable CPUs")
+
+
+def _in_process_and_in_a_pool(worker_counts, run):
     """``run()`` with the cells in this process, then in a pool of two or
     more workers."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(layers, "usable_cpus", lambda: 1)
+        m.setattr(experiment, "worker_count", lambda n_cells: 0)
         alone = run()
     pooled = run()
-    assert len(worker_slices) == 2 and worker_slices[0] == [] and len(worker_slices[1]) >= 2
+    assert len(worker_counts) == 1 and worker_counts[0] >= 2
     return alone, pooled
 
 
 @needs_a_pool
 @pytest.mark.parametrize("honest_split", [False, True])
 @pytest.mark.parametrize("per_fold_stats", [False, True])
-def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, worker_slices, honest_split, per_fold_stats):
+def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, worker_counts, honest_split, per_fold_stats):
     sig = generate_synthetic(7, samples_per_class=2, segment_len=240)
     cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=4)
 
@@ -593,12 +603,12 @@ def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, worker_slices,
         save_report(report, tmp_path / "report.json")
         return (tmp_path / "report.json").read_bytes(), format_report_csv(report)
 
-    alone, pooled = _in_process_and_in_a_pool(worker_slices, outputs)
+    alone, pooled = _in_process_and_in_a_pool(worker_counts, outputs)
     assert alone == pooled
 
 
 @needs_a_pool
-def test_run_cells_in_a_pool_gives_the_same_outcomes_and_done_calls(worker_slices):
+def test_run_cells_in_a_pool_gives_the_same_outcomes_and_done_calls(worker_counts):
     """4 s fails its first fold: its second still runs in a worker, and
     its outcome is dropped, as the cell is skipped in this process."""
     prepared = prepare([_tiny_signal()])
@@ -609,14 +619,14 @@ def test_run_cells_in_a_pool_gives_the_same_outcomes_and_done_calls(worker_slice
         outcomes = run_cells(prepared, cells, 2, FAST_CFG, done=lambda *args: calls.append(args))
         return list(outcomes.items()), calls
 
-    alone, pooled = _in_process_and_in_a_pool(worker_slices, run)
+    alone, pooled = _in_process_and_in_a_pool(worker_counts, run)
     assert alone == pooled
     assert alone[1] == alone[0] and [c for c, _ in alone[0]] == [c for c in cells if c != (4.0, 1)]
     assert dict(alone[0])[4.0, 0] == "no samples to fold"
 
 
 @needs_a_pool
-def test_a_skipped_cell_that_raises_in_a_worker_is_dropped(monkeypatch, worker_slices):
+def test_a_skipped_cell_that_raises_in_a_worker_is_dropped(monkeypatch, worker_counts):
     def cell(prepared, window_sec, fold, *args, **kwargs):
         if fold == 0:
             raise CoverageError("channel 3 is constant in the training folds")
@@ -625,24 +635,24 @@ def test_a_skipped_cell_that_raises_in_a_worker_is_dropped(monkeypatch, worker_s
     monkeypatch.setattr(experiment, "run_cell", cell)
     prepared = prepare([_tiny_signal()])
     cells = [(0.5, 0), (0.5, 1)]
-    alone, pooled = _in_process_and_in_a_pool(worker_slices, lambda: run_cells(prepared, cells, 2, FAST_CFG))
+    alone, pooled = _in_process_and_in_a_pool(worker_counts, lambda: run_cells(prepared, cells, 2, FAST_CFG))
     assert alone == pooled == {(0.5, 0): "channel 3 is constant in the training folds"}
 
 
 @needs_a_pool
-def test_a_divergence_in_a_worker_reaches_the_caller_with_its_epoch_and_cell(worker_slices):
+def test_a_divergence_in_a_worker_reaches_the_caller_with_its_epoch_and_cell(worker_counts):
     sig = generate_synthetic(42, samples_per_class=2, segment_len=120)
     cfg = TrainConfig(max_epochs=3, learning_rate=1e200, seed=42)
     with pytest.raises(DivergenceError) as info:
         run_sweep([sig], [0.25, 0.5], cfg, folds=2)
-    assert len(worker_slices[0]) >= 2
+    assert worker_counts[0] >= 2
     assert (info.value.epoch, info.value.cell) == (1, (0.5, 0))
     assert str(info.value) == "training diverged at epoch 1 in window 0.5 s, fold 1"
     assert multiprocessing.active_children() == []
 
 
 @needs_a_pool
-def test_a_worker_that_dies_fails_the_sweep_instead_of_hanging_it(monkeypatch, worker_slices):
+def test_a_worker_that_dies_fails_the_sweep_instead_of_hanging_it(monkeypatch, worker_counts):
     real_cell = experiment.run_cell
 
     def cell(prepared, window_sec, fold, *args, **kwargs):
@@ -654,28 +664,43 @@ def test_a_worker_that_dies_fails_the_sweep_instead_of_hanging_it(monkeypatch, w
     calls = []
     with pytest.raises(RuntimeError, match=r"^a sweep worker process died \(exit code -9\)$"):
         run_cells(prepare([_tiny_signal()]), [(0.1, 0), (0.1, 1)], 2, FAST_CFG, done=lambda *args: calls.append(args))
-    assert len(worker_slices[0]) >= 2 and [c for c, _ in calls] == [(0.1, 0)]
+    assert worker_counts[0] >= 2 and [c for c, _ in calls] == [(0.1, 0)]
     assert multiprocessing.active_children() == []
 
 
 @needs_a_pool
-def test_each_worker_runs_on_its_own_cpus_with_one_blas_thread(monkeypatch, worker_slices):
-    """A worker's ``usable_cpus()`` counts its own slice of the mask, so its
-    forward runs one share per CPU of the slice, and it inherits the BLAS
-    pin of the process that forked it."""
+def test_each_worker_reads_one_openblas_thread(monkeypatch, worker_counts):
+    """Each worker inherits the BLAS pin of the process that forked it."""
     blas_threads = layers.openblas_function("get_num_threads", ctypes.c_int)
+    if blas_threads is None:
+        pytest.skip("numpy's BLAS has no openblas_get_num_threads")
 
     def cell(prepared, window_sec, fold, *args, **kwargs):  # sends back what the worker sees
-        seen = [os.getpid(), sorted(os.sched_getaffinity(0)), blas_threads() if blas_threads else 1]
-        return None, FoldResult(fold, layers.usable_cpus(), 0.0, 1, seen)
+        return None, FoldResult(fold, 0.0, 0.0, 1, [os.getpid(), blas_threads()])
 
     monkeypatch.setattr(experiment, "run_cell", cell)
     outcomes = run_cells(prepare([_tiny_signal()]), [(0.1, f) for f in range(4)], 4, FAST_CFG)
-    (slices,) = worker_slices
-    assert len(slices) >= 2
+    assert worker_counts[0] >= 2
     for result in outcomes.values():
-        pid, cpus, threads = result.history
-        assert pid != os.getpid() and cpus in slices and result.accuracy == len(cpus) and threads == 1
+        pid, threads = result.history
+        assert pid != os.getpid() and threads == 1
+
+
+def test_a_one_cell_run_starts_no_thread(monkeypatch, worker_counts):
+    """harwin runs one thread per process: with every thread start refused,
+    a one-cell ``run_cells``, which runs in this process, gives the bits of
+    the same cell run before. Its 4 s forwards span several tiles."""
+    prepared = prepare([generate_synthetic(5, samples_per_class=2, segment_len=1200)])
+    cfg = TrainConfig(batch_size=128, max_epochs=2, patience=2, seed=3)
+    _, want = run_cell(prepared, 4.0, 0, 2, cfg)
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    got = run_cells(prepared, [(4.0, 0)], 2, cfg)[4.0, 0]
+    assert worker_counts == [0]
+    assert want.history and _bits(got) == _bits(want)
 
 
 def test_assemble_gives_the_same_report_for_outcomes_in_any_order(tmp_path):

@@ -11,7 +11,8 @@ order and the dropout masks of the 0.5 s run, by one sha256 each.
 
 The output bytes (each sweep's ``report.csv`` and ``report.json``, each
 run's checkpoint and ``--metrics-json`` document) depend on how the BLAS
-sums, so their digests are recorded per environment: the numpy version, the
+sums and on numpy's SIMD dispatch, so their digests are recorded per
+environment: the numpy version and the dispatch targets it enabled, the
 BLAS build, core and thread count, and the machine. The thread count reads
 1 wherever harwin could pin the BLAS. On an environment with no record the
 bytes test skips and names its key.
@@ -27,7 +28,9 @@ import ctypes
 import functools
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
@@ -83,7 +86,7 @@ def _sweep(setting: str):
         return real_evaluate(model, x, y, idx, stats)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(layers, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(experiment, "worker_count", lambda n_cells: 0)
         monkeypatch.setattr(experiment, "run_cell", cell)
         monkeypatch.setattr(experiment, "train", train)
         monkeypatch.setattr(experiment, "evaluate", evaluate)
@@ -123,7 +126,7 @@ def _train_05():
 @functools.cache
 def _train_4s():
     """A 4 s run, on segments long enough to hold several 4 s windows: its
-    batches make forward calls of several tiles, shared among threads."""
+    batches make forward calls of several tiles."""
     return run_cell(prepare(_signals(1200)), 4.0, 0, 5, CFG)
 
 
@@ -189,12 +192,15 @@ def _openblas(name: str, restype):
 
 def environment_key() -> str:
     """What the output bytes may depend on besides the code: the numpy
-    version, the BLAS build and the core, configuration and thread count it
-    runs with, and the machine."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    version and the SIMD targets it dispatches to on this CPU, the BLAS
+    build and the core, configuration and thread count it runs with, and
+    the machine."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return " | ".join(
         [
             f"numpy {np.__version__}",
+            f"simd {' '.join(config['SIMD Extensions']['found'])}",
             f"{blas.get('name')} {blas.get('version')}",
             f"core {_openblas('get_corename', ctypes.c_char_p)}",
             f"config {_openblas('get_config', ctypes.c_char_p)}",
@@ -228,6 +234,21 @@ def _output_digests(out: Path) -> dict[str, str]:
         for name in ("model.bin", "metrics.json"):
             digests[f"train {window:g} s {name}"] = _sha256(out / name)
     return digests
+
+
+def test_the_environment_key_changes_with_numpys_simd_targets():
+    """With numpy's X86_V4 (AVX-512) targets disabled, some output bytes
+    change (ROADMAP, State), so a child process computes another key."""
+    if "X86_V4" not in np.show_config(mode="dicts")["SIMD Extensions"]["found"]:
+        pytest.skip("numpy dispatches to no X86_V4 target here")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    paths = [str(Path(__file__).parent), str(Path(layers.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    code = "import test_golden; print(test_golden.environment_key())"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    key = child.stdout.strip()
+    assert key != environment_key() and " | simd X86_V3 | " in key
 
 
 def test_output_bytes_match_golden_digests(tmp_path):

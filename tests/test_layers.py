@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -35,9 +34,7 @@ from harwin.layers import (
     maxpool_forward,
     relu,
     relu_backward,
-    run_shares,
     softmax_xent,
-    usable_cpus,
 )
 from harwin.model import EVAL_CHUNK, ModelSpec, param_shapes, plan_shapes
 
@@ -254,21 +251,21 @@ def test_conv_forward_keeps_a_negative_zero_bias_across_tiles():
         assert np.signbit(conv1d_forward(x, w, np.full(c_out, -0.0))[0, ::2]).all()
 
 
-def test_conv_forward_bits_and_the_callers_buffer_size_hold_under_any_buffer_size(monkeypatch, share_counts):
-    """The call forms its products under PRODUCT_BUFSIZE, which each helper
-    inherits from the caller's context. Under a caller's buffer of 16
-    elements and of 65536, every call from 0.1 s to 4 s at batch 128, on one
-    thread and on two, keeps the bits of the unblocked loop, the sign of
-    zero included: inputs hold exact zeros, as relu and pool outputs do, and
+def test_conv_forward_bits_and_the_callers_buffer_size_hold_under_any_buffer_size():
+    """The call forms its products under PRODUCT_BUFSIZE. Under a caller's
+    buffer of 16 elements and of 65536, every call from 0.1 s to 4 s at
+    batch 128 keeps the bits of the unblocked loop, the sign of zero
+    included: inputs hold exact zeros, as relu and pool outputs do, and
     filter 0 is all negative, so its sums over a zero window stay at a -0.0
     bias. The caller's buffer size is unchanged after every call, also after
-    a call that raises, on one thread and on two."""
+    a call that raises, and the call runs under the caller's error state:
+    an overflow that the caller ignores warns nowhere, and one that it
+    raises on raises."""
     rng = np.random.default_rng(37)
     saved = np.getbufsize()
     try:
         for bufsize in (16, 65536):
             np.setbufsize(bufsize)
-            monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
             for c_in, c_out, kernel, length in short_window_geometries() + sweep_geometries():
                 x = relu(rng.normal(size=(128, c_in, length)))
                 x[::3] = 0.0  # whole windows of zeros
@@ -282,19 +279,20 @@ def test_conv_forward_bits_and_the_callers_buffer_size_hold_under_any_buffer_siz
                 assert np.signbit(got[0, 0]).all()
             c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
             x, w = np.full((128, c_in, length), 1e200), np.full((c_out, c_in, kernel), 1e200)
-            for cpus in (1, 2):
-                monkeypatch.setattr(layers, "usable_cpus", lambda cpus=cpus: cpus)
-                # np.seterr, not np.errstate, whose exit would restore the buffer size too
-                errstate = np.seterr(over="raise")
-                try:
-                    with pytest.raises(FloatingPointError):
-                        conv1d_forward(x, w, np.zeros(c_out))
-                finally:
-                    np.seterr(**errstate)
-                assert np.getbufsize() == bufsize
+            # np.seterr, not np.errstate, whose exit would restore the buffer size too
+            errstate = np.seterr(over="ignore")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert np.isposinf(conv1d_forward(x, w, np.zeros(c_out))).all()
+                np.seterr(over="raise")
+                with pytest.raises(FloatingPointError):
+                    conv1d_forward(x, w, np.zeros(c_out))
+            finally:
+                np.seterr(**errstate)
+            assert np.getbufsize() == bufsize
     finally:
         np.setbufsize(saved)
-    assert share_counts == {1, 2}
 
 
 def test_conv_forward_empty_batch():
@@ -337,16 +335,6 @@ def test_conv_rejects_wrong_ranks_and_bias_shapes():
         conv1d_forward(x, w[0], np.zeros(4))
 
 
-def test_usable_cpus_falls_back_where_there_is_no_affinity_mask(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert usable_cpus() == len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    assert usable_cpus() == 6
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert usable_cpus() == 1
-
-
 def test_pin_warns_naming_the_blas_where_no_openblas_is_found(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
     assert layers.openblas_function("set_num_threads", None, ctypes.c_int) is None
@@ -372,10 +360,6 @@ def test_the_blas_runs_one_thread_once_harwin_is_imported():
     assert layers.openblas_function("get_num_threads", ctypes.c_int)() == 1
 
 
-# (c_in, c_out, kernel, length) of wide layers whose calls split into 3 and 4
-# shares
-WIDE_GEOMETRIES = [(64, 16, 3, 130), (64, 16, 3, 200), (16, 48, 3, 66)]
-
 # (c_in, c_out, kernel, length) of conv1 and conv2 from 0.1 s to 4 s, and
 # their tile counts at batch 128 and EVAL_CHUNK. These are the counts of the
 # (filter group x position tile) blocking that position tiles replaced,
@@ -396,187 +380,73 @@ DEFAULT_TILES = {
 }
 
 
-def forward_plan(geometry, batch, cpus):
-    """(n_shares, tiles) of a conv1d_forward call on ``geometry`` and
-    ``batch`` windows with the CPU count forced to ``cpus``. The tiles,
-    (p, q) for positions [p, q), are the items the call hands to
-    run_shares, and no share runs: nothing is summed."""
-    c_in, c_out, kernel, length = geometry
-    plan = []
-
-    def record(work, tiles, n_shares):
-        plan.append((n_shares, list(tiles)))
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(layers, "usable_cpus", lambda: cpus)
-        patch.setattr(layers, "run_shares", record)
-        conv1d_forward(np.broadcast_to(0.0, (batch, c_in, length)), np.zeros((c_out, c_in, kernel)), np.zeros(c_out))
-    return plan[0]
-
-
 def closed_form_tiles(out_len, batch, n_filters):
-    """A call's tile count before rounding to the share count: tiles of at
-    most BLOCK // (F * B) positions, or of one."""
+    """A call's tile count: tiles of at most BLOCK // (F * B) positions, or
+    of one."""
     return -(-out_len // max(1, layers.BLOCK // (n_filters * batch)))
 
 
 def tile_scratch(kernel, batch, tile, n_filters):
-    """Elements of one share's scratch for tiles of at most ``tile``
-    positions: one channel of a tile, an accumulator and a product."""
+    """Elements of a call's scratch for tiles of at most ``tile`` positions:
+    one channel of a tile, an accumulator and a product."""
     return (tile + kernel - 1) * batch + 2 * n_filters * tile * batch
 
 
 def test_forward_shares_position_tiles():
-    """A forward call cuts ceil(out_len / max(1, BLOCK // (F * B))) tiles,
-    rounded up to a multiple of the share count but never to more tiles
-    than positions: from 0.1 s to 4 s at batch 128 and EVAL_CHUNK, every
-    share has as many tiles and none is empty, also in calls of one and of
-    five positions, each position holding more than BLOCK. The default
-    calls keep the tile counts in DEFAULT_TILES, and conv2 at 4 s and batch
-    128 runs 12 tiles on 2 CPUs."""
+    """A forward call cuts its positions into ceil(out_len / max(1, BLOCK //
+    (F * B))) tiles, the fewest whose accumulator holds at most BLOCK
+    elements unless a single position holds more. They cover every
+    position once, in order, and differ in size by at most one position:
+    from 0.1 s to 4 s at batch 128 and EVAL_CHUNK, and in calls of one and
+    of five positions, each position holding more than BLOCK. The default
+    calls keep the tile counts in DEFAULT_TILES."""
     assert list(DEFAULT_TILES) == short_window_geometries() + one_second_geometries() + sweep_geometries()
     cases = [(g, batch) for g in DEFAULT_TILES for batch in (128, EVAL_CHUNK)]
     cases += [((18, 33, 3, 3), 2730), ((18, 33, 3, 7), 2730)]
     for geometry, batch in cases:
         c_in, c_out, kernel, length = geometry
         out_len = length - kernel + 1
-        n_tiles = closed_form_tiles(out_len, batch, c_out)
+        tiles = layers.forward_tiles(out_len, batch, c_out)
+        assert len(tiles) == closed_form_tiles(out_len, batch, c_out), (geometry, batch)
         if geometry in DEFAULT_TILES:
-            assert n_tiles == DEFAULT_TILES[geometry][batch != 128], (geometry, batch)
-        for cpus in (1, 2, 3, 4):
-            n_shares, tiles = forward_plan(geometry, batch, cpus)
-            assert n_shares == min(cpus, n_tiles)
-            count = min(out_len, -(-n_tiles // n_shares) * n_shares)
-            assert tiles == [(i * out_len // count, (i + 1) * out_len // count) for i in range(count)], (
-                geometry,
-                batch,
-                cpus,
-            )
-            assert all(q > p for p, q in tiles)
-            assert len(tiles) % n_shares == 0 or len(tiles) == out_len, (geometry, batch, cpus)
-    n_shares, tiles = forward_plan(sweep_geometries()[-1], 128, 2)  # conv2 at 4 s
-    assert (n_shares, len(tiles)) == (2, 12)
-    assert forward_plan((18, 33, 3, 7), 2730, 4) == (4, [(p, p + 1) for p in range(5)])
+            assert len(tiles) == DEFAULT_TILES[geometry][batch != 128], (geometry, batch)
+        assert [p for p, _ in tiles] == [0] + [q for _, q in tiles[:-1]] and tiles[-1][1] == out_len
+        sizes = {q - p for p, q in tiles}
+        assert min(sizes) > 0 and max(sizes) - min(sizes) <= 1, (geometry, batch)
+        assert max(sizes) == 1 or c_out * max(sizes) * batch <= layers.BLOCK, (geometry, batch)
+    assert layers.forward_tiles(5, 2730, 33) == [(p, p + 1) for p in range(5)]
 
 
-def test_conv_forward_bits_do_not_depend_on_the_thread_count(monkeypatch, share_counts):
-    """With the CPU count forced to 1, 2, 3 and 4, every call keeps the bits
-    of the unblocked loop: conv1 and conv2 from 0.5 s to 4 s at batch 128 and
-    EVAL_CHUNK, and wide layers that split into 3 and 4 shares. Every other
-    filter has a -0.0 bias over -0.0 products, so every tile holds some,
-    whichever share takes it."""
-    rng = np.random.default_rng(59)
-    for c_in, c_out, kernel, length in sweep_geometries((50, 100, 200, 400)) + WIDE_GEOMETRIES:
+def test_conv_forward_bits_do_not_depend_on_the_tiles(monkeypatch):
+    """Tiles decide only where an element sits in memory: conv1 and conv2
+    at 1 s, cut into one tile, into tiles of one position and into uneven
+    tiles, keep the bits of the unblocked loop."""
+    rng = np.random.default_rng(79)
+    for c_in, c_out, kernel, length in one_second_geometries():
+        x = rng.normal(size=(128, c_in, length))
         w = rng.normal(size=(c_out, c_in, kernel))
-        w[::2] = -np.abs(w[::2])
         b = np.where(np.arange(c_out) % 2 == 0, -0.0, rng.normal(size=c_out))
-        for batch in (128, EVAL_CHUNK):
-            # batch 128 through a (B, L, C) array seen through swapaxes, as conv1 reads its windows
-            x = relu(rng.normal(size=(batch, length, c_in)))
-            x = x.swapaxes(1, 2) if batch == 128 else np.ascontiguousarray(x.swapaxes(1, 2))
-            x[::3] = 0.0  # whole windows of zeros: -0.0 products under the negative filters
-            ref = conv_unblocked(x, w, b)
-            plans = []
-            for cpus in (1, 2, 3, 4):
-                plan = forward_plan((c_in, c_out, kernel, length), batch, cpus)
-                if plan not in plans:  # a CPU count that changes nothing runs the same code
-                    plans.append(plan)
-                    monkeypatch.setattr(layers, "usable_cpus", lambda cpus=cpus: cpus)
-                    assert same_bits(conv1d_forward(x, w, b), ref), (c_in, c_out, length, batch, cpus)
-    assert share_counts == {1, 2, 3, 4}
-
-
-def test_many_shares_under_fast_thread_switching_take_every_block_once(monkeypatch, share_counts):
-    """Eight shares, more than the cores of most machines that run this, with
-    Python switching threads every microsecond: fresh inputs each round, so
-    a tile taken twice or never (left with an earlier round's sums) would
-    change the bits."""
-    c_in, c_out, kernel, length = 24, 8, 3, 514
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 8)
-    rng = np.random.default_rng(67)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            x = rng.normal(size=(128, c_in, length))
-            w = rng.normal(size=(c_out, c_in, kernel))
-            b = rng.normal(size=c_out)
-            assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
-    finally:
-        sys.setswitchinterval(interval)
-    assert share_counts == {8}
-
-
-def test_shares_without_a_thread_run_on_the_calling_thread(monkeypatch):
-    """When the OS starts no helper, every item runs once, in order, as
-    share 0 on the calling thread, and the forward keeps its bits."""
-
-    def no_thread(self):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-    ran = []
-    run_shares(lambda s, item: ran.append((s, item, threading.get_ident())), range(5), 3)
-    assert ran == [(0, item, threading.get_ident()) for item in range(5)]
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
-    c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
-    rng = np.random.default_rng(71)
-    x = rng.normal(size=(128, c_in, length))
-    w = rng.normal(size=(c_out, c_in, kernel))
-    b = rng.normal(size=c_out)
-    assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
-
-
-def test_a_refused_helper_leaves_its_tiles_to_the_shares_that_started(monkeypatch, share_counts):
-    """With the CPU count forced to 3 and the second helper refused by the
-    OS, conv1 at 4 s runs on the calling thread and one helper, keeps the
-    bits of the unblocked loop and leaves no thread behind."""
-    start, starts = threading.Thread.start, []
-
-    def second_refused(self):
-        starts.append(self)
-        if len(starts) == 2:
-            raise RuntimeError("can't start new thread")
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", second_refused)
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 3)
-    c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
-    rng = np.random.default_rng(73)
-    x = rng.normal(size=(128, c_in, length))
-    w = rng.normal(size=(c_out, c_in, kernel))
-    b = rng.normal(size=c_out)
-    threads = threading.active_count()
-    assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b))
-    assert len(starts) == 2
-    assert threading.active_count() == threads
-    assert share_counts == {3}
-
-
-def test_each_share_holds_at_most_one_tiles_scratch(monkeypatch, share_counts):
-    """Every share allocates scratch for one tile: one channel of the tile,
-    an accumulator and a product. Rounding the tile count to the share
-    count never lengthens a tile, so a call's scratch is at most one tile's
-    per share of the closed-form plan, as the plan's arithmetic shows for
-    every CPU count and tracemalloc for conv2 at 4 s on an eval chunk and 2
-    CPUs."""
-    for c_in, c_out, kernel, length in sweep_geometries((50, 100, 200, 400)) + WIDE_GEOMETRIES:
+        ref = conv_unblocked(x, w, b)
         out_len = length - kernel + 1
-        for batch in (128, EVAL_CHUNK):
-            n_tiles = closed_form_tiles(out_len, batch, c_out)
-            limit = tile_scratch(kernel, batch, -(-out_len // n_tiles), c_out)
-            for cpus in (1, 2, 3, 4):
-                _, tiles = forward_plan((c_in, c_out, kernel, length), batch, cpus)
-                tile = max(q - p for p, q in tiles)
-                assert tile_scratch(kernel, batch, tile, c_out) <= limit, (c_in, length, batch, cpus)
+        uneven = [(0, 1), (1, out_len - 3), (out_len - 3, out_len)]
+        for tiles in ([(0, out_len)], [(p, p + 1) for p in range(out_len)], uneven):
+            monkeypatch.setattr(layers, "forward_tiles", lambda out_len, batch, n_filters, tiles=tiles: tiles)
+            assert same_bits(conv1d_forward(x, w, b), ref), (c_in, len(tiles))
+
+
+def test_each_share_holds_at_most_one_tiles_scratch():
+    """A call allocates scratch for one tile, the longest, and sums every
+    tile in it: one channel of the tile, an accumulator and a product, as
+    tracemalloc shows for conv2 at 4 s on an eval chunk."""
     c_in, c_out, kernel, length = sweep_geometries()[-1]  # conv2 at 4 s
     rng = np.random.default_rng(61)
     x = rng.normal(size=(EVAL_CHUNK, c_in, length))
     w = rng.normal(size=(c_out, c_in, kernel))
     b = rng.normal(size=c_out)
     out_len = length - kernel + 1
-    tile = -(-out_len // closed_form_tiles(out_len, EVAL_CHUNK, c_out))
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
+    tiles = layers.forward_tiles(out_len, EVAL_CHUNK, c_out)
+    assert len(tiles) > 1
+    tile = max(q - p for p, q in tiles)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -584,45 +454,26 @@ def test_each_share_holds_at_most_one_tiles_scratch(monkeypatch, share_counts):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert share_counts == {2}
-    budget = 2 * tile_scratch(kernel, EVAL_CHUNK, tile, c_out) * 8  # bytes of two shares' float64 scratch
+    budget = tile_scratch(kernel, EVAL_CHUNK, tile, c_out) * 8  # bytes of one tile's float64 scratch
     assert peak - out.nbytes <= budget + 2**16, (peak - out.nbytes, budget)
 
 
-def test_threaded_forward_runs_under_the_callers_error_state(monkeypatch, share_counts):
-    """The helpers start in a copy of the caller's context, which holds
-    numpy's error state, so an overflow that the caller ignores warns
-    nowhere, and one that it raises on raises in the caller."""
-    monkeypatch.setattr(layers, "usable_cpus", lambda: 2)
-    c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
-    x = np.full((128, c_in, length), 1e200)
-    w = np.full((c_out, c_in, kernel), 1e200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore"):
-            out = conv1d_forward(x, w, np.zeros(c_out))
-        assert np.isposinf(out).all()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            conv1d_forward(x, w, np.zeros(c_out))
-    assert share_counts == {2}
+def test_the_forward_starts_no_thread(monkeypatch):
+    """harwin runs one thread per process: with every thread start refused,
+    conv1 and conv2 at 4 s, on a batch of 128 and on an eval chunk, keep
+    the bits of the unblocked loop."""
 
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
 
-def test_run_shares_reraises_a_helpers_exception_once_every_share_has_finished():
-    """Item 1 raises in whichever share takes it; the other shares still
-    finish items 0 and 2, and no helper outlives the call."""
-    finished = []
-
-    def work(s, item):
-        if item == 1:
-            raise KeyError("helper")
-        time.sleep(0.2)
-        finished.append(item)
-
-    threads = threading.active_count()
-    with pytest.raises(KeyError, match="helper"):
-        run_shares(work, range(3), 3)
-    assert sorted(finished) == [0, 2]
-    assert threading.active_count() == threads
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    rng = np.random.default_rng(71)
+    for c_in, c_out, kernel, length in sweep_geometries((400,)):
+        w = rng.normal(size=(c_out, c_in, kernel))
+        b = rng.normal(size=c_out)
+        for batch in (128, EVAL_CHUNK):
+            x = rng.normal(size=(batch, c_in, length))
+            assert same_bits(conv1d_forward(x, w, b), conv_unblocked(x, w, b)), (c_in, batch)
 
 
 def _conv_backward_cases(rng):
