@@ -258,9 +258,7 @@ def test_conv_forward_bits_and_the_callers_buffer_size_hold_under_any_buffer_siz
     included: inputs hold exact zeros, as relu and pool outputs do, and
     filter 0 is all negative, so its sums over a zero window stay at a -0.0
     bias. The caller's buffer size is unchanged after every call, also after
-    a call that raises, and the call runs under the caller's error state:
-    an overflow that the caller ignores warns nowhere, and one that it
-    raises on raises."""
+    a call that raises."""
     rng = np.random.default_rng(37)
     saved = np.getbufsize()
     try:
@@ -280,12 +278,8 @@ def test_conv_forward_bits_and_the_callers_buffer_size_hold_under_any_buffer_siz
             c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
             x, w = np.full((128, c_in, length), 1e200), np.full((c_out, c_in, kernel), 1e200)
             # np.seterr, not np.errstate, whose exit would restore the buffer size too
-            errstate = np.seterr(over="ignore")
+            errstate = np.seterr(over="raise")
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    assert np.isposinf(conv1d_forward(x, w, np.zeros(c_out))).all()
-                np.seterr(over="raise")
                 with pytest.raises(FloatingPointError):
                     conv1d_forward(x, w, np.zeros(c_out))
             finally:
@@ -293,6 +287,23 @@ def test_conv_forward_bits_and_the_callers_buffer_size_hold_under_any_buffer_siz
             assert np.getbufsize() == bufsize
     finally:
         np.setbufsize(saved)
+
+
+def test_threaded_forward_runs_under_the_callers_error_state():
+    """The forward sets only the buffer size inside its np.errstate block,
+    so it keeps the caller's error state: an overflow that the caller
+    ignores warns nowhere, and one that it raises on raises in the caller.
+    The name is kept from when the forward ran helper threads."""
+    c_in, c_out, kernel, length = sweep_geometries()[2]  # conv1 at 4 s
+    x = np.full((128, c_in, length), 1e200)
+    w = np.full((c_out, c_in, kernel), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            out = conv1d_forward(x, w, np.zeros(c_out))
+        assert np.isposinf(out).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            conv1d_forward(x, w, np.zeros(c_out))
 
 
 def test_conv_forward_empty_batch():
