@@ -265,8 +265,10 @@ def write_atomic(path: str | Path, parts: Iterable[bytes | memoryview]) -> None:
     """Write ``parts`` in order as the file ``path``, all or nothing: into a
     new temporary file in the same directory, flushed and fsynced, then
     renamed over ``path``. A failure leaves any previous file as it was and
-    removes the temporary one. The file gets the mode a plain ``open()``
-    gives a new file, 0o666 less the umask."""
+    removes the temporary one. The directory is fsynced after the rename,
+    so a write that returned survives a crash, where the OS can open a
+    directory. The file gets the mode a plain ``open()`` gives a new file,
+    0o666 less the umask."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
@@ -279,6 +281,14 @@ def write_atomic(path: str | Path, parts: Iterable[bytes | memoryview]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    try:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+    except OSError:  # Windows opens no directory
+        return
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 @contextmanager

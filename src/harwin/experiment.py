@@ -208,16 +208,17 @@ def worker_count(n_cells: int) -> int:
     return n if n > 1 else 0
 
 
-def _outcome(prepared: Prepared, folds: int, cfg: TrainConfig, honest_split: bool, cell: Cell):
-    """The cell's ``FoldResult``, the reason it failed (geometry or
-    coverage), or the error it raised, for ``run_cells`` to raise if the
-    cell is not skipped. Never the model, which a worker does not send."""
+def _outcome(prepared: Prepared, folds: int, cfg: TrainConfig, honest_split: bool, cell: Cell) -> FoldResult | str:
+    """The cell's ``FoldResult``, or the reason it failed (geometry or
+    coverage); any other error propagates, a ``DivergenceError`` with its
+    ``cell``. Never the model, which a worker does not send."""
     try:
         return run_cell(prepared, *cell, folds, cfg, honest_split=honest_split)[1]
     except (GeometryError, CoverageError) as err:
         return str(err)
-    except Exception as err:
-        return err
+    except DivergenceError as err:
+        err.cell = cell
+        raise
 
 
 _worker_args: tuple = ()  # a pool worker's (prepared, folds, cfg, honest_split)
@@ -236,16 +237,16 @@ def _worker_outcome(cell: Cell):
 
 
 @contextmanager
-def _outcome_stream(args: tuple, cells: list[Cell], skip: set[float]):
+def _outcome_stream(args: tuple, cells: list[Cell]):
     """The outcome of each of ``cells``, in their order. With
     ``worker_count``, they come from a pool of worker processes, forked here
-    so that they read ``args`` copy-on-write, and a cell whose duration is
-    in ``skip`` still runs; a worker's death is a RuntimeError. Otherwise
-    each is computed in this process as it is read, and such a cell gives
-    None without running. Leaving the context stops the workers."""
+    so that they read ``args`` copy-on-write; a cell's error comes back with
+    the worker's traceback as its ``__cause__``, and a worker's death is a
+    RuntimeError. Otherwise each is computed in this process as it is read.
+    Leaving the context stops the workers."""
     n_workers = worker_count(len(cells))
     if not n_workers:
-        yield (None if cell[0] in skip else _outcome(*args, cell) for cell in cells)
+        yield (_outcome(*args, cell) for cell in cells)
         return
     import multiprocessing  # here, so that importing harwin does not pay for it
 
@@ -272,26 +273,16 @@ def _outcome_stream(args: tuple, cells: list[Cell], skip: set[float]):
 def run_cells(
     prepared: Prepared, cells: list[Cell], folds: int, cfg: TrainConfig, *, honest_split: bool = False, done=None
 ) -> dict[Cell, FoldResult | str]:
-    """Run ``cells`` and return their outcomes for ``assemble``, calling
-    ``done(cell, outcome)`` after each one that ran, in the order given. A
-    failed cell skips its duration's later cells; a ``DivergenceError`` gets
-    its ``cell``. The cells run in worker processes where ``worker_count``
-    gives two or more, else in this process, and one loop reads their
-    outcomes in order, so the outcomes, the ``done`` calls and the error
-    raised are the same either way."""
+    """Run every one of ``cells`` and return their outcomes for ``assemble``,
+    calling ``done(cell, outcome)`` after each, in the order given. The
+    cells run in worker processes where ``worker_count`` gives two or more,
+    else in this process, and one loop reads their outcomes in order, so the
+    outcomes, the ``done`` calls and the error raised are the same either
+    way."""
     outcomes: dict[Cell, FoldResult | str] = {}
-    failed: set[float] = set()
-    with _outcome_stream((prepared, folds, cfg, honest_split), cells, failed) as stream:
+    with _outcome_stream((prepared, folds, cfg, honest_split), cells) as stream:
         for cell, outcome in zip(cells, stream):
-            if cell[0] in failed:
-                continue
-            if isinstance(outcome, Exception):
-                if isinstance(outcome, DivergenceError):
-                    outcome.cell = cell
-                raise outcome
             outcomes[cell] = outcome
-            if isinstance(outcome, str):
-                failed.add(cell[0])
             if done is not None:
                 done(cell, outcome)
     return outcomes
@@ -310,7 +301,10 @@ def run_sweep(
     """Cross-validate one model per window duration over a shared dataset:
     ``run_cells`` fold 0 of every duration, longest first, then fold 1, and
     so on, then ``assemble`` the outcomes; the report archives ``cfg.seed``
-    once, as its ``seed``. Longest first, a pool ends on short cells.
+    once, as its ``seed``. Fold-major, each round of folds covers every
+    duration. Longest first balances no load: at 75% overlap an epoch
+    covers about four times the kept signal at any duration, so cells that
+    share their kernels cost about the same.
     ``signals`` is dropped once ``prepare`` has built the kept signal: a
     caller that passes it as a temporary, as the CLI does, lets the loaded
     data be freed before the first cell."""

@@ -161,6 +161,7 @@ def test_sweep_with_only_failed_rows_names_the_files_it_wrote(tmp_cwd, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[1:] == [
         "window 9 s: kernels (7, 11), fold 1/2: failed, no samples to fold",
+        "window 9 s: kernels (7, 11), fold 2/2: failed, no samples to fold",
         "wrote out/report.json, out/report.csv",
     ]
     assert sorted(p.name for p in (tmp_cwd / "out").iterdir()) == ["report.csv", "report.json"]

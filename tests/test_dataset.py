@@ -517,6 +517,21 @@ def test_write_atomic_gives_the_mode_of_a_plain_open(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["new.bin", "plain.bin"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="only POSIX opens a directory to fsync it")
+def test_write_atomic_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch):
+    """A crash right after the rename cannot lose a write that returned."""
+    synced, fsync = [], os.fsync
+
+    def recording(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    write_atomic(tmp_path / "new.bin", [b"new"])
+    assert synced == [False, True]
+    assert (tmp_path / "new.bin").read_bytes() == b"new"
+
+
 # ---------------------------------------------------------------------------
 # directory ingestion
 # ---------------------------------------------------------------------------

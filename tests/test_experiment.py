@@ -1,7 +1,7 @@
 """Cross-validation cells, their assembly and the window-duration sweep."""
 
 import ctypes
-import multiprocessing
+import multiprocessing.pool
 import os
 import random
 import signal
@@ -493,9 +493,9 @@ def test_run_sweep_kernel_switch_across_durations():
 
 
 def test_run_cells_calls_done_once_per_cell_that_ran(monkeypatch):
-    """``done`` sees each cell that ran, in the order given, with its
-    outcome; a failed duration's later cells neither run nor reach it; and
-    the outcomes assemble into ``run_sweep``'s report."""
+    """Every cell runs, a failed duration's later ones too, and ``done``
+    sees each, in the order given, with its outcome; the outcomes assemble
+    into ``run_sweep``'s report."""
     sig = _tiny_signal()
     want = run_sweep([sig], [0.1, 0.25, 4.0], FAST_CFG, folds=2)
     ran, calls = [], []
@@ -509,10 +509,10 @@ def test_run_cells_calls_done_once_per_cell_that_ran(monkeypatch):
     monkeypatch.setattr(experiment, "worker_count", lambda n_cells: 0)  # cells run here, where they are watched
     cells = [(w, f) for w in (0.1, 4.0, 0.25) for f in range(2)]
     outcomes = run_cells(prepare([sig]), cells, 2, FAST_CFG, done=lambda *args: calls.append(args))
-    assert ran == [(0.1, 0), (0.1, 1), (4.0, 0), (0.25, 0), (0.25, 1)]
+    assert ran == cells
     assert [c for c, _ in calls] == ran == list(outcomes)
     assert all(outcome is outcomes[c] for c, outcome in calls)
-    assert outcomes[4.0, 0] == "no samples to fold"
+    assert outcomes[4.0, 0] == outcomes[4.0, 1] == "no samples to fold"
     assert assemble(outcomes, seed=0, fingerprint=want.dataset_fingerprint, config=want.config) == want
 
 
@@ -548,21 +548,23 @@ def test_a_cell_run_alone_equals_the_same_cell_in_run_sweep(honest_split, per_fo
             assert got.history and _bits(got) == _bits(want), (row.window_sec, want.fold)
 
 
-def test_run_sweep_skips_the_later_cells_of_a_failed_duration(monkeypatch):
+def test_run_sweep_runs_every_cell_of_a_failed_duration(monkeypatch):
+    """Folds 1 and 2 of 0.1 s fail: both run, and the row takes fold 1's
+    reason."""
     ran = []
 
     def cell(prepared, window_sec, fold, folds, cfg, **kwargs):
         ran.append((window_sec, fold))
-        if (window_sec, fold) == (0.1, 1):
-            raise CoverageError("channel 3 is constant in the training folds")
+        if window_sec == 0.1 and fold > 0:
+            raise CoverageError(f"channel {fold} is constant in the training folds")
         return None, FoldResult(fold, 1.0, 0.0, 1)
 
     monkeypatch.setattr(experiment, "run_cell", cell)
     monkeypatch.setattr(experiment, "worker_count", lambda n_cells: 0)  # cells run here, where they are watched
     report = run_sweep([_tiny_signal()], [0.25, 0.1], FAST_CFG, folds=3)
-    assert ran == [(0.25, 0), (0.1, 0), (0.25, 1), (0.1, 1), (0.25, 2)]  # fold-major, the longest first
+    assert ran == [(0.25, 0), (0.1, 0), (0.25, 1), (0.1, 1), (0.25, 2), (0.1, 2)]  # fold-major, the longest first
     assert [(row.window_sec, row.failed, row.reason) for row in report.rows] == [
-        (0.1, True, "channel 3 is constant in the training folds"),
+        (0.1, True, "channel 1 is constant in the training folds"),
         (0.25, False, None),
     ]
     assert report.rows[0].folds == [] and [f.fold for f in report.rows[1].folds] == [0, 1, 2]
@@ -599,7 +601,11 @@ def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, worker_counts,
     cfg = TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=4)
 
     def outputs():
-        report = run_sweep([sig], [0.5, 0.1], cfg, folds=2, honest_split=honest_split, per_fold_stats=per_fold_stats)
+        # no 2.4 s segment holds a 4 s window, so both runners fail that row
+        report = run_sweep(
+            [sig], [0.5, 4.0, 0.1], cfg, folds=2, honest_split=honest_split, per_fold_stats=per_fold_stats
+        )
+        assert [row.failed for row in report.rows] == [False, False, True]
         save_report(report, tmp_path / "report.json")
         return (tmp_path / "report.json").read_bytes(), format_report_csv(report)
 
@@ -608,35 +614,70 @@ def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, worker_counts,
 
 
 @needs_a_pool
-def test_run_cells_in_a_pool_gives_the_same_outcomes_and_done_calls(worker_counts):
-    """4 s fails its first fold: its second still runs in a worker, and
-    its outcome is dropped, as the cell is skipped in this process."""
+def test_run_cells_in_a_pool_gives_the_same_outcomes_and_done_calls(monkeypatch, worker_counts):
+    """4 s fails every fold on coverage, and 0.25 s its folds 1 and 2: every
+    cell runs and reaches ``done`` in a worker as in this process, and each
+    failed row takes its lowest failed fold's reason."""
+    real_cell = experiment.run_cell
+
+    def cell(prepared, window_sec, fold, *args, **kwargs):
+        if window_sec == 0.25 and fold > 0:
+            raise CoverageError(f"channel {fold} is constant in the training folds")
+        return real_cell(prepared, window_sec, fold, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_cell", cell)
     prepared = prepare([_tiny_signal()])
-    cells = [(w, f) for f in range(2) for w in (4.0, 0.25, 0.1)]
+    cells = [(w, f) for f in range(3) for w in (4.0, 0.25, 0.1)]
 
     def run():
         calls = []
-        outcomes = run_cells(prepared, cells, 2, FAST_CFG, done=lambda *args: calls.append(args))
+        outcomes = run_cells(prepared, cells, 3, FAST_CFG, done=lambda *args: calls.append(args))
         return list(outcomes.items()), calls
 
     alone, pooled = _in_process_and_in_a_pool(worker_counts, run)
     assert alone == pooled
-    assert alone[1] == alone[0] and [c for c, _ in alone[0]] == [c for c in cells if c != (4.0, 1)]
-    assert dict(alone[0])[4.0, 0] == "no samples to fold"
+    assert alone[1] == alone[0] and [c for c, _ in alone[0]] == cells
+    report = assemble(dict(pooled[0]), seed=0, fingerprint="sha256:ab", config={})
+    assert [(row.window_sec, row.reason) for row in report.rows] == [
+        (0.1, None),
+        (0.25, "channel 1 is constant in the training folds"),
+        (4.0, "no samples to fold"),
+    ]
 
 
 @needs_a_pool
-def test_a_skipped_cell_that_raises_in_a_worker_is_dropped(monkeypatch, worker_counts):
-    def cell(prepared, window_sec, fold, *args, **kwargs):
+def test_an_error_in_a_later_fold_of_a_failed_duration_stops_the_sweep(monkeypatch, worker_counts):
+    def fail_fold_0_then_raise(prepared, window_sec, fold, *args, **kwargs):
         if fold == 0:
             raise CoverageError("channel 3 is constant in the training folds")
         raise ValueError("a later fold of a failed duration")
 
-    monkeypatch.setattr(experiment, "run_cell", cell)
-    prepared = prepare([_tiny_signal()])
-    cells = [(0.5, 0), (0.5, 1)]
-    alone, pooled = _in_process_and_in_a_pool(worker_counts, lambda: run_cells(prepared, cells, 2, FAST_CFG))
-    assert alone == pooled == {(0.5, 0): "channel 3 is constant in the training folds"}
+    monkeypatch.setattr(experiment, "run_cell", fail_fold_0_then_raise)
+
+    def run():
+        with pytest.raises(ValueError, match="^a later fold of a failed duration$") as info:
+            run_sweep([_tiny_signal()], [0.5], FAST_CFG, folds=2)
+        return info.value
+
+    alone, pooled = _in_process_and_in_a_pool(worker_counts, run)
+    assert alone.__cause__ is None
+    assert isinstance(pooled.__cause__, multiprocessing.pool.RemoteTraceback)
+    assert ", in fail_fold_0_then_raise\n" in str(pooled.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+@needs_a_pool
+def test_a_pooled_cells_error_carries_the_workers_traceback(monkeypatch, worker_counts):
+    def look_up_a_missing_key(prepared, window_sec, fold, *args, **kwargs):
+        return {}["a key no cell has"]
+
+    monkeypatch.setattr(experiment, "run_cell", look_up_a_missing_key)
+    with pytest.raises(KeyError, match="a key no cell has") as info:
+        run_cells(prepare([_tiny_signal()]), [(0.1, 0), (0.1, 1)], 2, FAST_CFG)
+    assert worker_counts[0] >= 2
+    assert isinstance(info.value.__cause__, multiprocessing.pool.RemoteTraceback)
+    assert ", in look_up_a_missing_key\n" in str(info.value.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 @needs_a_pool

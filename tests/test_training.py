@@ -165,6 +165,21 @@ def test_divergence_raises_with_epoch_number():
     assert str(info.value) == f"training diverged at epoch {info.value.epoch}"
 
 
+def test_finite_logits_that_span_more_than_the_float_range_are_a_non_finite_loss():
+    """Every row's logits are (1e308, -1e308, 0): finite, so softmax_xent
+    takes them, but a class-1 row's loss is 0 - (-2e308), infinite."""
+    x, y = _blobs(4)
+    every = np.arange(len(y))
+    net = build_model(_small_spec(), 12, seed=0)
+    net.out_w[...] = 0.0
+    net.out_b[...] = [1e308, -1e308, 0.0]
+    cfg = TrainConfig(batch_size=16, max_epochs=3, patience=3, seed=0)
+    with pytest.raises(DivergenceError) as info:
+        train(net, x, y, every, every, cfg, IDENTITY)
+    assert info.value.args == ("non-finite loss",) and info.value.epoch == 1
+    assert str(info.value) == "training diverged at epoch 1"
+
+
 def test_train_rejects_empty_inputs():
     x, y = _blobs(4)
     every = np.arange(len(y))
